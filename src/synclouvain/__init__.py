@@ -43,7 +43,6 @@ from .perf import (
 )
 from .quality import (
     CommunityAggregates,
-    QualityParams,
     gain_insert,
     gain_switch,
     local_gain,
@@ -60,7 +59,6 @@ __all__ = [
     "GraphFormatError",
     "Hierarchy",
     "PlantedGraph",
-    "QualityParams",
     "RunConfig",
     "RunRecord",
     "RunResult",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forest import AssignmentForest, extract_components, reverse_assignment
+from .forest import extract_components, reverse_assignment
 from .graph import Graph, aggregate, compose_labels, strengths
 from .quality import CommunityAggregates, gain_switch, local_gains, score
 from .rng import uniform01
@@ -25,7 +25,6 @@ class RunConfig:
     seed: int = 0
     accept_prob: float = 0.5
     max_outer_iters: int = 100
-    scc_cut_cap: int = 10_000
     debug_checks: bool = False
     record_scores: bool = False
 
@@ -36,8 +35,6 @@ class RunConfig:
             raise ValueError("accept_prob must be in (0, 1]")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        if self.scc_cut_cap < 2:
-            raise ValueError("scc_cut_cap must be >= 2")
 
 
 @dataclass
@@ -160,22 +157,7 @@ def find_assignment(graph, st, pool=None):
 
 # ------------------------------------------------------- positive correction
 
-def _find_cycle(a, start):
-    """Walk the assignment pointers from ``start`` until a repeat; return
-    the cycle rotated so its lowest node id comes first."""
-    seen = {}
-    path = []
-    x = int(start)
-    while x not in seen:
-        seen[x] = len(path)
-        path.append(x)
-        x = int(a[x])
-    cyc = path[seen[x]:]
-    k = cyc.index(min(cyc))
-    return cyc[k:] + cyc[:k]
-
-
-def _detach_gain(u, st, mem, in_b, b_nodes, so_c, si_c):
+def _detach_gain(u, st, mem, b_nodes, so_c, si_c):
     """Exact score change from splitting ``b_nodes`` out of the community
     ``mem`` into its own community."""
     m = st.m_w
@@ -187,18 +169,32 @@ def _detach_gain(u, st, mem, in_b, b_nodes, so_c, si_c):
         if keep.any():
             sub = nb[keep]
             ws = (u.w_out[lo:hi] + u.w_in[lo:hi])[keep]
-            x_w += float(ws[~in_b[sub]].sum())
+            x_w += float(ws[~_in_sorted(b_nodes, sub)].sum())
     so_b = float(st.s_out[b_nodes].sum())
     si_b = float(st.s_in[b_nodes].sum())
     null = (-so_c * si_b - so_b * si_c + 2.0 * so_b * si_b)
     return -x_w / m - null / (m * m)
 
 
-def _split_community(graph, st, a, members, scc_cap, warnings):
+def _split_community(graph, st, a, members, cycle):
     """Repeatedly bisect one community while any member has negative local
-    gain and some single cut (branch edge, or a pair of cycle edges) yields
-    a strictly positive score change.  Mutates ``a`` in place for the
-    community's own nodes only.  Returns (gains, unresolved, changed)."""
+    gain and some single cut yields a strictly positive score change.
+    ``cycle`` holds the community's cycle nodes in ascending order.
+    Mutates ``a`` in place for the community's own nodes only.  Returns
+    (gains, unresolved, changed).
+
+    A cut is one tree edge (a branch cut: the subtree below a non-cycle
+    node leaves) or, when no branch cut improves, both edges of a 2-cycle
+    (c0, c1): c1's subtree leaves and both cycle nodes self-assign.  No
+    longer cycle can occur.  The pair gain of ``find_assignment`` is
+    symmetric bit for bit (the weight sum and both products commute), so
+    on a cycle i1 -> i2 -> ... -> ik each node's best gain is at least its
+    predecessor's and all gains on the cycle are equal.  With ties broken
+    to the lowest id, k >= 3 then forces i3 < i1, i5 < i3, ... around the
+    cycle, a contradiction.  Positive correction only makes self-loops,
+    and maximal correction points a node into another component, so
+    neither closes a new cycle; ``_debug_validate`` asserts the bound.
+    Branch cuts still run on any cycle, so hand-built forests work."""
     u = graph.neighbor_union()
     m = st.m_w
     m2 = m * m
@@ -206,10 +202,9 @@ def _split_community(graph, st, a, members, scc_cap, warnings):
     gains = []
     unresolved = 0
     changed = False
-    in_b = np.zeros(graph.n, dtype=bool)  # scratch, community-local
-    stack = [np.sort(np.asarray(members, dtype=np.int64))]
+    stack = [(np.sort(np.asarray(members, dtype=np.int64)), tuple(cycle))]
     while stack:
-        mem = stack.pop()
+        mem, cyc = stack.pop()
         if mem.size <= 1:
             continue
         so_c = float(s_out[mem].sum())
@@ -224,115 +219,48 @@ def _split_community(graph, st, a, members, scc_cap, warnings):
         if not (g < 0.0).any():
             continue
         mem_list = mem.tolist()
-        cyc = _find_cycle(a, mem_list[0])
-        cyc_set = set(cyc)
         children = {x: [] for x in mem_list}
         for x in mem_list:
-            t = int(a[x])
-            if t != x and t in children:
-                children[t].append(x)
-        best_gain = 0.0
-        best_parts = None
-        best_cutoff = None  # nodes to self-assign
-        # branch cuts: detach the subtree rooted at a non-cycle node
-        for x in mem_list:
-            if x in cyc_set:
-                continue
+            if a[x] != x:  # pieces are components of ``a``: a[x] is in mem
+                children[int(a[x])].append(x)
+
+        def subtree(x):
             sub = [x]
             qi = 0
             while qi < len(sub):
-                sub.extend(children[sub[qi]])
+                sub.extend(k for k in children[sub[qi]] if k not in cyc)
                 qi += 1
-            b_nodes = np.sort(np.asarray(sub, dtype=np.int64))
-            in_b[b_nodes] = True
-            gsp = _detach_gain(u, st, mem, in_b, b_nodes, so_c, si_c)
-            in_b[b_nodes] = False
+            return np.sort(np.asarray(sub, dtype=np.int64))
+
+        best_gain = 0.0
+        best = None  # (detached nodes, pointer sources to self-assign)
+        for x in mem_list:
+            if x in cyc:
+                continue
+            b_nodes = subtree(x)
+            gsp = _detach_gain(u, st, mem, b_nodes, so_c, si_c)
             if gsp > best_gain:
                 best_gain = gsp
-                best_parts = b_nodes
-                best_cutoff = (x,)
-        if best_parts is None and len(cyc) >= 2:
-            if len(cyc) > scc_cap:
-                # too costly to try all pair cuts: peel off the worst
-                # negative cycle node and retry with branch cuts available
-                neg = [(g[int(np.searchsorted(mem, x))], x) for x in cyc]
-                neg = [t for t in neg if t[0] < 0.0]
-                if neg:
-                    worst = min(neg)[1]
-                    a[worst] = worst
-                    changed = True
-                    warnings.append(
-                        f"cycle of size {len(cyc)} exceeds pair-cut cap "
-                        f"{scc_cap}; self-assigned node {worst}")
-                    stack.append(mem)
-                    continue
-            else:
-                pg, pp = _best_pair_cut(u, st, a, mem, in_b, cyc, children,
-                                        so_c, si_c)
-                if pg > best_gain:
-                    best_gain = pg
-                    best_parts, best_cutoff = pp
-        if best_parts is None:
+                best = (b_nodes, (x,))
+        if best is None and len(cyc) == 2:
+            b_nodes = subtree(cyc[1])
+            gsp = _detach_gain(u, st, mem, b_nodes, so_c, si_c)
+            if gsp > best_gain:
+                best_gain = gsp
+                best = (b_nodes, cyc)
+        if best is None:
             unresolved += int((g < 0.0).sum())
             continue
-        for x in best_cutoff:
+        b_nodes, cut = best
+        for x in cut:
             a[x] = x
         changed = True
         gains.append(best_gain)
-        rest = mem[~_in_sorted(best_parts, mem)]
-        stack.append(rest)
-        stack.append(best_parts)
+        # the detached piece's cycle is its self-assigned root cut[-1]
+        rest = mem[~_in_sorted(b_nodes, mem)]
+        stack.append((rest, tuple(c for c in cyc if c != cut[-1])))
+        stack.append((b_nodes, (cut[-1],)))
     return gains, unresolved, changed
-
-
-def _best_pair_cut(u, st, a, mem, in_b, cyc, children, so_c, si_c):
-    """Best bisection obtained by cutting two of the cycle's pointer edges.
-    Anchors each cycle node's hanging subtrees to it, then scans all arc
-    pairs with an incremental cross-weight update."""
-    m = st.m_w
-    m2 = m * m
-    s = len(cyc)
-    groups = []
-    for v in cyc:
-        grp = [v]
-        qi = 0
-        while qi < len(grp):
-            grp.extend(k for k in children[grp[qi]] if k not in set(cyc))
-            qi += 1
-        groups.append(np.asarray(sorted(grp), dtype=np.int64))
-    so_g = np.array([float(st.s_out[g].sum()) for g in groups])
-    si_g = np.array([float(st.s_in[g].sum()) for g in groups])
-    best_gain = 0.0
-    best = None
-    for p in range(s - 1):
-        in_b[:] = False
-        so_b = si_b = x_w = 0.0
-        for q in range(p + 1, s):
-            gq = groups[q]
-            for y in gq.tolist():
-                lo, hi = int(u.ptr[y]), int(u.ptr[y + 1])
-                nb = u.nbr[lo:hi]
-                keep = _in_sorted(mem, nb)
-                if keep.any():
-                    sub = nb[keep]
-                    ws = (u.w_out[lo:hi] + u.w_in[lo:hi])[keep]
-                    inside = in_b[sub]
-                    x_w += float(ws[~inside].sum()) - float(ws[inside].sum())
-                in_b[y] = True
-            so_b += so_g[q]
-            si_b += si_g[q]
-            null = (-so_c * si_b - so_b * si_c + 2.0 * so_b * si_b)
-            gain = -x_w / m - null / m2
-            if gain > best_gain:
-                part = np.sort(np.concatenate(groups[p + 1:q + 1]))
-                best_gain = gain
-                best = (part, (cyc[p], cyc[q]))
-    if best is not None:
-        # clear scratch for the caller
-        in_b[mem] = False
-        return best_gain, best
-    in_b[mem] = False
-    return 0.0, None
 
 
 def positive_correction(graph, st, forest, config, pool):
@@ -346,11 +274,10 @@ def positive_correction(graph, st, forest, config, pool):
     members = forest.community_members()
     a = forest.a.copy()
     ctxs = [members[int(c)] for c in bad]
-    sinks = [[] for _ in ctxs]
     out = (pool or _Pool(1)).map(
-        lambda k: _split_community(graph, st, a, ctxs[k],
-                                   config.scc_cut_cap, sinks[k]),
-        range(len(ctxs)))
+        lambda mem: _split_community(graph, st, a, mem,
+                                     mem[forest.on_cycle[mem]].tolist()),
+        ctxs)
     gains = []
     unresolved = 0
     changed = False
@@ -537,6 +464,10 @@ def _debug_validate(graph, st, forest, phase, stats, expect_clean_gains):
     if not (np.array_equal(fresh.comm, forest.comm)
             and np.array_equal(fresh.on_cycle, forest.on_cycle)):
         stats.debug_failures.append(f"{phase}: stale component labeling")
+    cyc_len = np.bincount(forest.comm[forest.on_cycle], minlength=forest.n_comms)
+    for c in np.flatnonzero(cyc_len > 2).tolist():
+        stats.debug_failures.append(
+            f"{phase}: community {c} has a cycle of length {int(cyc_len[c])}")
     if expect_clean_gains:
         agg = CommunityAggregates.from_labels(st, forest.comm, forest.n_comms)
         worst = float(local_gains(graph, st, forest.comm, agg).min())

@@ -129,14 +129,6 @@ class Graph:
             self._union = _build_union(self)
         return self._union
 
-    def out_slice(self, i):
-        lo, hi = self.out_ptr[i], self.out_ptr[i + 1]
-        return self.out_dst[lo:hi], self.out_w[lo:hi]
-
-    def in_slice(self, i):
-        lo, hi = self.in_ptr[i], self.in_ptr[i + 1]
-        return self.in_src[lo:hi], self.in_w[lo:hi]
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
@@ -318,15 +310,22 @@ def read_partition(path: str) -> np.ndarray:
                 raise GraphFormatError(
                     f"line {lineno}: expected 'node community', got {line!r}")
             try:
-                nodes.append(int(parts[0]))
-                comms.append(int(parts[1]))
+                node, comm = int(parts[0]), int(parts[1])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: bad integer: {line!r}")
-    labels = np.full(len(nodes), -1, dtype=np.int64)
-    for lineno, (node, comm) in enumerate(zip(nodes, comms), start=1):
-        if node < 0 or node >= len(nodes) or labels[node] != -1:
+            if comm < 0:
+                raise GraphFormatError(
+                    f"line {lineno}: community labels must be non-negative: "
+                    f"{line!r}")
+            nodes.append(node)
+            comms.append(comm)
+    labels = np.zeros(len(nodes), dtype=np.int64)
+    seen = np.zeros(len(nodes), dtype=bool)
+    for node, comm in zip(nodes, comms):
+        if node < 0 or node >= len(nodes) or seen[node]:
             raise GraphFormatError(
                 f"partition file must list each node 0..n-1 exactly once "
                 f"(offending node {node})")
+        seen[node] = True
         labels[node] = comm
     return labels

@@ -46,7 +46,6 @@ class RunRecord:
 class SpeedupCurve:
     baseline: RunRecord
     points: list  # (threads, baseline mean wall / mean wall), sorted
-    median_wall: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
 
 
@@ -84,7 +83,7 @@ def curve_from_records(records) -> SpeedupCurve:
     baseline = replace(first, wall_seconds=mean_wall[1], repeat=0)
     points = [(t, mean_wall[1] / mean_wall[t]) for t in sorted(by_threads)]
     return SpeedupCurve(baseline=baseline, points=points,
-                        median_wall=median_wall, records=list(records))
+                        records=list(records))
 
 
 def measure(source, threads=(1,), repeats=2, config=None, csv_path=None,
@@ -104,6 +103,7 @@ def measure(source, threads=(1,), repeats=2, config=None, csv_path=None,
     else:
         graph = source
         tag = _graph_digest(graph)
+    graph.neighbor_union()  # one-time setup, not charged to the first run
     records = []
     ref_flat = None
     ref_levels = None

@@ -1,6 +1,6 @@
 """Partition quality and move-gain kernels.
 
-The default model is directed weighted modularity,
+The model is directed weighted modularity,
 
     Q = (1/m) * sum_c [ W_c - S_out(c) * S_in(c) / m ],
 
@@ -14,39 +14,18 @@ shape everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .graph import Graph, Strengths
 
 __all__ = [
     "CommunityAggregates",
-    "QualityParams",
     "gain_insert",
     "gain_switch",
     "local_gain",
     "local_gains",
     "score",
 ]
-
-
-@dataclass(frozen=True)
-class QualityParams:
-    """Quality model selector: modularity, or a generic (alpha, beta) form."""
-
-    model: str = "modularity"
-    alpha: Callable[[int, int], float] | None = None
-    beta: Callable[[int, int], float] | None = None
-
-    @classmethod
-    def modularity(cls) -> "QualityParams":
-        return cls()
-
-    @classmethod
-    def generic(cls, alpha, beta) -> "QualityParams":
-        return cls(model="generic", alpha=alpha, beta=beta)
 
 
 class CommunityAggregates:
@@ -78,12 +57,6 @@ class CommunityAggregates:
             np.bincount(labels, minlength=n_comms).astype(np.int64),
         )
 
-    def remove_node(self, st: Strengths, labels, i: int) -> None:
-        c = int(labels[i])
-        self.s_out[c] -= st.s_out[i]
-        self.s_in[c] -= st.s_in[i]
-        self.count[c] -= 1
-
     def move_nodes(self, st: Strengths, nodes, frm: int, to: int) -> None:
         so = st.s_out[nodes].sum()
         si = st.s_in[nodes].sum()
@@ -101,13 +74,11 @@ class CommunityAggregates:
                 and np.allclose(fresh.s_in, self.s_in, atol=atol, rtol=0.0))
 
 
-def score(graph: Graph, st: Strengths, labels, params: QualityParams | None = None) -> float:
+def score(graph: Graph, st: Strengths, labels) -> float:
     """Partition quality; 0.0 for an edgeless graph."""
     labels = np.asarray(labels, dtype=np.int64)
     if st.m_w == 0.0:
         return 0.0
-    if params is not None and params.model == "generic":
-        return _generic_score(graph, labels, params)
     m = st.m_w
     rows = graph.edge_rows()
     intra = float(graph.out_w[labels[rows] == labels[graph.out_dst]].sum())
@@ -116,25 +87,6 @@ def score(graph: Graph, st: Strengths, labels, params: QualityParams | None = No
     s_in_c = np.bincount(labels, weights=st.s_in, minlength=n_comms)
     null = float((s_out_c * s_in_c / m).sum())
     return (intra - null) / m
-
-
-def _edge_weight(graph: Graph, i: int, j: int) -> float:
-    dst, w = graph.out_slice(i)
-    pos = np.searchsorted(dst, j)
-    if pos < dst.size and dst[pos] == j:
-        return float(w[pos])
-    return 0.0
-
-
-def _generic_score(graph: Graph, labels, params: QualityParams) -> float:
-    total = 0.0
-    for c in np.unique(labels):
-        members = np.flatnonzero(labels == c)
-        for i in members:
-            for j in members:
-                total += (params.alpha(int(i), int(j)) * _edge_weight(graph, int(i), int(j))
-                          - params.beta(int(i), int(j)))
-    return total
 
 
 def gain_insert(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,

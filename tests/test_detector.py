@@ -4,6 +4,8 @@ import pytest
 from synclouvain.detector import (
     Hierarchy,
     RunConfig,
+    RunStats,
+    _debug_validate,
     find_assignment,
     maximal_correction,
     positive_correction,
@@ -76,6 +78,52 @@ def test_positive_correction_detaches_external_heavy_pendant():
         candidates.append(oracle_score(5, edges, lab))
     assert after == pytest.approx(max(candidates), abs=1e-12)
     assert after > before
+
+
+def test_positive_correction_cuts_two_cycle_when_no_branch_cut_improves():
+    # triangles {0,1,2} and {3,4,5} joined by a light 2-cycle 0 <-> 3; both
+    # cycle nodes are tied heavily to outside node 6, so their local gains
+    # are negative, yet detaching any leaf loses score
+    edges = [(0, 3, 0.5), (3, 0, 0.5), (0, 6, 3.0), (6, 0, 3.0),
+             (3, 6, 3.0), (6, 3, 3.0)]
+    for tri in ((0, 1, 2), (3, 4, 5)):
+        edges += [(i, j, 1.0) for i in tri for j in tri if i != j]
+    g = build_graph(7, edges)
+    st = strengths(g)
+    forest = extract_components(np.array([3, 0, 0, 0, 3, 3, 6]))
+    agg = CommunityAggregates.from_labels(st, forest.comm, forest.n_comms)
+    lg = local_gains(g, st, forest.comm, agg)
+    assert lg[0] < 0 and lg[3] < 0
+    before = oracle_score(7, edges, forest.comm)
+    cuts = {}
+    for part in ([1], [2], [4], [5], [3, 4, 5]):  # four branch cuts, one pair
+        lab = forest.comm.copy()
+        lab[part] = lab.max() + 1
+        cuts[tuple(part)] = oracle_score(7, edges, lab) - before
+    assert all(cuts[(x,)] <= 0 for x in (1, 2, 4, 5)) and cuts[(3, 4, 5)] > 0
+    forest2, splits, unresolved, gains = positive_correction(
+        g, st, forest, RunConfig(), None)
+    assert splits == 1 and unresolved == 0
+    assert gains[0] == pytest.approx(max(cuts.values()), abs=1e-12)
+    np.testing.assert_array_equal(forest2.comm, [0, 0, 0, 1, 1, 1, 2])
+    np.testing.assert_array_equal(forest2.a, [0, 0, 0, 3, 3, 3, 6])
+
+
+def test_debug_validate_flags_cycles_longer_than_two():
+    n, edges = two_triangles()
+    g = build_graph(n, edges)
+    stats = RunStats()
+    forest = extract_components(np.array([1, 2, 0, 4, 5, 3]))
+    _debug_validate(g, strengths(g), forest, "hand", stats,
+                    expect_clean_gains=False)
+    assert stats.debug_failures == [
+        "hand: community 0 has a cycle of length 3",
+        "hand: community 1 has a cycle of length 3"]
+    stats = RunStats()
+    forest = extract_components(np.array([1, 0, 0, 4, 3, 3]))  # 2-cycles
+    _debug_validate(g, strengths(g), forest, "hand", stats,
+                    expect_clean_gains=False)
+    assert stats.debug_failures == []
 
 
 def test_positive_correction_noop_when_all_gains_nonnegative():
@@ -220,6 +268,17 @@ def test_debug_checks_clean_on_random_graphs(rng):
         res = run(g, RunConfig(seed=trial, debug_checks=True))
         assert res.stats.debug_failures == []
         assert res.stats.unresolved_negative == 0
+    # unit weights tie many pair gains, the case the lowest-id tie break
+    # must keep free of cycles longer than 2; a single cut may not repair
+    # every negative gain here, so unresolved nodes are allowed
+    for trial in range(20):
+        n = int(rng.integers(5, 40))
+        edges = [(i, j, 1.0) for i, j, _ in
+                 random_edges(rng, n, density=float(rng.uniform(0.05, 0.4)),
+                              self_loops=trial % 2 == 1)]
+        g = build_graph(n, edges)
+        res = run(g, RunConfig(seed=trial, debug_checks=True))
+        assert res.stats.debug_failures == []
 
 
 def test_small_graph_reaches_good_optimum():

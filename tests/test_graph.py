@@ -171,6 +171,26 @@ def test_partition_io_roundtrip(tmp_path):
     np.testing.assert_array_equal(read_partition(str(path)), labels)
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("0 -1\n0 5\n", 1),  # -1 must not pass as "unseen": node 0 twice, 1 missing
+    ("0 -3\n1 0\n", 1),
+    ("0 0\n1 -2\n", 2),
+], ids=["minus-one-then-duplicate", "minus-three-first", "negative-on-line-2"])
+def test_read_partition_rejects_negative_labels(tmp_path, text, lineno):
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    with pytest.raises(GraphFormatError) as err:
+        read_partition(str(path))
+    assert f"line {lineno}" in str(err.value)
+
+
+def test_read_partition_rejects_duplicate_and_missing_nodes(tmp_path):
+    path = tmp_path / "p.txt"
+    path.write_text("0 0\n0 5\n")
+    with pytest.raises(GraphFormatError):
+        read_partition(str(path))
+
+
 def test_union_adjacency_merges_directions(rng):
     edges = [(0, 1, 2.0), (1, 0, 0.5), (0, 2, 1.0), (2, 2, 9.0)]
     g = build_graph(3, edges)

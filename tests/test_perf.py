@@ -108,6 +108,23 @@ def test_measure_detects_partition_mismatch(monkeypatch):
         measure(g, threads=[1], repeats=2)
 
 
+def test_measure_builds_union_before_timed_runs(monkeypatch):
+    # the lazy neighbor-union build is setup, not part of the first run
+    import synclouvain.perf as perf
+
+    g = small_graph()
+    real_run = perf.run
+    seen = []
+
+    def checked(graph, config):
+        seen.append(graph._union is not None)
+        return real_run(graph, config)
+
+    monkeypatch.setattr(perf, "run", checked)
+    measure(g, threads=[1, 2], repeats=2)
+    assert seen == [True] * 4
+
+
 def test_csv_round_trip(tmp_path):
     recs = [
         RunRecord("x", 1, 0, 1.25, 0.4031, 3, 9, 0.5),
