@@ -108,6 +108,68 @@ def _row_chunks(graph, parts):
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+def _map_rows(graph, pool, fn, rows=None):
+    """Run ``fn(lo, hi, rows)`` once per thread on contiguous row ranges and
+    concatenate the results in row order.  ``rows`` (ascending) restricts
+    each range to the listed rows; None passes None, meaning every row."""
+    chunks = _row_chunks(graph, pool.parts if pool else 1)
+    if rows is None:
+        work = [(lo, hi, None) for lo, hi in chunks]
+    else:
+        cut = np.searchsorted(rows, [lo for lo, _ in chunks] + [graph.n])
+        work = [(lo, hi, rows[cut[k]:cut[k + 1]])
+                for k, (lo, hi) in enumerate(chunks)]
+    return np.concatenate((pool or _Pool(1)).map(lambda w: fn(*w), work))
+
+
+def _smallest_members(labels):
+    """Smallest member of each community of a canonical labeling, in label
+    order: the nodes where the running label maximum grows."""
+    top = np.maximum.accumulate(labels)
+    return np.flatnonzero(np.diff(top, prepend=-1))
+
+
+def _changed_nodes(old, new):
+    """Mask of the nodes whose ``new`` community is not, member for member,
+    a community of ``old``; both are canonical labelings of the same nodes.
+    A new community is unchanged iff every member had the old label of its
+    smallest member and that old community had the same size, so moves,
+    merges, splits and vanished communities all count as changes."""
+    rep = _smallest_members(new)
+    was = old[rep]
+    strayed = old != was[new]
+    size_new = np.bincount(new, minlength=rep.size)
+    unchanged = ((np.bincount(old)[was] == size_new)
+                 & (np.bincount(new[strayed], minlength=rep.size) == 0))
+    return ~unchanged[new]
+
+
+@dataclass
+class _Frontier:
+    """One level's memo of the labeling its last maximal plan and its last
+    local gains were computed on, so later sweeps redo only what changed.
+
+    The plan keeps each node's target as the smallest member of the target
+    community, a node id that survives relabeling.  A sweep re-plans only
+    the changed nodes (``_changed_nodes``) and the rows with a changed
+    neighbor; positive correction recomputes only the changed nodes' local
+    gains.  This is exact, bit for bit:
+
+    - an unchanged community has the same member set, so the bincounts of
+      ``CommunityAggregates.from_labels`` give it the same bits;
+    - it keeps its smallest member, so canonical order among unchanged
+      communities is preserved and lowest-label ties pick the same one;
+    - a row outside the frontier has the same entries with the same
+      neighbor communities, so its groups, their order and their sums are
+      identical, and so is an unchanged node's own-community sum.
+
+    Under ``debug_checks`` both are compared with a full recompute."""
+    plan_comm: np.ndarray | None = None
+    target_rep: np.ndarray | None = None
+    lg_comm: np.ndarray | None = None
+    lg: np.ndarray | None = None
+
+
 def _in_sorted(sorted_arr, values):
     """Boolean mask: which of ``values`` occur in ``sorted_arr``."""
     pos = np.searchsorted(sorted_arr, values)
@@ -146,13 +208,8 @@ def _assign_targets(graph, st, lo, hi):
 def find_assignment(graph, st, pool=None):
     """Point every node at its best single neighbor (or itself when no
     pairing has positive gain).  Ties break to the lowest neighbor id."""
-    chunks = _row_chunks(graph, pool.parts if pool else 1)
-    a = np.empty(graph.n, dtype=np.int64)
-    parts = (pool or _Pool(1)).map(
-        lambda c: _assign_targets(graph, st, c[0], c[1]), chunks)
-    for (lo, hi), arr in zip(chunks, parts):
-        a[lo:hi] = arr
-    return a
+    return _map_rows(graph, pool,
+                     lambda lo, hi, _: _assign_targets(graph, st, lo, hi))
 
 
 # ------------------------------------------------------- positive correction
@@ -181,7 +238,9 @@ def _split_community(graph, st, a, members, cycle):
     gain and some single cut yields a strictly positive score change.
     ``cycle`` holds the community's cycle nodes in ascending order.
     Mutates ``a`` in place for the community's own nodes only.  Returns
-    (gains, unresolved, changed).
+    (gains, unresolved, left): the gain of each applied cut, the count of
+    negative-gain members no cut could repair, and the pieces holding
+    them.
 
     A cut is one tree edge (a branch cut: the subtree below a non-cycle
     node leaves) or, when no branch cut improves, both edges of a 2-cycle
@@ -201,7 +260,7 @@ def _split_community(graph, st, a, members, cycle):
     s_out, s_in = st.s_out, st.s_in
     gains = []
     unresolved = 0
-    changed = False
+    left = []
     stack = [(np.sort(np.asarray(members, dtype=np.int64)), tuple(cycle))]
     while stack:
         mem, cyc = stack.pop()
@@ -250,27 +309,45 @@ def _split_community(graph, st, a, members, cycle):
                 best = (b_nodes, cyc)
         if best is None:
             unresolved += int((g < 0.0).sum())
+            left.append(mem)
             continue
         b_nodes, cut = best
         for x in cut:
             a[x] = x
-        changed = True
         gains.append(best_gain)
         # the detached piece's cycle is its self-assigned root cut[-1]
         rest = mem[~_in_sorted(b_nodes, mem)]
         stack.append((rest, tuple(c for c in cyc if c != cut[-1])))
         stack.append((b_nodes, (cut[-1],)))
-    return gains, unresolved, changed
+    return gains, unresolved, left
 
 
-def positive_correction(graph, st, forest, config, pool):
+def positive_correction(graph, st, forest, config, pool, stats=None,
+                        memo=None):
     """Split every community that still contains a member with negative
-    local gain, as long as some single cut strictly improves the score."""
-    agg = CommunityAggregates.from_labels(st, forest.comm, forest.n_comms)
-    lg = local_gains(graph, st, forest.comm, agg)
-    bad = np.unique(forest.comm[lg < 0.0])
+    local gain, as long as some single cut strictly improves the score.
+    Returns (forest, splits, unresolved, gains, left), where ``left`` masks
+    the nodes of the communities left with an unrepaired negative gain.
+    With a ``memo`` only changed nodes' local gains are recomputed; a
+    ``stats`` turns on the comparison with a full recompute."""
+    comm = forest.comm
+    agg = CommunityAggregates.from_labels(st, comm, forest.n_comms)
+    if memo is None or memo.lg is None:
+        lg = local_gains(graph, st, comm, agg)
+    else:
+        changed = _changed_nodes(memo.lg_comm, comm)
+        lg = memo.lg
+        lg[changed] = local_gains(graph, st, comm, agg, changed)
+        if stats is not None and lg.tobytes() != local_gains(
+                graph, st, comm, agg).tobytes():
+            stats.debug_failures.append(
+                "positive: cached local gains differ from a full recompute")
+    if memo is not None:
+        memo.lg_comm, memo.lg = comm, lg
+    left = np.zeros(graph.n, dtype=bool)
+    bad = np.unique(comm[lg < 0.0])
     if bad.size == 0:
-        return forest, 0, 0, []
+        return forest, 0, 0, [], left
     members = forest.community_members()
     a = forest.a.copy()
     ctxs = [members[int(c)] for c in bad]
@@ -280,38 +357,43 @@ def positive_correction(graph, st, forest, config, pool):
         ctxs)
     gains = []
     unresolved = 0
-    changed = False
-    for gl, un, ch in out:
+    for gl, un, pieces in out:
         gains.extend(gl)
         unresolved += un
-        changed = changed or ch
-    new_forest = extract_components(a) if changed else forest
-    return new_forest, len(gains), unresolved, gains
+        for mem in pieces:
+            left[mem] = True
+    new_forest = extract_components(a) if gains else forest
+    return new_forest, len(gains), unresolved, gains, left
 
 
 # -------------------------------------------------------- maximal correction
 
-def _best_targets(graph, st, labels, agg, lo, hi):
-    """Per node in [lo, hi): the neighboring community with the highest
-    switch score for moving the node alone, or its own community when no
-    alternative strictly beats staying.  Pure snapshot computation."""
+def _best_targets(graph, st, labels, agg, lo, hi, rows=None):
+    """Per node in [lo, hi), or only in its ascending subset ``rows``: the
+    neighboring community with the highest switch score for moving the
+    node alone, or its own community when no alternative strictly beats
+    staying.  Pure snapshot computation; a row's result depends only on its
+    own entries, so planning a subset gives the same bits per row."""
     u = graph.neighbor_union()
     m = st.m_w
     m2 = m * m
-    lab_r = labels[lo:hi]
-    so_r = st.s_out[lo:hi]
-    si_r = st.s_in[lo:hi]
-    t_stay = -(so_r * (agg.s_in[lab_r] - si_r)
-               + si_r * (agg.s_out[lab_r] - so_r)) / m2
-    cstar = lab_r.copy()
-    e0, e1 = int(u.ptr[lo]), int(u.ptr[hi])
-    if e1 == e0:
+    if rows is None:
+        rows = np.arange(lo, hi)
+        e0, e1 = int(u.ptr[lo]), int(u.ptr[hi])
+        pos, nbr = u.row[e0:e1] - lo, u.nbr[e0:e1]
+        wsum = u.w_out[e0:e1] + u.w_in[e0:e1]
+    else:
+        pos, nbr, wsum = u.gather(rows)
+    cstar = labels[rows]
+    so_r = st.s_out[rows]
+    si_r = st.s_in[rows]
+    t_stay = -(so_r * (agg.s_in[cstar] - si_r)
+               + si_r * (agg.s_out[cstar] - so_r)) / m2
+    if pos.size == 0:
         return cstar
-    row = u.row[e0:e1]
-    nbr = u.nbr[e0:e1]
     cn = labels[nbr]
-    wsum = u.w_out[e0:e1] + u.w_in[e0:e1]
-    key = (row - lo).astype(np.int64) * np.int64(agg.n_comms + 1) + cn
+    del nbr  # a gathered frontier copy would otherwise outlive the sort
+    key = pos * np.int64(agg.n_comms + 1) + cn
     order = np.argsort(key, kind="stable")
     ks = key[order]
     new_grp = np.empty(ks.size, dtype=bool)
@@ -319,26 +401,23 @@ def _best_targets(graph, st, labels, agg, lo, hi):
     new_grp[1:] = ks[1:] != ks[:-1]
     starts = np.flatnonzero(new_grp)
     gsum = np.add.reduceat(wsum[order], starts)
-    g_row = row[order][starts]
+    g_pos = pos[order][starts]
     g_comm = cn[order][starts]
-    own = g_comm == labels[g_row]
-    so_i = st.s_out[g_row]
-    si_i = st.s_in[g_row]
+    own = g_comm == cstar[g_pos]
+    so_i = so_r[g_pos]
+    si_i = si_r[g_pos]
     sin_c = agg.s_in[g_comm] - np.where(own, si_i, 0.0)
     sout_c = agg.s_out[g_comm] - np.where(own, so_i, 0.0)
     t = gsum / m - (so_i * sin_c + si_i * sout_c) / m2
-    t_stay[g_row[own] - lo] = t[own]
-    seg = np.searchsorted(g_row, np.arange(lo, hi + 1))
+    t_stay[g_pos[own]] = t[own]
+    seg = np.searchsorted(g_pos, np.arange(rows.size + 1))
     has = seg[1:] > seg[:-1]
-    if not has.any():
-        return cstar
     tc = np.where(own, -np.inf, t)
-    mx = np.full(hi - lo, -np.inf)
+    mx = np.full(rows.size, -np.inf)
     mx[has] = np.maximum.reduceat(tc, seg[:-1][has])
-    row_l = g_row - lo
-    eligible = (~own) & (tc == mx[row_l]) & (mx[row_l] > t_stay[row_l])
+    eligible = (~own) & (tc == mx[g_pos]) & (mx[g_pos] > t_stay[g_pos])
     gidx = np.where(eligible, np.arange(t.size), t.size)
-    first = np.full(hi - lo, t.size)
+    first = np.full(rows.size, t.size)
     first[has] = np.minimum.reduceat(gidx, seg[:-1][has])
     okr = first < t.size
     cstar[okr] = g_comm[first[okr]]
@@ -382,21 +461,40 @@ def _attach_target(graph, st, labels, i, to):
 
 
 def maximal_correction(graph, st, forest, config, level, sweep, pool,
-                       stats=None):
+                       stats=None, memo=None):
     """One synchronized sweep: plan the best community switch for every
     node from a frozen snapshot, then commit accepted moves serially in
     ascending node order.  Each committed node drags its pointer tail
     along.  Moves are re-priced at commit time and skipped unless still
     strictly positive; a node is also skipped once its source community
-    has been touched by an earlier commit this sweep."""
+    has been touched by an earlier commit this sweep.  With a ``memo``
+    holding an earlier plan of this level, only the nodes touching a
+    changed community are re-planned (see ``_Frontier``)."""
     labels = forest.comm.copy()
     agg = CommunityAggregates.from_labels(st, labels, forest.n_comms)
-    chunks = _row_chunks(graph, pool.parts if pool else 1)
-    parts = (pool or _Pool(1)).map(
-        lambda c: _best_targets(graph, st, labels, agg, c[0], c[1]), chunks)
-    cstar = np.empty(graph.n, dtype=np.int64)
-    for (lo, hi), arr in zip(chunks, parts):
-        cstar[lo:hi] = arr
+
+    def plan(rows=None):
+        return _map_rows(graph, pool, lambda lo, hi, r: _best_targets(
+            graph, st, labels, agg, lo, hi, r), rows)
+
+    if memo is None or memo.plan_comm is None:
+        cstar = plan()
+    else:
+        changed = _changed_nodes(memo.plan_comm, labels)
+        # the union is symmetric: the rows with a changed neighbor are the
+        # neighbors of the changed rows
+        u = graph.neighbor_union()
+        changed[u.gather(np.flatnonzero(changed))[1]] = True
+        rows = np.flatnonzero(changed)
+        cstar = labels[memo.target_rep]
+        cstar[rows] = plan(rows)
+        if stats is not None and not np.array_equal(cstar, plan()):
+            stats.debug_failures.append(
+                f"frontier plan differs from the full plan at level {level} "
+                f"sweep {sweep}")
+    if memo is not None:
+        memo.plan_comm = forest.comm
+        memo.target_rep = _smallest_members(labels)[cstar]
     cand = np.flatnonzero(cstar != labels)
     if cand.size == 0:
         return forest, False, 0, []
@@ -450,7 +548,11 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
 
 # ---------------------------------------------------------------- main loop
 
-def _debug_validate(graph, st, forest, phase, stats, expect_clean_gains):
+def _debug_validate(graph, st, forest, phase, stats, unresolved):
+    """Record every broken invariant of ``forest`` in ``stats``.  After a
+    positive phase, ``unresolved`` masks the nodes positive correction
+    reported as left unrepaired, and any negative local gain outside it is
+    a failure; None skips the gain check."""
     a = forest.a
     n = graph.n
     u = graph.neighbor_union()
@@ -468,12 +570,13 @@ def _debug_validate(graph, st, forest, phase, stats, expect_clean_gains):
     for c in np.flatnonzero(cyc_len > 2).tolist():
         stats.debug_failures.append(
             f"{phase}: community {c} has a cycle of length {int(cyc_len[c])}")
-    if expect_clean_gains:
+    if unresolved is not None:
         agg = CommunityAggregates.from_labels(st, forest.comm, forest.n_comms)
-        worst = float(local_gains(graph, st, forest.comm, agg).min())
-        if worst < -1e-12:
+        lg = local_gains(graph, st, forest.comm, agg)
+        for i in np.flatnonzero((lg < -1e-12) & ~unresolved).tolist():
             stats.debug_failures.append(
-                f"{phase}: negative local gain {worst:.3e} left behind")
+                f"{phase}: negative local gain {lg[i]:.3e} left behind "
+                f"at node {i}")
 
 
 def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
@@ -487,8 +590,19 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
     if graph.n == 0:
         raise ValueError("graph has no nodes")
     stats = RunStats()
-    pool = _Pool(config.threads)
     t_start = time.perf_counter()
+    if strengths(graph).m_w == 0.0:
+        # no edge: every labeling scores 0 and no move can gain, so the
+        # singleton level is the answer; planning it would divide 0 by 0
+        flat = np.arange(graph.n, dtype=np.int64)
+        stats.levels = 1
+        stats.sweeps_per_level = [1]
+        if config.record_scores:
+            stats.trace_level_starts = [0]
+            stats.drift_checks = [(0.0, 0.0)]
+        stats.wall_seconds = time.perf_counter() - t_start
+        return RunResult(Hierarchy(levels=[flat], flat=flat), 0.0, stats)
+    pool = _Pool(config.threads)
     clock = {"t": t_start}
 
     def tick(phase):
@@ -501,8 +615,10 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
         levels = []
         level = 0
         trace = [] if config.record_scores else None
+        debug = stats if config.debug_checks else None
         while True:
             st = strengths(g)
+            memo = _Frontier()
             if trace is not None:
                 stats.trace_level_starts.append(len(trace))
             clock["t"] = time.perf_counter()
@@ -511,8 +627,8 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
             forest = extract_components(a)
             tick("components")
             running = score(g, st, forest.comm) if trace is not None else 0.0
-            forest, splits, unresolved, gains = positive_correction(
-                g, st, forest, config, pool)
+            forest, splits, unresolved, gains, left = positive_correction(
+                g, st, forest, config, pool, debug, memo)
             tick("positive")
             stats.accepted_splits += splits
             stats.unresolved_negative += unresolved
@@ -522,7 +638,7 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
                     trace.append(running)
             if config.debug_checks:
                 _debug_validate(g, st, forest, f"positive@{level}", stats,
-                                expect_clean_gains=unresolved == 0)
+                                left)
             sweeps = 0
             while True:
                 if sweeps >= config.max_outer_iters:
@@ -532,8 +648,7 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
                     break
                 clock["t"] = time.perf_counter()
                 forest, improved, applied, gains = maximal_correction(
-                    g, st, forest, config, level, sweeps, pool,
-                    stats if config.debug_checks else None)
+                    g, st, forest, config, level, sweeps, pool, debug, memo)
                 tick("maximal")
                 sweeps += 1
                 stats.accepted_moves += applied
@@ -543,11 +658,11 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
                         trace.append(running)
                 if config.debug_checks:
                     _debug_validate(g, st, forest, f"maximal@{level}", stats,
-                                    expect_clean_gains=False)
+                                    None)
                 if not improved:
                     break
-                forest, splits, unresolved, gains = positive_correction(
-                    g, st, forest, config, pool)
+                forest, splits, unresolved, gains, left = positive_correction(
+                    g, st, forest, config, pool, debug, memo)
                 tick("positive")
                 stats.accepted_splits += splits
                 stats.unresolved_negative += unresolved
@@ -557,7 +672,7 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
                         trace.append(running)
                 if config.debug_checks:
                     _debug_validate(g, st, forest, f"positive@{level}", stats,
-                                    expect_clean_gains=unresolved == 0)
+                                    left)
             stats.sweeps_per_level.append(sweeps)
             labels = forest.comm
             levels.append(labels)

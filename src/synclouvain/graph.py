@@ -59,6 +59,19 @@ class NeighborUnion:
     w_out: np.ndarray
     w_in: np.ndarray
 
+    def gather(self, rows):
+        """The entries of the ascending ``rows``, in entry order: per entry
+        the position of its row in ``rows``, the neighbor, and
+        w_out + w_in."""
+        start = self.ptr[rows]
+        size = self.ptr[rows + 1] - start
+        pos = np.repeat(np.arange(rows.size), size)
+        ent = (start - (np.cumsum(size) - size))[pos]
+        ent += np.arange(pos.size)
+        wsum = self.w_out[ent]
+        wsum += self.w_in[ent]
+        return pos, self.nbr[ent], wsum
+
 
 class Graph:
     """Immutable directed weighted graph; dense 0-based node ids."""

@@ -77,8 +77,6 @@ def curve_from_records(records) -> SpeedupCurve:
         raise ValueError("records must include a threads=1 baseline")
     mean_wall = {t: float(np.mean([r.wall_seconds for r in rs]))
                  for t, rs in by_threads.items()}
-    median_wall = {t: float(np.median([r.wall_seconds for r in rs]))
-                   for t, rs in by_threads.items()}
     first = by_threads[1][0]
     baseline = replace(first, wall_seconds=mean_wall[1], repeat=0)
     points = [(t, mean_wall[1] / mean_wall[t]) for t in sorted(by_threads)]

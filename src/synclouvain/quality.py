@@ -120,19 +120,29 @@ def local_gain(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,
 
 
 def local_gains(graph: Graph, st: Strengths, labels,
-                agg: CommunityAggregates) -> np.ndarray:
-    """local_gain for every node at once (one pass over the union adjacency)."""
+                agg: CommunityAggregates, mask=None) -> np.ndarray:
+    """local_gain for every node at once (one pass over the union adjacency),
+    or only for the nodes of the boolean ``mask``, in ascending order.  A
+    node's value has the same bits either way: its own entries are summed
+    in the same order."""
     labels = np.asarray(labels, dtype=np.int64)
     u = graph.neighbor_union()
     m = st.m_w
+    nodes = np.arange(graph.n) if mask is None else np.flatnonzero(mask)
     if m == 0.0:
-        return np.zeros(graph.n)
-    same = labels[u.nbr] == labels[u.row]
-    w_own = np.bincount(u.row[same], weights=u.w_out[same] + u.w_in[same],
-                        minlength=graph.n)
-    lab = labels
-    return w_own / m - (st.s_out * (agg.s_in[lab] - st.s_in)
-                        + st.s_in * (agg.s_out[lab] - st.s_out)) / (m * m)
+        return np.zeros(nodes.size)
+    lab = labels[nodes]
+    if mask is None:
+        same = labels[u.nbr] == lab[u.row]
+        pos, w = u.row[same], u.w_out[same] + u.w_in[same]
+    else:
+        pos, nbr, wsum = u.gather(nodes)
+        same = labels[nbr] == lab[pos]
+        pos, w = pos[same], wsum[same]
+    w_own = np.bincount(pos, weights=w, minlength=nodes.size)
+    so, si = st.s_out[nodes], st.s_in[nodes]
+    return w_own / m - (so * (agg.s_in[lab] - si)
+                        + si * (agg.s_out[lab] - so)) / (m * m)
 
 
 def gain_switch(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,

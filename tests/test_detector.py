@@ -5,6 +5,7 @@ from synclouvain.detector import (
     Hierarchy,
     RunConfig,
     RunStats,
+    _changed_nodes,
     _debug_validate,
     find_assignment,
     maximal_correction,
@@ -12,7 +13,7 @@ from synclouvain.detector import (
     run,
 )
 from synclouvain.forest import extract_components
-from synclouvain.graph import compose_labels, strengths
+from synclouvain.graph import canonicalize_labels, compose_labels, strengths
 from synclouvain.quality import CommunityAggregates, local_gains, score
 
 from conftest import build_graph, two_triangles
@@ -59,9 +60,9 @@ def test_positive_correction_detaches_external_heavy_pendant():
     forest = extract_components(a)
     agg = CommunityAggregates.from_labels(st, forest.comm, forest.n_comms)
     assert local_gains(g, st, forest.comm, agg)[3] < 0
-    forest2, splits, unresolved, gains = positive_correction(
+    forest2, splits, unresolved, gains, left = positive_correction(
         g, st, forest, RunConfig(), None)
-    assert splits == 1 and unresolved == 0
+    assert splits == 1 and unresolved == 0 and not left.any()
     assert gains[0] > 0
     # pendant is its own community now
     np.testing.assert_array_equal(forest2.comm, [0, 0, 0, 1, 2])
@@ -101,9 +102,9 @@ def test_positive_correction_cuts_two_cycle_when_no_branch_cut_improves():
         lab[part] = lab.max() + 1
         cuts[tuple(part)] = oracle_score(7, edges, lab) - before
     assert all(cuts[(x,)] <= 0 for x in (1, 2, 4, 5)) and cuts[(3, 4, 5)] > 0
-    forest2, splits, unresolved, gains = positive_correction(
+    forest2, splits, unresolved, gains, left = positive_correction(
         g, st, forest, RunConfig(), None)
-    assert splits == 1 and unresolved == 0
+    assert splits == 1 and unresolved == 0 and not left.any()
     assert gains[0] == pytest.approx(max(cuts.values()), abs=1e-12)
     np.testing.assert_array_equal(forest2.comm, [0, 0, 0, 1, 1, 1, 2])
     np.testing.assert_array_equal(forest2.a, [0, 0, 0, 3, 3, 3, 6])
@@ -115,15 +116,77 @@ def test_debug_validate_flags_cycles_longer_than_two():
     stats = RunStats()
     forest = extract_components(np.array([1, 2, 0, 4, 5, 3]))
     _debug_validate(g, strengths(g), forest, "hand", stats,
-                    expect_clean_gains=False)
+                    unresolved=None)
     assert stats.debug_failures == [
         "hand: community 0 has a cycle of length 3",
         "hand: community 1 has a cycle of length 3"]
     stats = RunStats()
     forest = extract_components(np.array([1, 0, 0, 4, 3, 3]))  # 2-cycles
     _debug_validate(g, strengths(g), forest, "hand", stats,
-                    expect_clean_gains=False)
+                    unresolved=None)
     assert stats.debug_failures == []
+
+
+def test_debug_validate_flags_negative_gain_outside_unresolved():
+    # pendant 3 sits in the triangle's community with a negative local gain
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0),
+             (3, 0, 0.5), (3, 4, 5.0)]
+    g = build_graph(5, edges)
+    st = strengths(g)
+    forest = extract_components(np.array([1, 0, 0, 0, 4]))
+    lg = local_gains(g, st, forest.comm,
+                     CommunityAggregates.from_labels(st, forest.comm))
+    stats = RunStats()
+    _debug_validate(g, st, forest, "hand", stats,
+                    unresolved=np.zeros(5, dtype=bool))
+    assert stats.debug_failures == [
+        f"hand: negative local gain {lg[3]:.3e} left behind at node 3"]
+    stats = RunStats()
+    _debug_validate(g, st, forest, "hand", stats,
+                    unresolved=forest.comm == forest.comm[3])
+    assert stats.debug_failures == []
+
+
+def test_changed_nodes_matches_member_set_brute_force(rng):
+    def groups(lab):
+        out = {}
+        for i, c in enumerate(lab.tolist()):
+            out.setdefault(c, set()).add(i)
+        return [frozenset(out[c]) for c in lab.tolist()]
+
+    for trial in range(300):
+        n = int(rng.integers(1, 30))
+        old = canonicalize_labels(rng.integers(0, max(1, n // 3), n))
+        new = old.copy()
+        k = int(old.max()) + 1
+        for op in rng.permutation(4)[:int(rng.integers(0, 4))].tolist():
+            c = int(rng.integers(0, k))
+            if op == 0:  # move a few nodes, possibly to a fresh community
+                pick = rng.random(n) < 0.15
+                new[pick] = rng.integers(0, k + 1, int(pick.sum()))
+            elif op == 1:  # merge two communities
+                new[new == c] = int(rng.integers(0, k))
+            elif op == 2:  # split one community
+                new[(new == c) & (rng.random(n) < 0.5)] = k + 1
+            else:  # one community vanishes into the others
+                sel = new == c
+                new[sel] = rng.integers(0, k, int(sel.sum()))
+        # a pure relabel of every community, then canonical order again
+        new = canonicalize_labels(rng.permutation(k + 2)[new])
+        expect = [a != b for a, b in zip(groups(old), groups(new))]
+        np.testing.assert_array_equal(_changed_nodes(old, new), expect)
+
+
+def test_run_edgeless_graph_short_circuits():
+    g = build_graph(4, [])
+    with np.errstate(all="raise"):
+        res = run(g, RunConfig(threads=2, record_scores=True,
+                               debug_checks=True))
+    np.testing.assert_array_equal(res.hierarchy.flat, np.arange(4))
+    assert len(res.hierarchy.levels) == 1 and res.stats.levels == 1
+    assert res.final_score == 0.0
+    assert res.stats.sweeps_per_level == [1]
+    assert res.stats.debug_failures == []
 
 
 def test_positive_correction_noop_when_all_gains_nonnegative():
@@ -131,7 +194,7 @@ def test_positive_correction_noop_when_all_gains_nonnegative():
     g = build_graph(n, edges)
     st = strengths(g)
     forest = extract_components(np.array([1, 2, 0, 4, 5, 3]))
-    forest2, splits, unresolved, gains = positive_correction(
+    forest2, splits, unresolved, gains, left = positive_correction(
         g, st, forest, RunConfig(), None)
     assert splits == 0 and gains == [] and forest2 is forest
 

@@ -136,6 +136,10 @@ def test_local_gain_is_exact_score_difference():
         assert local_gain(g, st_, labels, agg, i) == pytest.approx(want, abs=1e-12)
         vec = local_gains(g, st_, labels, agg)
         assert vec[i] == pytest.approx(want, abs=1e-12)
+        # a masked call gives the same bits for the nodes it covers
+        mask = rng.random(n) < 0.5
+        assert local_gains(g, st_, labels, agg, mask).tobytes() == \
+            vec[mask].tobytes()
 
 
 def test_gain_switch_is_exact_score_difference():
