@@ -1,12 +1,25 @@
 """Parallel community detection with synchronized move phases.
 
-Every sweep computes all candidate moves from a frozen snapshot of the
-current partition, then applies them in a fixed serial order.  Results
-depend only on (graph, seed, accept_prob), never on the thread count.
+Each level runs five phases: assignment points every node at its best
+neighbor, components turn the pointer forest into communities, positive
+correction splits communities that hold a node with negative local gain,
+maximal correction sweeps nodes to their best community (each improving
+sweep followed by positive correction again), and aggregation contracts
+the communities into the next level's nodes.
+
+Every sweep plans all candidate moves from a frozen snapshot of the
+current partition, then applies them in a fixed serial order.  Planning is
+row-local, and ``_map_rows`` is the one place that splits rows across
+threads: contiguous pieces of the planned rows, of about equal entry
+count.  Within a level only rows touching a changed community are planned
+again (``_Frontier``); the first sweep plans every row through that same
+path.  Results depend only on (graph, seed, accept_prob), never on the
+thread count.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -90,36 +103,23 @@ class _Pool:
             self._ex.shutdown(wait=True)
 
 
-def _row_chunks(graph, parts):
-    """Split [0, n) into contiguous row ranges of roughly equal edge count."""
-    n = graph.n
-    if parts <= 1 or n < 2:
-        return [(0, n)]
+def _map_rows(graph, pool, fn, rows):
+    """Cut the ascending ``rows`` into one contiguous piece per thread, run
+    ``fn(lo, hi, piece)`` on each nonempty piece, ``[lo, hi)`` being its
+    span, and concatenate the results in row order.  A row goes to the
+    piece its entries' midpoint falls in, so each cut lies within half a
+    row's entries of an equal split of the union entries of ``rows``."""
+    pool = pool or _Pool(1)
     ptr = graph.neighbor_union().ptr
-    total = int(ptr[-1])
-    cuts = [0]
-    for k in range(1, parts):
-        b = int(np.searchsorted(ptr, total * k // parts, side="left"))
-        b = min(max(b, cuts[-1]), n)
-        if b > cuts[-1]:
-            cuts.append(b)
-    if cuts[-1] < n:
-        cuts.append(n)
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _map_rows(graph, pool, fn, rows=None):
-    """Run ``fn(lo, hi, rows)`` once per thread on contiguous row ranges and
-    concatenate the results in row order.  ``rows`` (ascending) restricts
-    each range to the listed rows; None passes None, meaning every row."""
-    chunks = _row_chunks(graph, pool.parts if pool else 1)
-    if rows is None:
-        work = [(lo, hi, None) for lo, hi in chunks]
-    else:
-        cut = np.searchsorted(rows, [lo for lo, _ in chunks] + [graph.n])
-        work = [(lo, hi, rows[cut[k]:cut[k + 1]])
-                for k, (lo, hi) in enumerate(chunks)]
-    return np.concatenate((pool or _Pool(1)).map(lambda w: fn(*w), work))
+    size = ptr[rows + 1] - ptr[rows]
+    mid2 = 2 * np.cumsum(size) - size  # twice each row's entry midpoint
+    cuts = np.searchsorted(mid2 * pool.parts,
+                           2 * int(size.sum()) * np.arange(1, pool.parts))
+    pieces = [p for p in np.split(rows, cuts) if p.size]
+    if not pieces:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(pool.map(
+        lambda p: fn(int(p[0]), int(p[-1]) + 1, p), pieces))
 
 
 def _smallest_members(labels):
@@ -131,10 +131,13 @@ def _smallest_members(labels):
 
 def _changed_nodes(old, new):
     """Mask of the nodes whose ``new`` community is not, member for member,
-    a community of ``old``; both are canonical labelings of the same nodes.
-    A new community is unchanged iff every member had the old label of its
+    a community of ``old``; both are canonical labelings of the same nodes,
+    and ``old`` None (nothing computed yet) marks every node.  A new
+    community is unchanged iff every member had the old label of its
     smallest member and that old community had the same size, so moves,
     merges, splits and vanished communities all count as changes."""
+    if old is None:
+        return np.ones(new.size, dtype=bool)
     rep = _smallest_members(new)
     was = old[rep]
     strayed = old != was[new]
@@ -144,10 +147,11 @@ def _changed_nodes(old, new):
     return ~unchanged[new]
 
 
-@dataclass
 class _Frontier:
     """One level's memo of the labeling its last maximal plan and its last
     local gains were computed on, so later sweeps redo only what changed.
+    A fresh memo has computed nothing, so its first use marks every node
+    changed and plans or computes them all.
 
     The plan keeps each node's target as the smallest member of the target
     community, a node id that survives relabeling.  A sweep re-plans only
@@ -164,10 +168,12 @@ class _Frontier:
       identical, and so is an unchanged node's own-community sum.
 
     Under ``debug_checks`` both are compared with a full recompute."""
-    plan_comm: np.ndarray | None = None
-    target_rep: np.ndarray | None = None
-    lg_comm: np.ndarray | None = None
-    lg: np.ndarray | None = None
+
+    def __init__(self, n):
+        self.plan_comm = None
+        self.target_rep = np.arange(n)
+        self.lg_comm = None
+        self.lg = np.zeros(n)
 
 
 def _in_sorted(sorted_arr, values):
@@ -209,7 +215,8 @@ def find_assignment(graph, st, pool=None):
     """Point every node at its best single neighbor (or itself when no
     pairing has positive gain).  Ties break to the lowest neighbor id."""
     return _map_rows(graph, pool,
-                     lambda lo, hi, _: _assign_targets(graph, st, lo, hi))
+                     lambda lo, hi, _: _assign_targets(graph, st, lo, hi),
+                     np.arange(graph.n))
 
 
 # ------------------------------------------------------- positive correction
@@ -322,28 +329,26 @@ def _split_community(graph, st, a, members, cycle):
     return gains, unresolved, left
 
 
-def positive_correction(graph, st, forest, config, pool, stats=None,
-                        memo=None):
+def positive_correction(graph, st, forest, pool, stats=None, memo=None):
     """Split every community that still contains a member with negative
     local gain, as long as some single cut strictly improves the score.
     Returns (forest, splits, unresolved, gains, left), where ``left`` masks
     the nodes of the communities left with an unrepaired negative gain.
-    With a ``memo`` only changed nodes' local gains are recomputed; a
-    ``stats`` turns on the comparison with a full recompute."""
+    Only the local gains of nodes changed since the level's ``memo`` last
+    saw them are recomputed; a ``stats`` turns on the comparison with a
+    full recompute."""
+    if memo is None:
+        memo = _Frontier(graph.n)
     comm = forest.comm
     agg = CommunityAggregates.from_labels(st, comm, forest.n_comms)
-    if memo is None or memo.lg is None:
-        lg = local_gains(graph, st, comm, agg)
-    else:
-        changed = _changed_nodes(memo.lg_comm, comm)
-        lg = memo.lg
-        lg[changed] = local_gains(graph, st, comm, agg, changed)
-        if stats is not None and lg.tobytes() != local_gains(
-                graph, st, comm, agg).tobytes():
-            stats.debug_failures.append(
-                "positive: cached local gains differ from a full recompute")
-    if memo is not None:
-        memo.lg_comm, memo.lg = comm, lg
+    changed = _changed_nodes(memo.lg_comm, comm)
+    lg = memo.lg
+    lg[changed] = local_gains(graph, st, comm, agg, changed)
+    memo.lg_comm = comm
+    if stats is not None and lg.tobytes() != local_gains(
+            graph, st, comm, agg).tobytes():
+        stats.debug_failures.append(
+            "positive: cached local gains differ from a full recompute")
     left = np.zeros(graph.n, dtype=bool)
     bad = np.unique(comm[lg < 0.0])
     if bad.size == 0:
@@ -368,22 +373,18 @@ def positive_correction(graph, st, forest, config, pool, stats=None,
 
 # -------------------------------------------------------- maximal correction
 
-def _best_targets(graph, st, labels, agg, lo, hi, rows=None):
-    """Per node in [lo, hi), or only in its ascending subset ``rows``: the
-    neighboring community with the highest switch score for moving the
-    node alone, or its own community when no alternative strictly beats
-    staying.  Pure snapshot computation; a row's result depends only on its
-    own entries, so planning a subset gives the same bits per row."""
+def _best_targets(graph, st, labels, agg, lo, hi, rows):
+    """Per node of the ascending ``rows``: the neighboring community with
+    the highest switch score for moving the node alone, or its own
+    community when no alternative strictly beats staying.  Pure snapshot
+    computation; a row's result depends only on its own entries, so any
+    split of the rows gives the same bits per row.  ``[lo, hi)`` spans
+    ``rows``; it is not read here, and stays so that ``perfbench/spans.py``
+    can count the entries a call covers."""
     u = graph.neighbor_union()
     m = st.m_w
     m2 = m * m
-    if rows is None:
-        rows = np.arange(lo, hi)
-        e0, e1 = int(u.ptr[lo]), int(u.ptr[hi])
-        pos, nbr = u.row[e0:e1] - lo, u.nbr[e0:e1]
-        wsum = u.w_out[e0:e1] + u.w_in[e0:e1]
-    else:
-        pos, nbr, wsum = u.gather(rows)
+    pos, nbr, wsum = u.gather(rows)
     cstar = labels[rows]
     so_r = st.s_out[rows]
     si_r = st.s_in[rows]
@@ -392,7 +393,7 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows=None):
     if pos.size == 0:
         return cstar
     cn = labels[nbr]
-    del nbr  # a gathered frontier copy would otherwise outlive the sort
+    del nbr  # the gathered copy would otherwise outlive the sort
     key = pos * np.int64(agg.n_comms + 1) + cn
     order = np.argsort(key, kind="stable")
     ks = key[order]
@@ -467,34 +468,31 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     ascending node order.  Each committed node drags its pointer tail
     along.  Moves are re-priced at commit time and skipped unless still
     strictly positive; a node is also skipped once its source community
-    has been touched by an earlier commit this sweep.  With a ``memo``
-    holding an earlier plan of this level, only the nodes touching a
-    changed community are re-planned (see ``_Frontier``)."""
+    has been touched by an earlier commit this sweep.  Only the nodes
+    touching a community changed since the level's ``memo`` last planned
+    are planned (see ``_Frontier``)."""
+    if memo is None:
+        memo = _Frontier(graph.n)
     labels = forest.comm.copy()
     agg = CommunityAggregates.from_labels(st, labels, forest.n_comms)
 
-    def plan(rows=None):
+    def plan(rows):
         return _map_rows(graph, pool, lambda lo, hi, r: _best_targets(
             graph, st, labels, agg, lo, hi, r), rows)
 
-    if memo is None or memo.plan_comm is None:
-        cstar = plan()
-    else:
-        changed = _changed_nodes(memo.plan_comm, labels)
-        # the union is symmetric: the rows with a changed neighbor are the
-        # neighbors of the changed rows
-        u = graph.neighbor_union()
-        changed[u.gather(np.flatnonzero(changed))[1]] = True
-        rows = np.flatnonzero(changed)
-        cstar = labels[memo.target_rep]
-        cstar[rows] = plan(rows)
-        if stats is not None and not np.array_equal(cstar, plan()):
-            stats.debug_failures.append(
-                f"frontier plan differs from the full plan at level {level} "
-                f"sweep {sweep}")
-    if memo is not None:
-        memo.plan_comm = forest.comm
-        memo.target_rep = _smallest_members(labels)[cstar]
+    changed = _changed_nodes(memo.plan_comm, labels)
+    # the union is symmetric: the rows with a changed neighbor are the
+    # neighbors of the changed rows
+    changed[graph.neighbor_union().gather(np.flatnonzero(changed))[1]] = True
+    cstar = labels[memo.target_rep]
+    cstar[changed] = plan(np.flatnonzero(changed))
+    if stats is not None and not np.array_equal(
+            cstar, plan(np.arange(graph.n))):
+        stats.debug_failures.append(
+            f"frontier plan differs from the full plan at level {level} "
+            f"sweep {sweep}")
+    memo.plan_comm = forest.comm
+    memo.target_rep = _smallest_members(labels)[cstar]
     cand = np.flatnonzero(cstar != labels)
     if cand.size == 0:
         return forest, False, 0, []
@@ -604,21 +602,39 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
         return RunResult(Hierarchy(levels=[flat], flat=flat), 0.0, stats)
     pool = _Pool(config.threads)
     clock = {"t": t_start}
+    trace = [] if config.record_scores else None
+    debug = stats if config.debug_checks else None
+    running = 0.0
 
     def tick(phase):
         now = time.perf_counter()
         stats.phase_seconds[phase] += now - clock["t"]
         clock["t"] = now
 
+    def record(gains):
+        nonlocal running
+        if trace is not None:
+            for gv in gains:
+                running += gv
+                trace.append(running)
+
+    def positive(forest):
+        forest, splits, unresolved, gains, left = positive_correction(
+            g, st, forest, pool, debug, memo)
+        tick("positive")
+        stats.accepted_splits += splits
+        stats.unresolved_negative += unresolved
+        record(gains)
+        if config.debug_checks:
+            _debug_validate(g, st, forest, f"positive@{level}", stats, left)
+        return forest
+
     try:
         g = graph
         levels = []
-        level = 0
-        trace = [] if config.record_scores else None
-        debug = stats if config.debug_checks else None
-        while True:
+        for level in itertools.count():
             st = strengths(g)
-            memo = _Frontier()
+            memo = _Frontier(g.n)
             if trace is not None:
                 stats.trace_level_starts.append(len(trace))
             clock["t"] = time.perf_counter()
@@ -627,64 +643,34 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
             forest = extract_components(a)
             tick("components")
             running = score(g, st, forest.comm) if trace is not None else 0.0
-            forest, splits, unresolved, gains, left = positive_correction(
-                g, st, forest, config, pool, debug, memo)
-            tick("positive")
-            stats.accepted_splits += splits
-            stats.unresolved_negative += unresolved
-            if trace is not None:
-                for gv in gains:
-                    running += gv
-                    trace.append(running)
-            if config.debug_checks:
-                _debug_validate(g, st, forest, f"positive@{level}", stats,
-                                left)
-            sweeps = 0
-            while True:
-                if sweeps >= config.max_outer_iters:
-                    stats.warnings.append(
-                        f"level {level}: stopped after "
-                        f"{config.max_outer_iters} sweeps")
-                    break
+            forest = positive(forest)
+            for sweep in range(config.max_outer_iters):
                 clock["t"] = time.perf_counter()
                 forest, improved, applied, gains = maximal_correction(
-                    g, st, forest, config, level, sweeps, pool, debug, memo)
+                    g, st, forest, config, level, sweep, pool, debug, memo)
                 tick("maximal")
-                sweeps += 1
                 stats.accepted_moves += applied
-                if trace is not None:
-                    for gv in gains:
-                        running += gv
-                        trace.append(running)
+                record(gains)
                 if config.debug_checks:
                     _debug_validate(g, st, forest, f"maximal@{level}", stats,
                                     None)
                 if not improved:
                     break
-                forest, splits, unresolved, gains, left = positive_correction(
-                    g, st, forest, config, pool, debug, memo)
-                tick("positive")
-                stats.accepted_splits += splits
-                stats.unresolved_negative += unresolved
-                if trace is not None:
-                    for gv in gains:
-                        running += gv
-                        trace.append(running)
-                if config.debug_checks:
-                    _debug_validate(g, st, forest, f"positive@{level}", stats,
-                                    left)
-            stats.sweeps_per_level.append(sweeps)
+                forest = positive(forest)
+            else:
+                stats.warnings.append(
+                    f"level {level}: stopped after "
+                    f"{config.max_outer_iters} sweeps")
+            stats.sweeps_per_level.append(sweep + 1)
             labels = forest.comm
             levels.append(labels)
             if trace is not None:
-                exact = score(g, st, labels)
-                stats.drift_checks.append((running, exact))
+                stats.drift_checks.append((running, score(g, st, labels)))
             if forest.n_comms == g.n:
                 break
             clock["t"] = time.perf_counter()
             g = aggregate(g, labels)
             tick("aggregate")
-            level += 1
         flat = levels[0]
         for lv in levels[1:]:
             flat = compose_labels(flat, lv)

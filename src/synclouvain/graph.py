@@ -1,8 +1,8 @@
 """Directed weighted graphs in compressed sparse row form.
 
-A graph is immutable once built. Forward (out-neighbor) and reverse
-(in-neighbor) adjacency describe one canonical edge multiset: parallel edges
-merged, neighbor lists sorted by id, weights finite positive doubles.
+A graph is immutable once built. Its forward (out-neighbor) adjacency is one
+canonical edge multiset: parallel edges merged, neighbor lists sorted by id,
+weights finite positive doubles.
 Self-loops are legal. Because the form is canonical, graph equality is plain
 array equality, which the determinism suite relies on.
 """
@@ -76,15 +76,12 @@ class NeighborUnion:
 class Graph:
     """Immutable directed weighted graph; dense 0-based node ids."""
 
-    def __init__(self, n, out_ptr, out_dst, out_w, in_ptr, in_src, in_w):
+    def __init__(self, n, out_ptr, out_dst, out_w):
         self.n = int(n)
         self.out_ptr = out_ptr
         self.out_dst = out_dst
         self.out_w = out_w
-        self.in_ptr = in_ptr
-        self.in_src = in_src
-        self.in_w = in_w
-        for arr in (out_ptr, out_dst, out_w, in_ptr, in_src, in_w):
+        for arr in (out_ptr, out_dst, out_w):
             arr.setflags(write=False)
         self._union: NeighborUnion | None = None
         self._rows: np.ndarray | None = None
@@ -121,12 +118,7 @@ class Graph:
             w = np.add.reduceat(w, starts)
         out_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=out_ptr[1:])
-        rev = np.argsort(dst, kind="stable")  # by (dst, src): src already sorted
-        in_src = src[rev]
-        in_w = w[rev]
-        in_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=n), out=in_ptr[1:])
-        return cls(n, out_ptr, dst, w, in_ptr, in_src, in_w)
+        return cls(n, out_ptr, dst, w)
 
     def edge_rows(self) -> np.ndarray:
         """Source node per forward edge (cached)."""
@@ -147,21 +139,23 @@ class Graph:
             return NotImplemented
         return self.n == other.n and all(
             np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("out_ptr", "out_dst", "out_w", "in_ptr", "in_src", "in_w"))
+            for name in ("out_ptr", "out_dst", "out_w"))
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
 def _build_union(g: Graph) -> NeighborUnion:
-    rows_f = g.edge_rows()
-    rows_r = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.in_ptr))
-    mf = g.out_dst != rows_f
-    mr = g.in_src != rows_r
-    row = np.concatenate([rows_f[mf], rows_r[mr]])
-    nbr = np.concatenate([g.out_dst[mf], g.in_src[mr]])
-    w_out = np.concatenate([g.out_w[mf], np.zeros(int(mr.sum()))])
-    w_in = np.concatenate([np.zeros(int(mf.sum())), g.in_w[mr]])
+    # edge i -> j is entry (i, j) of w_out and entry (j, i) of w_in; as the
+    # edges are merged, a (row, nbr) group holds at most one of each
+    rows = g.edge_rows()
+    keep = g.out_dst != rows
+    src, dst, w = rows[keep], g.out_dst[keep], g.out_w[keep]
+    zero = np.zeros(w.size)
+    row = np.concatenate([src, dst])
+    nbr = np.concatenate([dst, src])
+    w_out = np.concatenate([w, zero])
+    w_in = np.concatenate([zero, w])
     order = np.lexsort((nbr, row))
     row, nbr, w_out, w_in = row[order], nbr[order], w_out[order], w_in[order]
     if row.size:

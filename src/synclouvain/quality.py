@@ -126,20 +126,14 @@ def local_gains(graph: Graph, st: Strengths, labels,
     node's value has the same bits either way: its own entries are summed
     in the same order."""
     labels = np.asarray(labels, dtype=np.int64)
-    u = graph.neighbor_union()
     m = st.m_w
     nodes = np.arange(graph.n) if mask is None else np.flatnonzero(mask)
     if m == 0.0:
         return np.zeros(nodes.size)
     lab = labels[nodes]
-    if mask is None:
-        same = labels[u.nbr] == lab[u.row]
-        pos, w = u.row[same], u.w_out[same] + u.w_in[same]
-    else:
-        pos, nbr, wsum = u.gather(nodes)
-        same = labels[nbr] == lab[pos]
-        pos, w = pos[same], wsum[same]
-    w_own = np.bincount(pos, weights=w, minlength=nodes.size)
+    pos, nbr, wsum = graph.neighbor_union().gather(nodes)
+    same = labels[nbr] == lab[pos]
+    w_own = np.bincount(pos[same], weights=wsum[same], minlength=nodes.size)
     so, si = st.s_out[nodes], st.s_in[nodes]
     return w_own / m - (so * (agg.s_in[lab] - si)
                         + si * (agg.s_out[lab] - so)) / (m * m)

@@ -5,8 +5,10 @@ from synclouvain.detector import (
     Hierarchy,
     RunConfig,
     RunStats,
+    _Pool,
     _changed_nodes,
     _debug_validate,
+    _map_rows,
     find_assignment,
     maximal_correction,
     positive_correction,
@@ -61,7 +63,7 @@ def test_positive_correction_detaches_external_heavy_pendant():
     agg = CommunityAggregates.from_labels(st, forest.comm, forest.n_comms)
     assert local_gains(g, st, forest.comm, agg)[3] < 0
     forest2, splits, unresolved, gains, left = positive_correction(
-        g, st, forest, RunConfig(), None)
+        g, st, forest, None)
     assert splits == 1 and unresolved == 0 and not left.any()
     assert gains[0] > 0
     # pendant is its own community now
@@ -103,7 +105,7 @@ def test_positive_correction_cuts_two_cycle_when_no_branch_cut_improves():
         cuts[tuple(part)] = oracle_score(7, edges, lab) - before
     assert all(cuts[(x,)] <= 0 for x in (1, 2, 4, 5)) and cuts[(3, 4, 5)] > 0
     forest2, splits, unresolved, gains, left = positive_correction(
-        g, st, forest, RunConfig(), None)
+        g, st, forest, None)
     assert splits == 1 and unresolved == 0 and not left.any()
     assert gains[0] == pytest.approx(max(cuts.values()), abs=1e-12)
     np.testing.assert_array_equal(forest2.comm, [0, 0, 0, 1, 1, 1, 2])
@@ -177,6 +179,42 @@ def test_changed_nodes_matches_member_set_brute_force(rng):
         np.testing.assert_array_equal(_changed_nodes(old, new), expect)
 
 
+def test_map_rows_balances_entries_of_the_given_rows(rng):
+    g = build_graph(60, random_edges(rng, 60, density=0.2))
+    ptr = g.neighbor_union().ptr
+    rows = np.flatnonzero(rng.random(60) < 0.5)
+    rows = rows[rows < 25]  # concentrated in low ids
+    seen = []
+
+    def fn(lo, hi, piece):
+        seen.append((lo, hi, piece))
+        return piece
+
+    pool = _Pool(2)
+    try:
+        out = _map_rows(g, pool, fn, rows)
+        empty = _map_rows(g, pool, fn, np.empty(0, dtype=np.int64))
+    finally:
+        pool.close()
+    np.testing.assert_array_equal(out, rows)
+    assert len(seen) == 2
+    for lo, hi, piece in seen:
+        assert (lo, hi) == (piece[0], piece[-1] + 1)
+    entries = [int((ptr[p + 1] - ptr[p]).sum()) for _, _, p in seen]
+    assert abs(entries[0] - entries[1]) <= int(np.diff(ptr)[rows].max())
+    assert empty.size == 0 and empty.dtype == np.int64
+
+
+def test_run_stops_level_at_sweep_cap(rng):
+    edges = random_edges(rng, 60, density=0.1)
+    g = build_graph(60, edges)
+    assert run(g, RunConfig(seed=1)).stats.sweeps_per_level[0] > 1
+    res = run(g, RunConfig(seed=1, max_outer_iters=1, debug_checks=True))
+    assert res.stats.sweeps_per_level[0] == 1
+    assert "level 0: stopped after 1 sweeps" in res.stats.warnings
+    assert res.stats.debug_failures == []
+
+
 def test_run_edgeless_graph_short_circuits():
     g = build_graph(4, [])
     with np.errstate(all="raise"):
@@ -195,7 +233,7 @@ def test_positive_correction_noop_when_all_gains_nonnegative():
     st = strengths(g)
     forest = extract_components(np.array([1, 2, 0, 4, 5, 3]))
     forest2, splits, unresolved, gains, left = positive_correction(
-        g, st, forest, RunConfig(), None)
+        g, st, forest, None)
     assert splits == 0 and gains == [] and forest2 is forest
 
 

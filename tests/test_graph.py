@@ -74,16 +74,19 @@ def test_parallel_edges_merge_and_sorted_rows(tmp_path):
     assert list(g.out_w[lo:hi]) == [1.0, 3.0]
 
 
-def test_forward_reverse_consistent(rng):
-    edges = random_edges(rng, 12, density=0.4, self_loops=True)
-    g = build_graph(12, edges)
-    assert g.out_w.sum() == pytest.approx(g.in_w.sum(), abs=0.0)
-    dense = dense_weights(12, edges)
-    for i in range(12):
-        lo, hi = g.in_ptr[i], g.in_ptr[i + 1]
-        np.testing.assert_allclose(
-            np.bincount(g.in_src[lo:hi], weights=g.in_w[lo:hi], minlength=12),
-            dense[:, i], atol=1e-15)
+def test_union_rows_match_dense_weights(rng):
+    for n in (2, 5, 12, 25):
+        edges = random_edges(rng, n, density=0.4, self_loops=True)
+        u = build_graph(n, edges).neighbor_union()
+        dense = dense_weights(n, edges)
+        np.fill_diagonal(dense, 0.0)
+        for i in range(n):
+            lo, hi = u.ptr[i], u.ptr[i + 1]
+            nb = u.nbr[lo:hi]
+            np.testing.assert_array_equal(
+                nb, np.flatnonzero(dense[i] + dense[:, i]))
+            np.testing.assert_array_equal(u.w_out[lo:hi], dense[i, nb])
+            np.testing.assert_array_equal(u.w_in[lo:hi], dense[nb, i])
 
 
 def test_roundtrip_bit_exact(tmp_path, rng):
