@@ -28,7 +28,8 @@ import numpy as np
 
 from .forest import extract_components, reverse_assignment
 from .graph import Graph, aggregate, compose_labels, strengths
-from .quality import CommunityAggregates, gain_switch, local_gains, score
+from .quality import (CommunityAggregates, gain_switch, join_gain, local_gains,
+                      score, switch_gain)
 from .rng import uniform01
 
 
@@ -183,31 +184,33 @@ def _in_sorted(sorted_arr, values):
     return sorted_arr[pos] == values
 
 
+def _first_max(pos, val, floor, nrows):
+    """Per row 0..nrows-1 of the ascending ``pos``: the index of the first
+    entry holding the row's maximum of ``val`` when that maximum is above
+    ``floor`` (a scalar or one value per row), else -1.  Entries are in
+    neighbor order, so ties go to the lowest neighbor."""
+    seg = np.searchsorted(pos, np.arange(nrows + 1))
+    has = np.flatnonzero(seg[1:] > seg[:-1])
+    first = np.full(nrows, -1, dtype=np.int64)
+    if has.size:
+        mx = np.full(nrows, -np.inf)
+        mx[has] = np.maximum.reduceat(val, seg[has])
+        idx = np.where(val == mx[pos], np.arange(val.size), val.size)
+        beat = (mx > floor)[has]
+        first[has[beat]] = np.minimum.reduceat(idx, seg[has])[beat]
+    return first
+
+
 # --------------------------------------------------------------- assignment
 
-def _assign_targets(graph, st, lo, hi):
-    u = graph.neighbor_union()
-    m = st.m_w
-    m2 = m * m
-    res = np.arange(lo, hi, dtype=np.int64)
-    e0, e1 = int(u.ptr[lo]), int(u.ptr[hi])
-    if e1 > e0:
-        row = u.row[e0:e1]
-        nbr = u.nbr[e0:e1]
-        g = (u.w_out[e0:e1] + u.w_in[e0:e1]) / m \
-            - (st.s_out[row] * st.s_in[nbr] + st.s_in[row] * st.s_out[nbr]) / m2
-        seg = np.searchsorted(row, np.arange(lo, hi + 1))
-        has = seg[1:] > seg[:-1]
-        mx = np.full(hi - lo, -np.inf)
-        if has.any():
-            mx[has] = np.maximum.reduceat(g, seg[:-1][has])
-            # first index achieving the max, so ties go to the lowest
-            # neighbor id (rows are sorted by neighbor)
-            idx = np.where(g == mx[row - lo], np.arange(g.size), g.size)
-            first = np.full(hi - lo, g.size)
-            first[has] = np.minimum.reduceat(idx, seg[:-1][has])
-            ok = (mx > 0.0) & (first < g.size)
-            res[ok] = nbr[first[ok]]
+def _assign_targets(graph, st, rows):
+    pos, nbr, w = graph.neighbor_union().gather(rows)
+    g = join_gain(st.m_w, w, st.s_out[rows][pos], st.s_in[rows][pos],
+                  st.s_out[nbr], st.s_in[nbr])
+    first = _first_max(pos, g, 0.0, rows.size)
+    ok = first >= 0
+    res = rows.copy()
+    res[ok] = nbr[first[ok]]
     return res
 
 
@@ -215,7 +218,7 @@ def find_assignment(graph, st, pool=None):
     """Point every node at its best single neighbor (or itself when no
     pairing has positive gain).  Ties break to the lowest neighbor id."""
     return _map_rows(graph, pool,
-                     lambda lo, hi, _: _assign_targets(graph, st, lo, hi),
+                     lambda lo, hi, rows: _assign_targets(graph, st, rows),
                      np.arange(graph.n))
 
 
@@ -224,7 +227,6 @@ def find_assignment(graph, st, pool=None):
 def _detach_gain(u, st, mem, b_nodes, so_c, si_c):
     """Exact score change from splitting ``b_nodes`` out of the community
     ``mem`` into its own community."""
-    m = st.m_w
     x_w = 0.0
     for y in b_nodes:
         lo, hi = int(u.ptr[y]), int(u.ptr[y + 1])
@@ -232,12 +234,11 @@ def _detach_gain(u, st, mem, b_nodes, so_c, si_c):
         keep = _in_sorted(mem, nb)
         if keep.any():
             sub = nb[keep]
-            ws = (u.w_out[lo:hi] + u.w_in[lo:hi])[keep]
+            ws = u.w[lo:hi][keep]
             x_w += float(ws[~_in_sorted(b_nodes, sub)].sum())
     so_b = float(st.s_out[b_nodes].sum())
     si_b = float(st.s_in[b_nodes].sum())
-    null = (-so_c * si_b - so_b * si_c + 2.0 * so_b * si_b)
-    return -x_w / m - null / (m * m)
+    return switch_gain(st.m_w, 0.0, x_w, so_b, si_b, so_c, si_c)
 
 
 def _split_community(graph, st, a, members, cycle):
@@ -253,17 +254,16 @@ def _split_community(graph, st, a, members, cycle):
     node leaves) or, when no branch cut improves, both edges of a 2-cycle
     (c0, c1): c1's subtree leaves and both cycle nodes self-assign.  No
     longer cycle can occur.  The pair gain of ``find_assignment`` is
-    symmetric bit for bit (the weight sum and both products commute), so
-    on a cycle i1 -> i2 -> ... -> ik each node's best gain is at least its
-    predecessor's and all gains on the cycle are equal.  With ties broken
+    symmetric bit for bit (entries (i, j) and (j, i) of the union hold the
+    same sum W(i, j) + W(j, i), and both products of ``join_gain``
+    commute), so on a cycle i1 -> i2 -> ... -> ik each node's best gain is
+    at least its predecessor's and all gains on the cycle are equal.  With ties broken
     to the lowest id, k >= 3 then forces i3 < i1, i5 < i3, ... around the
     cycle, a contradiction.  Positive correction only makes self-loops,
     and maximal correction points a node into another component, so
     neither closes a new cycle; ``_debug_validate`` asserts the bound.
     Branch cuts still run on any cycle, so hand-built forests work."""
     u = graph.neighbor_union()
-    m = st.m_w
-    m2 = m * m
     s_out, s_in = st.s_out, st.s_in
     gains = []
     unresolved = 0
@@ -275,13 +275,12 @@ def _split_community(graph, st, a, members, cycle):
             continue
         so_c = float(s_out[mem].sum())
         si_c = float(s_in[mem].sum())
-        g = np.empty(mem.size)
+        w_c = np.empty(mem.size)
         for k, x in enumerate(mem.tolist()):
             lo, hi = int(u.ptr[x]), int(u.ptr[x + 1])
-            nb = u.nbr[lo:hi]
-            w_in_c = float((u.w_out[lo:hi] + u.w_in[lo:hi])[_in_sorted(mem, nb)].sum())
-            g[k] = w_in_c / m - (s_out[x] * (si_c - s_in[x])
-                                 + s_in[x] * (so_c - s_out[x])) / m2
+            w_c[k] = float(u.w[lo:hi][_in_sorted(mem, u.nbr[lo:hi])].sum())
+        so, si = s_out[mem], s_in[mem]
+        g = join_gain(st.m_w, w_c, so, si, so_c - so, si_c - si)
         if not (g < 0.0).any():
             continue
         mem_list = mem.tolist()
@@ -381,15 +380,13 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows):
     split of the rows gives the same bits per row.  ``[lo, hi)`` spans
     ``rows``; it is not read here, and stays so that ``perfbench/spans.py``
     can count the entries a call covers."""
-    u = graph.neighbor_union()
     m = st.m_w
-    m2 = m * m
-    pos, nbr, wsum = u.gather(rows)
+    pos, nbr, wsum = graph.neighbor_union().gather(rows)
     cstar = labels[rows]
     so_r = st.s_out[rows]
     si_r = st.s_in[rows]
-    t_stay = -(so_r * (agg.s_in[cstar] - si_r)
-               + si_r * (agg.s_out[cstar] - so_r)) / m2
+    t_stay = join_gain(m, 0.0, so_r, si_r, agg.s_out[cstar] - so_r,
+                       agg.s_in[cstar] - si_r)
     if pos.size == 0:
         return cstar
     cn = labels[nbr]
@@ -407,21 +404,14 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows):
     own = g_comm == cstar[g_pos]
     so_i = so_r[g_pos]
     si_i = si_r[g_pos]
-    sin_c = agg.s_in[g_comm] - np.where(own, si_i, 0.0)
-    sout_c = agg.s_out[g_comm] - np.where(own, so_i, 0.0)
-    t = gsum / m - (so_i * sin_c + si_i * sout_c) / m2
+    t = join_gain(m, gsum, so_i, si_i,
+                  agg.s_out[g_comm] - np.where(own, so_i, 0.0),
+                  agg.s_in[g_comm] - np.where(own, si_i, 0.0))
     t_stay[g_pos[own]] = t[own]
-    seg = np.searchsorted(g_pos, np.arange(rows.size + 1))
-    has = seg[1:] > seg[:-1]
-    tc = np.where(own, -np.inf, t)
-    mx = np.full(rows.size, -np.inf)
-    mx[has] = np.maximum.reduceat(tc, seg[:-1][has])
-    eligible = (~own) & (tc == mx[g_pos]) & (mx[g_pos] > t_stay[g_pos])
-    gidx = np.where(eligible, np.arange(t.size), t.size)
-    first = np.full(rows.size, t.size)
-    first[has] = np.minimum.reduceat(gidx, seg[:-1][has])
-    okr = first < t.size
-    cstar[okr] = g_comm[first[okr]]
+    t[own] = -np.inf
+    first = _first_max(g_pos, t, t_stay, rows.size)
+    ok = first >= 0
+    cstar[ok] = g_comm[first[ok]]
     return cstar
 
 
@@ -454,10 +444,8 @@ def _attach_target(graph, st, labels, i, to):
     if not sel.any():
         return -1
     cand = nb[sel]
-    ws = (u.w_out[lo:hi] + u.w_in[lo:hi])[sel]
-    m = st.m_w
-    pg = ws / m - (st.s_out[i] * st.s_in[cand]
-                   + st.s_in[i] * st.s_out[cand]) / (m * m)
+    pg = join_gain(st.m_w, u.w[lo:hi][sel], st.s_out[i], st.s_in[i],
+                   st.s_out[cand], st.s_in[cand])
     return int(cand[int(np.argmax(pg))])
 
 
@@ -481,9 +469,10 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
             graph, st, labels, agg, lo, hi, r), rows)
 
     changed = _changed_nodes(memo.plan_comm, labels)
-    # the union is symmetric: the rows with a changed neighbor are the
-    # neighbors of the changed rows
-    changed[graph.neighbor_union().gather(np.flatnonzero(changed))[1]] = True
+    if not changed.all():
+        # the union is symmetric: the rows with a changed neighbor are the
+        # neighbors of the changed rows
+        changed[graph.neighbor_union().gather(np.flatnonzero(changed))[1]] = True
     cstar = labels[memo.target_rep]
     cstar[changed] = plan(np.flatnonzero(changed))
     if stats is not None and not np.array_equal(

@@ -47,30 +47,26 @@ class Strengths:
 class NeighborUnion:
     """Per-node union of out- and in-neighbors, self-loops excluded.
 
-    For row i, entry e covers neighbor j = nbr[e] with w_out[e] = W(i, j) and
-    w_in[e] = W(j, i); a pair appearing in only one direction carries 0 in the
-    other column. Rows are sorted by neighbor id. This is the access pattern
-    of every gain kernel, so it is built once per graph and cached.
+    For row i, entry e covers neighbor j = nbr[e] with w[e] = W(i, j) +
+    W(j, i), 0 for a direction that has no edge; entry (j, i) holds the same
+    sum, so the union is symmetric.  Rows are sorted by neighbor id. This is
+    the access pattern of every gain kernel, so it is built once per graph
+    and cached.
     """
 
     ptr: np.ndarray
     nbr: np.ndarray
-    row: np.ndarray
-    w_out: np.ndarray
-    w_in: np.ndarray
+    w: np.ndarray
 
     def gather(self, rows):
         """The entries of the ascending ``rows``, in entry order: per entry
-        the position of its row in ``rows``, the neighbor, and
-        w_out + w_in."""
+        the position of its row in ``rows``, the neighbor, and w."""
         start = self.ptr[rows]
         size = self.ptr[rows + 1] - start
         pos = np.repeat(np.arange(rows.size), size)
         ent = (start - (np.cumsum(size) - size))[pos]
         ent += np.arange(pos.size)
-        wsum = self.w_out[ent]
-        wsum += self.w_in[ent]
-        return pos, self.nbr[ent], wsum
+        return pos, self.nbr[ent], self.w[ent]
 
 
 class Graph:
@@ -104,21 +100,7 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if not np.isfinite(w).all() or (w <= 0).any():
                 raise ValueError("edge weights must be finite and positive")
-        # canonical order + parallel-edge merge (stable sort keeps input order
-        # inside each duplicate group, so merged sums are deterministic)
-        order = np.lexsort((dst, src))
-        src, dst, w = src[order], dst[order], w[order]
-        if src.size:
-            new_group = np.empty(src.size, dtype=bool)
-            new_group[0] = True
-            new_group[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-            starts = np.flatnonzero(new_group)
-            src = src[starts]
-            dst = dst[starts]
-            w = np.add.reduceat(w, starts)
-        out_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=out_ptr[1:])
-        return cls(n, out_ptr, dst, w)
+        return cls(n, *_merge_pairs(n, src, dst, w))
 
     def edge_rows(self) -> np.ndarray:
         """Source node per forward edge (cached)."""
@@ -145,33 +127,37 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def _build_union(g: Graph) -> NeighborUnion:
-    # edge i -> j is entry (i, j) of w_out and entry (j, i) of w_in; as the
-    # edges are merged, a (row, nbr) group holds at most one of each
-    rows = g.edge_rows()
-    keep = g.out_dst != rows
-    src, dst, w = rows[keep], g.out_dst[keep], g.out_w[keep]
-    zero = np.zeros(w.size)
-    row = np.concatenate([src, dst])
-    nbr = np.concatenate([dst, src])
-    w_out = np.concatenate([w, zero])
-    w_in = np.concatenate([zero, w])
+def _merge_pairs(n, row, nbr, w):
+    """CSR form (ptr, nbr, w) of the (row, nbr, w) triples: sorted by row,
+    then neighbor, with the weights of equal pairs summed.  The stable sort
+    keeps input order inside each group, so merged sums are deterministic."""
     order = np.lexsort((nbr, row))
-    row, nbr, w_out, w_in = row[order], nbr[order], w_out[order], w_in[order]
+    row, nbr, w = row[order], nbr[order], w[order]
     if row.size:
         new_group = np.empty(row.size, dtype=bool)
         new_group[0] = True
         new_group[1:] = (row[1:] != row[:-1]) | (nbr[1:] != nbr[:-1])
         starts = np.flatnonzero(new_group)
-        w_out = np.add.reduceat(w_out, starts)
-        w_in = np.add.reduceat(w_in, starts)
         row = row[starts]
         nbr = nbr[starts]
-    ptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=g.n), out=ptr[1:])
-    for arr in (ptr, nbr, row, w_out, w_in):
+        w = np.add.reduceat(w, starts)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
+    return ptr, nbr, w
+
+
+def _build_union(g: Graph) -> NeighborUnion:
+    # edge i -> j enters as (i, j) and as (j, i); as the edges are merged, a
+    # (row, nbr) group holds at most one of each, and sums W(i, j) + W(j, i)
+    rows = g.edge_rows()
+    keep = g.out_dst != rows
+    src, dst, w = rows[keep], g.out_dst[keep], g.out_w[keep]
+    ptr, nbr, wsum = _merge_pairs(g.n, np.concatenate([src, dst]),
+                                  np.concatenate([dst, src]),
+                                  np.concatenate([w, w]))
+    for arr in (ptr, nbr, wsum):
         arr.setflags(write=False)
-    return NeighborUnion(ptr, nbr, row, w_out, w_in)
+    return NeighborUnion(ptr, nbr, wsum)
 
 
 def load_edge_list(path: str) -> Graph:

@@ -4,7 +4,6 @@ serial-fraction speedup model for comparison plots."""
 from __future__ import annotations
 
 import csv
-import hashlib
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -12,7 +11,6 @@ import numpy as np
 
 from .bench import BenchSpec, generate
 from .detector import RunConfig, run
-from .graph import Graph
 
 CSV_FIELDS = ("threads", "repeat", "wall_seconds", "score", "levels",
               "seed", "p")
@@ -24,7 +22,6 @@ class DeterminismError(RuntimeError):
 
 @dataclass
 class RunRecord:
-    spec_tag: str = field(compare=False)
     threads: int
     repeat: int
     wall_seconds: float
@@ -59,14 +56,6 @@ def amdahl(p_fraction: float, n_threads: int) -> float:
     return 1.0 / ((1.0 - p_fraction) + p_fraction / n_threads)
 
 
-def _graph_digest(graph: Graph) -> str:
-    h = hashlib.sha256()
-    h.update(str(graph.n).encode())
-    for arr in (graph.out_ptr, graph.out_dst, graph.out_w):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return "graph-" + h.hexdigest()[:12]
-
-
 def curve_from_records(records) -> SpeedupCurve:
     if not records:
         raise ValueError("no records")
@@ -95,12 +84,7 @@ def measure(source, threads=(1,), repeats=2, config=None, csv_path=None,
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     base_cfg = config if config is not None else RunConfig()
-    if isinstance(source, BenchSpec):
-        graph = generate(source).graph
-        tag = f"bench-N{source.N}-seed{source.seed}"
-    else:
-        graph = source
-        tag = _graph_digest(graph)
+    graph = generate(source).graph if isinstance(source, BenchSpec) else source
     graph.neighbor_union()  # one-time setup, not charged to the first run
     records = []
     ref_flat = None
@@ -111,7 +95,7 @@ def measure(source, threads=(1,), repeats=2, config=None, csv_path=None,
         for rep in range(repeats):
             res = run(graph, cfg)
             records.append(RunRecord(
-                spec_tag=tag, threads=t, repeat=rep,
+                threads=t, repeat=rep,
                 wall_seconds=res.stats.wall_seconds,
                 score=res.final_score, levels=res.stats.levels,
                 seed=cfg.seed, p=cfg.accept_prob))
@@ -164,7 +148,7 @@ def read_csv(path):
             raise ValueError(f"unexpected CSV header: {header!r}")
         for row in reader:
             records.append(RunRecord(
-                spec_tag="", threads=int(row[0]), repeat=int(row[1]),
+                threads=int(row[0]), repeat=int(row[1]),
                 wall_seconds=float(row[2]), score=float(row[3]),
                 levels=int(row[4]), seed=int(row[5]), p=float(row[6])))
     return records

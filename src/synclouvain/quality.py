@@ -8,8 +8,10 @@ evaluated from per-community strength sums, never a pairwise loop. Every gain
 below is an exact score difference of the partitions it compares; the
 community-independent (i, i) self-pair term is excluded throughout, which is
 why it cancels instead of appearing as a constant. Comparisons elsewhere use
-strict > 0 with no epsilon, so these expressions are kept in one arithmetic
-shape everywhere.
+strict > 0 with no epsilon, so each expression has one arithmetic shape and
+one home: ``join_gain`` (a node joining a community) and ``switch_gain`` (a
+set moving between two communities) are the only places the null-model term
+is written, and every gain kernel here and in ``detector`` calls them.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ __all__ = [
     "CommunityAggregates",
     "gain_insert",
     "gain_switch",
+    "join_gain",
     "local_gain",
     "local_gains",
     "score",
+    "switch_gain",
 ]
 
 
@@ -74,6 +78,25 @@ class CommunityAggregates:
                 and np.allclose(fresh.s_in, self.s_in, atol=atol, rtol=0.0))
 
 
+def join_gain(m, wsum, so_i, si_i, so_c, si_c):
+    """Gain of joining i (out/in strength so_i, si_i) with a community c
+    (so_c, si_c) that does not count i, wsum being the weight between them
+    in both directions; elementwise.  Symmetric bit for bit under swapping
+    the two sides, since the weight is one operand and both products
+    commute."""
+    return wsum / m - (so_i * si_c + si_i * so_c) / (m * m)
+
+
+def switch_gain(m, w_to, w_from, so_b, si_b, so_f, si_f, so_t=0.0, si_t=0.0):
+    """Gain of moving a set b (so_b, si_b) from community f (so_f, si_f,
+    counting b) to community t (so_t, si_t; default an empty community),
+    where w_to and w_from are b's weight to t and to the rest of f in both
+    directions."""
+    d_null = (-so_f * si_b - so_b * si_f + so_t * si_b + so_b * si_t
+              + 2.0 * so_b * si_b)
+    return (w_to - w_from) / m - d_null / (m * m)
+
+
 def score(graph: Graph, st: Strengths, labels) -> float:
     """Partition quality; 0.0 for an edgeless graph."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -82,10 +105,8 @@ def score(graph: Graph, st: Strengths, labels) -> float:
     m = st.m_w
     rows = graph.edge_rows()
     intra = float(graph.out_w[labels[rows] == labels[graph.out_dst]].sum())
-    n_comms = int(labels.max()) + 1
-    s_out_c = np.bincount(labels, weights=st.s_out, minlength=n_comms)
-    s_in_c = np.bincount(labels, weights=st.s_in, minlength=n_comms)
-    null = float((s_out_c * s_in_c / m).sum())
+    agg = CommunityAggregates.from_labels(st, labels)
+    null = float((agg.s_out * agg.s_in / m).sum())
     return (intra - null) / m
 
 
@@ -101,22 +122,17 @@ def gain_insert(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,
     u = graph.neighbor_union()
     lo, hi = u.ptr[i], u.ptr[i + 1]
     sel = labels[u.nbr[lo:hi]] == c
-    wsum = float((u.w_out[lo:hi][sel] + u.w_in[lo:hi][sel]).sum())
-    m = st.m_w
-    return wsum / m - (st.s_out[i] * agg.s_in[c] + st.s_in[i] * agg.s_out[c]) / (m * m)
+    wsum = float(u.w[lo:hi][sel].sum())
+    return join_gain(st.m_w, wsum, st.s_out[i], st.s_in[i],
+                     agg.s_out[c], agg.s_in[c])
 
 
 def local_gain(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,
                i: int) -> float:
     """Gain of node i against the rest of its own community."""
-    c = int(labels[i])
-    u = graph.neighbor_union()
-    lo, hi = u.ptr[i], u.ptr[i + 1]
-    sel = labels[u.nbr[lo:hi]] == c
-    wsum = float((u.w_out[lo:hi][sel] + u.w_in[lo:hi][sel]).sum())
-    m = st.m_w
-    return wsum / m - (st.s_out[i] * (agg.s_in[c] - st.s_in[i])
-                       + st.s_in[i] * (agg.s_out[c] - st.s_out[i])) / (m * m)
+    mask = np.zeros(graph.n, dtype=bool)
+    mask[i] = True
+    return float(local_gains(graph, st, labels, agg, mask)[0])
 
 
 def local_gains(graph: Graph, st: Strengths, labels,
@@ -135,8 +151,7 @@ def local_gains(graph: Graph, st: Strengths, labels,
     same = labels[nbr] == lab[pos]
     w_own = np.bincount(pos[same], weights=wsum[same], minlength=nodes.size)
     so, si = st.s_out[nodes], st.s_in[nodes]
-    return w_own / m - (so * (agg.s_in[lab] - si)
-                        + si * (agg.s_out[lab] - so)) / (m * m)
+    return join_gain(m, w_own, so, si, agg.s_out[lab] - so, agg.s_in[lab] - si)
 
 
 def gain_switch(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,
@@ -160,7 +175,7 @@ def gain_switch(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,
         lo, hi = u.ptr[x], u.ptr[x + 1]
         nb = u.nbr[lo:hi]
         lab = labels[nb]
-        ws = u.w_out[lo:hi] + u.w_in[lo:hi]
+        ws = u.w[lo:hi]
         if to is not None:
             w_to += float(ws[lab == to].sum())
         w_from += float(ws[(lab == frm) & ~in_set[nb]].sum())
@@ -169,7 +184,5 @@ def gain_switch(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,
     si_b = float(st.s_in[nodes].sum())
     so_t = float(agg.s_out[to]) if to is not None else 0.0
     si_t = float(agg.s_in[to]) if to is not None else 0.0
-    d_null = (-float(agg.s_out[frm]) * si_b - so_b * float(agg.s_in[frm])
-              + so_t * si_b + so_b * si_t + 2.0 * so_b * si_b)
-    m = st.m_w
-    return (w_to - w_from) / m - d_null / (m * m)
+    return switch_gain(st.m_w, w_to, w_from, so_b, si_b, float(agg.s_out[frm]),
+                       float(agg.s_in[frm]), so_t, si_t)

@@ -8,6 +8,7 @@ from synclouvain.detector import (
     _Pool,
     _changed_nodes,
     _debug_validate,
+    _first_max,
     _map_rows,
     find_assignment,
     maximal_correction,
@@ -203,6 +204,21 @@ def test_map_rows_balances_entries_of_the_given_rows(rng):
     entries = [int((ptr[p + 1] - ptr[p]).sum()) for _, _, p in seen]
     assert abs(entries[0] - entries[1]) <= int(np.diff(ptr)[rows].max())
     assert empty.size == 0 and empty.dtype == np.int64
+
+
+def test_first_max_picks_first_row_maximum_above_floor():
+    pos = np.array([0, 0, 0, 2, 2, 3])
+    val = np.array([1.0, 3.0, 3.0, 0.5, 0.25, 2.0])
+    # row 0 ties at entries 1 and 2; row 1 has no entries; row 2's maximum
+    # 0.5 does not beat its floor 0.5; row 3's 2.0 beats its floor 1.0
+    np.testing.assert_array_equal(
+        _first_max(pos, val, np.array([0.0, 0.0, 0.5, 1.0]), 4), [1, -1, -1, 5])
+    np.testing.assert_array_equal(_first_max(pos, val, 0.0, 4), [1, -1, 3, 5])
+    np.testing.assert_array_equal(_first_max(pos, val, 3.0, 4), [-1, -1, -1, -1])
+    empty = _first_max(np.empty(0, np.int64), np.empty(0), 0.0, 0)
+    assert empty.size == 0 and empty.dtype == np.int64
+    np.testing.assert_array_equal(
+        _first_max(np.empty(0, np.int64), np.empty(0), 0.0, 2), [-1, -1])
 
 
 def test_run_stops_level_at_sweep_cap(rng):

@@ -85,8 +85,7 @@ def test_union_rows_match_dense_weights(rng):
             nb = u.nbr[lo:hi]
             np.testing.assert_array_equal(
                 nb, np.flatnonzero(dense[i] + dense[:, i]))
-            np.testing.assert_array_equal(u.w_out[lo:hi], dense[i, nb])
-            np.testing.assert_array_equal(u.w_in[lo:hi], dense[nb, i])
+            assert u.w[lo:hi].tobytes() == (dense[i, nb] + dense[nb, i]).tobytes()
 
 
 def test_roundtrip_bit_exact(tmp_path, rng):
@@ -198,11 +197,13 @@ def test_union_adjacency_merges_directions(rng):
     edges = [(0, 1, 2.0), (1, 0, 0.5), (0, 2, 1.0), (2, 2, 9.0)]
     g = build_graph(3, edges)
     u = g.neighbor_union()
+    dense = dense_weights(3, edges)
     # row 0: neighbors 1 (out 2.0, in 0.5) and 2 (out 1.0, in 0)
     lo, hi = u.ptr[0], u.ptr[1]
-    assert list(u.nbr[lo:hi]) == [1, 2]
-    assert list(u.w_out[lo:hi]) == [2.0, 1.0]
-    assert list(u.w_in[lo:hi]) == [0.5, 0.0]
+    nb = u.nbr[lo:hi]
+    assert list(nb) == [1, 2]
+    assert u.w[lo:hi].tobytes() == (dense[0, nb] + dense[nb, 0]).tobytes()
+    assert list(u.w[lo:hi]) == [2.5, 1.0]
     # self-loop at 2 excluded
     lo, hi = u.ptr[2], u.ptr[3]
     assert list(u.nbr[lo:hi]) == [0]

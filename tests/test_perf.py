@@ -51,11 +51,11 @@ def test_amdahl_monotone_and_limit():
 
 
 def test_run_record_validation():
-    RunRecord("t", 1, 0, 0.5, 0.1, 2, 0, 0.5)
+    RunRecord(1, 0, 0.5, 0.1, 2, 0, 0.5)
     with pytest.raises(ValueError):
-        RunRecord("t", 0, 0, 0.5, 0.1, 2, 0, 0.5)
+        RunRecord(0, 0, 0.5, 0.1, 2, 0, 0.5)
     with pytest.raises(ValueError):
-        RunRecord("t", 1, 0, 0.0, 0.1, 2, 0, 0.5)
+        RunRecord(1, 0, 0.0, 0.1, 2, 0, 0.5)
 
 
 def test_measure_single_thread_baseline(tmp_path):
@@ -127,9 +127,9 @@ def test_measure_builds_union_before_timed_runs(monkeypatch):
 
 def test_csv_round_trip(tmp_path):
     recs = [
-        RunRecord("x", 1, 0, 1.25, 0.4031, 3, 9, 0.5),
-        RunRecord("x", 1, 1, 1.75, 0.4031, 3, 9, 0.5),
-        RunRecord("x", 4, 0, 0.5, 0.4031, 3, 9, 0.5),
+        RunRecord(1, 0, 1.25, 0.4031, 3, 9, 0.5),
+        RunRecord(1, 1, 1.75, 0.4031, 3, 9, 0.5),
+        RunRecord(4, 0, 0.5, 0.4031, 3, 9, 0.5),
     ]
     path = tmp_path / "r.csv"
     write_csv(recs, path)
@@ -141,8 +141,8 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_emit_plot_data(tmp_path):
-    recs = [RunRecord("x", 1, 0, 10.0, 0.5, 2, 0, 0.5),
-            RunRecord("x", 12, 0, 10.0 / 7.0, 0.5, 2, 0, 0.5)]
+    recs = [RunRecord(1, 0, 10.0, 0.5, 2, 0, 0.5),
+            RunRecord(12, 0, 10.0 / 7.0, 0.5, 2, 0, 0.5)]
     curve = curve_from_records(recs)
     path = tmp_path / "plot.tsv"
     text = emit_plot_data(curve, 0.95, path)
@@ -156,8 +156,8 @@ def test_emit_plot_data(tmp_path):
 
 
 def test_emit_plot_data_flags_superlinear(tmp_path):
-    recs = [RunRecord("x", 1, 0, 10.0, 0.5, 2, 0, 0.5),
-            RunRecord("x", 2, 0, 2.0, 0.5, 2, 0, 0.5)]  # speedup 5 > 2
+    recs = [RunRecord(1, 0, 10.0, 0.5, 2, 0, 0.5),
+            RunRecord(2, 0, 2.0, 0.5, 2, 0, 0.5)]  # speedup 5 > 2
     curve = curve_from_records(recs)
     with pytest.warns(UserWarning, match="superlinear"):
         emit_plot_data(curve, 0.95, tmp_path / "p.tsv")

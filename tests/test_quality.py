@@ -6,6 +6,7 @@ from synclouvain.quality import (
     CommunityAggregates,
     gain_insert,
     gain_switch,
+    join_gain,
     local_gain,
     local_gains,
     score,
@@ -140,6 +141,21 @@ def test_local_gain_is_exact_score_difference():
         mask = rng.random(n) < 0.5
         assert local_gains(g, st_, labels, agg, mask).tobytes() == \
             vec[mask].tobytes()
+
+
+def test_pair_gain_is_symmetric_bit_for_bit(rng):
+    # the premise of the no-cycle-above-2 proof in detector._split_community
+    for n in (3, 9, 20, 40):
+        g, st_ = make(n, random_edges(rng, n, density=0.3, self_loops=True))
+        u = g.neighbor_union()
+        rows = np.repeat(np.arange(n), np.diff(u.ptr))
+        back = np.searchsorted(u.nbr + rows * n, rows + u.nbr * n)
+        np.testing.assert_array_equal(u.nbr[back], rows)
+        fwd = join_gain(st_.m_w, u.w, st_.s_out[rows], st_.s_in[rows],
+                        st_.s_out[u.nbr], st_.s_in[u.nbr])
+        rev = join_gain(st_.m_w, u.w[back], st_.s_out[u.nbr], st_.s_in[u.nbr],
+                        st_.s_out[rows], st_.s_in[rows])
+        assert fwd.size > 0 and fwd.tobytes() == rev.tobytes()
 
 
 def test_gain_switch_is_exact_score_difference():

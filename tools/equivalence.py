@@ -38,6 +38,14 @@ def corpus():
         src, dst = np.nonzero(adj)
         w = np.ones(src.size) if t % 3 == 0 else rng.uniform(0.1, 3, src.size)
         yield f"random-{t}", Graph.from_edges(n, src, dst, w)
+    # an empty or nearly empty union: no edge, self-loops only, and n=50
+    # with 4 edges
+    none = np.empty(0, dtype=np.int64)
+    yield "edgeless", Graph.from_edges(20, none, none, np.empty(0))
+    loops = np.arange(0, 20, 3)
+    yield "self-loops", Graph.from_edges(20, loops, loops, loops + 0.5)
+    yield "mostly-isolated", Graph.from_edges(
+        50, [3, 4, 17, 40], [4, 3, 40, 41], [1.0, 2.5, 0.75, 1.0])
 
 
 def bits(x):
