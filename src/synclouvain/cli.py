@@ -8,6 +8,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .bench import BenchSpec, generate, write_benchmark
 from .detector import RunConfig, run
 from .graph import GraphFormatError, load_edge_list, write_partition
@@ -48,7 +50,8 @@ def build_parser():
     p_det.add_argument("--p", type=float, default=0.5,
                        help="move acceptance probability")
     p_det.add_argument("--debug", action="store_true",
-                       help="run internal invariant checks every phase")
+                       help="run internal invariant checks every phase; "
+                       "a floating-point fault exits 3")
     p_det.set_defaults(func=_cmd_detect)
 
     p_gen = sub.add_parser("generate", help="write a planted benchmark graph")
@@ -91,7 +94,12 @@ def _cmd_detect(args):
     graph = load_edge_list(args.input)
     cfg = RunConfig(threads=threads, seed=args.seed, accept_prob=args.p,
                     debug_checks=args.debug)
-    res = run(graph, cfg)
+    # under --debug a NaN or infinite value is a breach; underflow only
+    # rounds a tiny product and stays silent
+    faults = (dict(divide="raise", over="raise", invalid="raise")
+              if args.debug else {})
+    with np.errstate(**faults):
+        res = run(graph, cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem
@@ -165,6 +173,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except DeterminismError as exc:
         print(f"determinism breach: {exc}", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:
+        print(f"invariant breach: floating-point fault: {exc}",
+              file=sys.stderr)
         return 3
     except (GraphFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,9 @@ neighbor, components turn the pointer forest into communities, positive
 correction splits communities that hold a node with negative local gain,
 maximal correction sweeps nodes to their best community (each improving
 sweep followed by positive correction again), and aggregation contracts
-the communities into the next level's nodes.
+the communities into the next level's nodes.  A level ends when a sweep
+applies no move and none of its coin-rejected candidates could apply, or
+after ``max_outer_iters`` sweeps.
 
 Every sweep plans all candidate moves from a frozen snapshot of the
 current partition, then applies them in a fixed serial order.  Planning is
@@ -19,10 +21,11 @@ thread count.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -97,7 +100,10 @@ class _Pool:
         items = list(items)
         if self._ex is None or len(items) <= 1:
             return [fn(it) for it in items]
-        return list(self._ex.map(fn, items))
+        # each item runs in a copy of the caller's context, which carries
+        # numpy's error state (``np.errstate``) into the workers
+        ctxs = [contextvars.copy_context() for _ in items]
+        return list(self._ex.map(lambda c, it: c.run(fn, it), ctxs, items))
 
     def close(self):
         if self._ex is not None:
@@ -458,7 +464,17 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     strictly positive; a node is also skipped once its source community
     has been touched by an earlier commit this sweep.  Only the nodes
     touching a community changed since the level's ``memo`` last planned
-    are planned (see ``_Frontier``)."""
+    are planned (see ``_Frontier``).
+
+    ``improved`` is False, ending the level, unless a move applied or a
+    candidate the coin rejected would apply at the snapshot.  That is
+    exact.  A sweep that applies nothing dirties nothing, so each
+    candidate's snapshot price is the price a later sweep would see: the
+    forest stays the same, so do the frontier plan and the output of
+    positive correction, which is idempotent on an unchanged forest.
+    Later sweeps would then differ only in their coins, and none could
+    apply a move that cannot apply now.  Under ``debug_checks`` the run
+    loop re-checks every such stop with all coins accepted."""
     if memo is None:
         memo = _Frontier(graph.n)
     labels = forest.comm.copy()
@@ -491,27 +507,33 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     dirty = np.zeros(forest.n_comms, dtype=bool)
     in_set = np.zeros(graph.n, dtype=bool)
     seen = np.zeros(graph.n, dtype=bool)
+
+    def price(i):
+        """(tail, gain, attach target) of moving node i to its planned
+        community at the current labels, or None if the move cannot apply."""
+        to = int(cstar[i])
+        if agg.count[to] == 0:
+            return None
+        moved = _tail(rptr, rkids, i, seen)
+        g = gain_switch(graph, st, labels, agg, moved, int(labels[i]), to,
+                        in_set)
+        if not g > 0.0:
+            return None
+        j = _attach_target(graph, st, labels, i, to)
+        return (moved, g, j) if j >= 0 else None
+
     applied = 0
     gains = []
-    coin_blocked = False
     for k in range(cand.size):
         i = int(cand[k])
         frm = int(labels[i])
+        if dirty[frm] or not accept[k]:
+            continue
+        move = price(i)
+        if move is None:
+            continue
+        moved, g, j = move
         to = int(cstar[i])
-        if dirty[frm]:
-            continue
-        if not accept[k]:
-            coin_blocked = True
-            continue
-        if agg.count[to] == 0:
-            continue
-        moved = _tail(rptr, rkids, i, seen)
-        g = gain_switch(graph, st, labels, agg, moved, frm, to, in_set)
-        if not g > 0.0:
-            continue
-        j = _attach_target(graph, st, labels, i, to)
-        if j < 0:
-            continue
         a[i] = j
         labels[moved] = to
         agg.move_nodes(st, moved, frm, to)
@@ -528,9 +550,11 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
                     f"incremental aggregates drifted at level {level} "
                     f"sweep {sweep}")
                 break
-    improved = applied > 0 or coin_blocked
-    new_forest = extract_components(a) if applied else forest
-    return new_forest, improved, applied, gains
+    if applied:
+        return extract_components(a), True, applied, gains
+    # nothing applied, so nothing is dirty and labels and agg are the snapshot
+    improved = any(price(int(i)) is not None for i in cand[~accept])
+    return forest, improved, 0, gains
 
 
 # ---------------------------------------------------------------- main loop
@@ -564,6 +588,17 @@ def _debug_validate(graph, st, forest, phase, stats, unresolved):
             stats.debug_failures.append(
                 f"{phase}: negative local gain {lg[i]:.3e} left behind "
                 f"at node {i}")
+
+
+def _debug_stop(graph, st, forest, config, level, stats):
+    """Record a failure if a sweep over the ``forest`` a level stopped at,
+    planned afresh with every coin accepted, still applies a move."""
+    applied = maximal_correction(graph, st, forest,
+                                 replace(config, accept_prob=1.0), level,
+                                 config.max_outer_iters, None)[2]
+    if applied:
+        stats.debug_failures.append(
+            f"level {level}: stopped with {applied} moves still applicable")
 
 
 def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
@@ -644,6 +679,8 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
                     _debug_validate(g, st, forest, f"maximal@{level}", stats,
                                     None)
                 if not improved:
+                    if config.debug_checks:
+                        _debug_stop(g, st, forest, config, level, stats)
                     break
                 forest = positive(forest)
             else:

@@ -64,6 +64,22 @@ def test_detect_empty_graph(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("weight, rc_want", [
+    ("1e-170", 3),  # 0/0 in join_gain
+    ("1e160", 3),   # overflow of the strength products
+    ("1.0", 0)])
+def test_detect_debug_floating_point_fault_exits_3(tmp_path, capsys, threads,
+                                                   weight, rc_want):
+    p = tmp_path / "tri.edges"
+    p.write_text(TRIANGLES.replace("1.0", weight))
+    rc = main(["detect", str(p), "--out-dir", str(tmp_path / "o"), "--debug",
+               "--threads", threads])
+    assert rc == rc_want
+    err = capsys.readouterr().err
+    assert ("invariant breach: floating-point fault: " in err) == (rc == 3)
+
+
 def test_detect_env_threads(tri_file, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SYNCLOUVAIN_THREADS", "2")
     rc = main(["detect", str(tri_file), "--out-dir", str(tmp_path / "o")])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from synclouvain import detector
 from synclouvain.detector import (
     Hierarchy,
     RunConfig,
@@ -231,6 +232,35 @@ def test_run_stops_level_at_sweep_cap(rng):
     assert res.stats.debug_failures == []
 
 
+def test_debug_flags_a_level_stopped_with_an_applicable_move(
+        rng, monkeypatch):
+    # the level of test_run_stops_level_at_sweep_cap, forced to report a
+    # dead stop after its first sweep
+    g = build_graph(60, random_edges(rng, 60, density=0.1))
+    real = detector.maximal_correction
+
+    def forced(*args):
+        forest, _, applied, gains = real(*args)
+        return forest, False, applied, gains
+
+    monkeypatch.setattr(detector, "maximal_correction", forced)
+    res = run(g, RunConfig(seed=1, debug_checks=True))
+    assert res.stats.sweeps_per_level[0] == 1
+    assert any(msg.startswith("level 0: stopped with ")
+               and msg.endswith(" moves still applicable")
+               for msg in res.stats.debug_failures)
+
+
+def test_pool_workers_keep_the_callers_error_state():
+    pool = _Pool(2)
+    try:
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                pool.map(lambda x: np.float64(x) * 1e300, [1.0, 1e300])
+    finally:
+        pool.close()
+
+
 def test_run_edgeless_graph_short_circuits():
     g = build_graph(4, [])
     with np.errstate(all="raise"):
@@ -279,6 +309,46 @@ def test_maximal_reports_fixed_point():
     forest2, improved, applied, gains = maximal_correction(
         g, st, forest, RunConfig(accept_prob=1.0), level=0, sweep=0, pool=None)
     assert not improved and applied == 0 and forest2.comm is forest.comm
+
+
+def _pendant_pull_graph():
+    # A = {0, 1, 2} with 2 tied hard to 0; node 1 is pulled to B = {3, 4}
+    pairs = [(0, 2, 5.0), (0, 1, 0.5), (1, 2, 0.5), (1, 3, 3.0), (1, 4, 3.0),
+             (3, 4, 2.0)]
+    edges = pairs + [(j, i, w) for i, j, w in pairs]
+    return edges, build_graph(5, edges)
+
+
+def test_maximal_dead_sweep_ends_the_level():
+    # node 1's only planned move is to B, but 2 points at it and would be
+    # dragged along, so the move cannot apply whatever the coin says
+    edges, g = _pendant_pull_graph()
+    st = strengths(g)
+    forest = extract_components(np.array([0, 0, 1, 3, 3]))
+    q = oracle_score(5, edges, forest.comm)
+    assert oracle_score(5, edges, [0, 1, 0, 1, 1]) > q  # node 1 alone
+    assert oracle_score(5, edges, [0, 1, 1, 1, 1]) <= q  # with its tail
+    cfg = RunConfig(seed=1, accept_prob=0.5)  # seed 1 rejects node 1's coin
+    forest2, improved, applied, gains = maximal_correction(
+        g, st, forest, cfg, level=0, sweep=0, pool=None)
+    assert improved is False and applied == 0 and forest2 is forest
+    # with every coin accepted the move is tried and skipped (the next test
+    # has the same labels, hence the same plan, and applies it)
+    assert maximal_correction(g, st, forest, RunConfig(accept_prob=1.0),
+                              level=0, sweep=0, pool=None)[1:3] == (False, 0)
+
+
+def test_maximal_coin_blocked_sweep_continues_the_level():
+    # 2 points at 0 now, so node 1 moves alone and would apply but for the coin
+    _, g = _pendant_pull_graph()
+    st = strengths(g)
+    forest = extract_components(np.array([0, 0, 0, 3, 3]))
+    forest2, improved, applied, gains = maximal_correction(
+        g, st, forest, RunConfig(seed=1, accept_prob=0.5), level=0, sweep=0,
+        pool=None)
+    assert improved is True and applied == 0 and forest2 is forest
+    assert maximal_correction(g, st, forest, RunConfig(accept_prob=1.0),
+                              level=0, sweep=0, pool=None)[2] == 1
 
 
 def test_run_two_triangles_full_hierarchy():

@@ -4,8 +4,10 @@
 
 Extracts ``src/`` at REV with ``git archive`` and runs one fixed corpus
 through ``run`` on both trees, each in its own process, at threads 1 and 2
-with ``record_scores`` and ``debug_checks`` on.  Prints the first
-difference and exits 1; exits 1 as well on any debug failure, else 0.
+with ``record_scores`` and ``debug_checks`` on.  Prints every field that
+differs, with the number of runs it differs on and one of them, and the
+fields that are identical on every run; exits 1 on any difference or any
+debug failure, else 0.
 """
 
 import os, pickle, subprocess, sys, tempfile, zlib
@@ -84,14 +86,17 @@ def main(rev):
     if any(p.returncode for p in procs):
         sys.exit("a corpus run failed")
     old, new = map(pickle.loads, outs)
-    for key, fields in new.items():
-        for f in fields:
-            if fields[f] != old[key][f]:
-                print(f"{key}: {f} differs from {rev}")
-                return 1
+    differ = {f: [key for key in new if new[key][f] != old[key][f]]
+              for f in FIELDS}
+    for f, keys in differ.items():
+        if keys:
+            print(f"{f} differs from {rev} on {len(keys)} of {len(new)} "
+                  f"runs, e.g. {keys[0]}")
+    same = [f for f, keys in differ.items() if not keys]
     failures = sum(len(fields["debug_failures"]) for fields in new.values())
-    print(f"{len(new)} runs bit-identical to {rev}; {failures} debug failures")
-    return 1 if failures else 0
+    print(f"{len(new)} runs; bit-identical to {rev}: {' '.join(same)}; "
+          f"{failures} debug failures")
+    return 1 if failures or len(same) < len(FIELDS) else 0
 
 
 if __name__ == "__main__":
