@@ -38,7 +38,6 @@ from .perf import (
     curve_from_records,
     emit_plot_data,
     measure,
-    read_csv,
     write_csv,
 )
 from .quality import (
@@ -84,7 +83,6 @@ __all__ = [
     "measure",
     "nmi",
     "positive_correction",
-    "read_csv",
     "read_partition",
     "reverse_assignment",
     "run",

@@ -140,16 +140,16 @@ def _cmd_generate(args):
 def _cmd_bench(args):
     threads = _env_threads(args.threads, want_list=True)
     if args.input is not None:
-        source = load_edge_list(args.input)
+        graph = load_edge_list(args.input)
     else:
         if args.N is None:
             raise ValueError("bench needs --input or the generator flags "
                              "--N/--k/--kmax/--mut/--muw")
-        source = _spec_from_args(args)
+        graph = generate(_spec_from_args(args)).graph
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = RunConfig(threads=1, seed=args.seed, accept_prob=args.p)
-    curve = measure(source, threads=threads, repeats=args.repeats,
+    curve = measure(graph, threads=threads, repeats=args.repeats,
                     config=cfg, csv_path=out / "runs.csv",
                     phase_path=out / "phases.tsv")
     emit_plot_data(curve, args.amdahl_p, out / "speedup.tsv")

@@ -7,7 +7,9 @@ maximal correction sweeps nodes to their best community (each improving
 sweep followed by positive correction again), and aggregation contracts
 the communities into the next level's nodes.  A level ends when a sweep
 applies no move and none of its coin-rejected candidates could apply, or
-after ``max_outer_iters`` sweeps.
+after ``MAX_SWEEPS`` sweeps.  ``run`` first scales the weights by a power of
+two that brings the total weight into [0.5, 1); modularity does not depend
+on the weight scale, and a power of two keeps every normal weight's bits.
 
 Every sweep plans all candidate moves from a frozen snapshot of the
 current partition, then applies them in a fixed serial order.  Planning is
@@ -30,10 +32,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .forest import extract_components, reverse_assignment
-from .graph import Graph, aggregate, compose_labels, strengths
+from .graph import Graph, _unit_scaled, aggregate, compose_labels, strengths
 from .quality import (CommunityAggregates, gain_switch, join_gain, local_gains,
                       score, switch_gain)
 from .rng import uniform01
+
+MAX_SWEEPS = 100  # maximal-correction sweeps per level
 
 
 @dataclass(frozen=True)
@@ -41,7 +45,6 @@ class RunConfig:
     threads: int = 1
     seed: int = 0
     accept_prob: float = 0.5
-    max_outer_iters: int = 100
     debug_checks: bool = False
     record_scores: bool = False
 
@@ -50,8 +53,6 @@ class RunConfig:
             raise ValueError("threads must be >= 1")
         if not (0.0 < self.accept_prob <= 1.0):
             raise ValueError("accept_prob must be in (0, 1]")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
 
 
 @dataclass
@@ -237,17 +238,14 @@ def _detach_gain(u, st, mem, b_nodes, so_c, si_c):
     for y in b_nodes:
         lo, hi = int(u.ptr[y]), int(u.ptr[y + 1])
         nb = u.nbr[lo:hi]
-        keep = _in_sorted(mem, nb)
-        if keep.any():
-            sub = nb[keep]
-            ws = u.w[lo:hi][keep]
-            x_w += float(ws[~_in_sorted(b_nodes, sub)].sum())
+        keep = _in_sorted(mem, nb) & ~_in_sorted(b_nodes, nb)
+        x_w += float(u.w[lo:hi][keep].sum())
     so_b = float(st.s_out[b_nodes].sum())
     si_b = float(st.s_in[b_nodes].sum())
     return switch_gain(st.m_w, 0.0, x_w, so_b, si_b, so_c, si_c)
 
 
-def _split_community(graph, st, a, members, cycle):
+def _split_community(graph, st, a, rptr, rkids, seen, members, cycle):
     """Repeatedly bisect one community while any member has negative local
     gain and some single cut yields a strictly positive score change.
     ``cycle`` holds the community's cycle nodes in ascending order.
@@ -255,6 +253,16 @@ def _split_community(graph, st, a, members, cycle):
     (gains, unresolved, left): the gain of each applied cut, the count of
     negative-gain members no cut could repair, and the pieces holding
     them.
+
+    ``rptr``/``rkids`` is ``reverse_assignment`` of ``a`` before any cut,
+    and ``seen`` an all-False scratch mask, left all-False.  The nodes a cut
+    detaches are the ``_tail`` of its node in that reverse map, walked with
+    the piece's cycle nodes marked seen, restricted to the piece.  That is
+    the node's subtree in the current ``a``, because a cut only
+    self-assigns the cut node and everything below that node in the piece
+    leaves with it: inside a piece the reverse map and ``a`` have the same
+    edges, and a walk that leaves a piece through a cut node never comes
+    back into it.
 
     A cut is one tree edge (a branch cut: the subtree below a non-cycle
     node leaves) or, when no branch cut improves, both edges of a 2-cycle
@@ -289,36 +297,22 @@ def _split_community(graph, st, a, members, cycle):
         g = join_gain(st.m_w, w_c, so, si, so_c - so, si_c - si)
         if not (g < 0.0).any():
             continue
-        mem_list = mem.tolist()
-        children = {x: [] for x in mem_list}
-        for x in mem_list:
-            if a[x] != x:  # pieces are components of ``a``: a[x] is in mem
-                children[int(a[x])].append(x)
-
-        def subtree(x):
-            sub = [x]
-            qi = 0
-            while qi < len(sub):
-                sub.extend(k for k in children[sub[qi]] if k not in cyc)
-                qi += 1
-            return np.sort(np.asarray(sub, dtype=np.int64))
-
+        cuts = [(x,) for x in mem.tolist() if x not in cyc]
+        if len(cyc) == 2:
+            cuts.append(cyc)  # tried only when no branch cut improves
         best_gain = 0.0
         best = None  # (detached nodes, pointer sources to self-assign)
-        for x in mem_list:
-            if x in cyc:
-                continue
-            b_nodes = subtree(x)
+        seen[list(cyc)] = True
+        for cut in cuts:
+            if len(cut) == 2 and best is not None:
+                break
+            moved = _tail(rptr, rkids, cut[-1], seen)
+            b_nodes = np.sort(moved[_in_sorted(mem, moved)])
             gsp = _detach_gain(u, st, mem, b_nodes, so_c, si_c)
             if gsp > best_gain:
                 best_gain = gsp
-                best = (b_nodes, (x,))
-        if best is None and len(cyc) == 2:
-            b_nodes = subtree(cyc[1])
-            gsp = _detach_gain(u, st, mem, b_nodes, so_c, si_c)
-            if gsp > best_gain:
-                best_gain = gsp
-                best = (b_nodes, cyc)
+                best = (b_nodes, cut)
+        seen[list(cyc)] = False
         if best is None:
             unresolved += int((g < 0.0).sum())
             left.append(mem)
@@ -334,7 +328,7 @@ def _split_community(graph, st, a, members, cycle):
     return gains, unresolved, left
 
 
-def positive_correction(graph, st, forest, pool, stats=None, memo=None):
+def positive_correction(graph, st, forest, stats=None, memo=None):
     """Split every community that still contains a member with negative
     local gain, as long as some single cut strictly improves the score.
     Returns (forest, splits, unresolved, gains, left), where ``left`` masks
@@ -359,15 +353,16 @@ def positive_correction(graph, st, forest, pool, stats=None, memo=None):
     if bad.size == 0:
         return forest, 0, 0, [], left
     members = forest.community_members()
+    rptr, rkids = reverse_assignment(forest.a)
     a = forest.a.copy()
-    ctxs = [members[int(c)] for c in bad]
-    out = (pool or _Pool(1)).map(
-        lambda mem: _split_community(graph, st, a, mem,
-                                     mem[forest.on_cycle[mem]].tolist()),
-        ctxs)
+    seen = np.zeros(graph.n, dtype=bool)
     gains = []
     unresolved = 0
-    for gl, un, pieces in out:
+    for c in bad.tolist():
+        mem = members[c]
+        gl, un, pieces = _split_community(
+            graph, st, a, rptr, rkids, seen, mem,
+            mem[forest.on_cycle[mem]].tolist())
         gains.extend(gl)
         unresolved += un
         for mem in pieces:
@@ -389,12 +384,13 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows):
     m = st.m_w
     pos, nbr, wsum = graph.neighbor_union().gather(rows)
     cstar = labels[rows]
+    # before t_stay, so that an edgeless graph (m_w 0) never divides 0 by 0
+    if pos.size == 0:
+        return cstar
     so_r = st.s_out[rows]
     si_r = st.s_in[rows]
     t_stay = join_gain(m, 0.0, so_r, si_r, agg.s_out[cstar] - so_r,
                        agg.s_in[cstar] - si_r)
-    if pos.size == 0:
-        return cstar
     cn = labels[nbr]
     del nbr  # the gathered copy would otherwise outlive the sort
     key = pos * np.int64(agg.n_comms + 1) + cn
@@ -422,9 +418,10 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows):
 
 
 def _tail(rptr, rkids, i, seen):
-    """Node i plus everything whose pointer path runs through i.  The
-    ``seen`` guard matters when i sits on a cycle: cycle edges appear in
-    the child lists too, so the walk would otherwise loop."""
+    """Node i plus everything whose pointer path runs through i, without
+    entering a node ``seen`` already marks.  The guard matters when i sits
+    on a cycle: cycle edges appear in the child lists too, so the walk
+    would otherwise loop."""
     out = [i]
     seen[i] = True
     qi = 0
@@ -541,15 +538,9 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
         dirty[to] = True
         applied += 1
         gains.append(g)
-    if stats is not None and applied:
-        fresh = CommunityAggregates.from_labels(st, labels, forest.n_comms)
-        for arr, ref in ((agg.s_out, fresh.s_out), (agg.s_in, fresh.s_in),
-                         (agg.count, fresh.count)):
-            if not np.allclose(arr, ref, atol=1e-9):
-                stats.debug_failures.append(
-                    f"incremental aggregates drifted at level {level} "
-                    f"sweep {sweep}")
-                break
+    if stats is not None and applied and not agg.check(st, labels):
+        stats.debug_failures.append(
+            f"incremental aggregates drifted at level {level} sweep {sweep}")
     if applied:
         return extract_components(a), True, applied, gains
     # nothing applied, so nothing is dirty and labels and agg are the snapshot
@@ -595,7 +586,7 @@ def _debug_stop(graph, st, forest, config, level, stats):
     planned afresh with every coin accepted, still applies a move."""
     applied = maximal_correction(graph, st, forest,
                                  replace(config, accept_prob=1.0), level,
-                                 config.max_outer_iters, None)[2]
+                                 MAX_SWEEPS, None)[2]
     if applied:
         stats.debug_failures.append(
             f"level {level}: stopped with {applied} moves still applicable")
@@ -606,6 +597,9 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
 
     Levels are built until a level's partition is the identity (every
     aggregated node alone), so the last aggregation step would be a no-op.
+    Every level and ``final_score`` are computed on the weights scaled to a
+    total in [0.5, 1) (see ``graph._unit_scaled``), so neither depends on the
+    weight scale.
     """
     if config is None:
         config = RunConfig()
@@ -613,17 +607,7 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
         raise ValueError("graph has no nodes")
     stats = RunStats()
     t_start = time.perf_counter()
-    if strengths(graph).m_w == 0.0:
-        # no edge: every labeling scores 0 and no move can gain, so the
-        # singleton level is the answer; planning it would divide 0 by 0
-        flat = np.arange(graph.n, dtype=np.int64)
-        stats.levels = 1
-        stats.sweeps_per_level = [1]
-        if config.record_scores:
-            stats.trace_level_starts = [0]
-            stats.drift_checks = [(0.0, 0.0)]
-        stats.wall_seconds = time.perf_counter() - t_start
-        return RunResult(Hierarchy(levels=[flat], flat=flat), 0.0, stats)
+    graph = _unit_scaled(graph)
     pool = _Pool(config.threads)
     clock = {"t": t_start}
     trace = [] if config.record_scores else None
@@ -644,7 +628,7 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
 
     def positive(forest):
         forest, splits, unresolved, gains, left = positive_correction(
-            g, st, forest, pool, debug, memo)
+            g, st, forest, debug, memo)
         tick("positive")
         stats.accepted_splits += splits
         stats.unresolved_negative += unresolved
@@ -668,7 +652,7 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
             tick("components")
             running = score(g, st, forest.comm) if trace is not None else 0.0
             forest = positive(forest)
-            for sweep in range(config.max_outer_iters):
+            for sweep in range(MAX_SWEEPS):
                 clock["t"] = time.perf_counter()
                 forest, improved, applied, gains = maximal_correction(
                     g, st, forest, config, level, sweep, pool, debug, memo)
@@ -685,8 +669,7 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
                 forest = positive(forest)
             else:
                 stats.warnings.append(
-                    f"level {level}: stopped after "
-                    f"{config.max_outer_iters} sweeps")
+                    f"level {level}: stopped after {MAX_SWEEPS} sweeps")
             stats.sweeps_per_level.append(sweep + 1)
             labels = forest.comm
             levels.append(labels)

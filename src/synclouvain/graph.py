@@ -160,6 +160,26 @@ def _build_union(g: Graph) -> NeighborUnion:
     return NeighborUnion(ptr, nbr, wsum)
 
 
+def _unit_scaled(g: Graph) -> Graph:
+    """``g`` with every weight multiplied by 2**-e, where e is the binary
+    exponent of the total weight m_w, so that the copy's m_w lies in
+    [0.5, 1); an edgeless graph keeps its weights.  Modularity and every
+    gain are ratios of weights to m_w and do not change.  Multiplying by a
+    power of two is exact while the product stays normal, so inputs that
+    differ only by such a factor give the same copy, bit for bit.  The copy
+    shares the structure, the edge rows and the union's ``ptr`` and ``nbr``;
+    the union is built on ``g``, where it stays cached."""
+    # ldexp, because the factor 2**-e alone overflows when m_w is subnormal
+    shift = -math.frexp(float(g.out_w.sum()))[1]
+    u = g.neighbor_union()
+    out = Graph(g.n, g.out_ptr, g.out_dst, np.ldexp(g.out_w, shift))
+    out._rows = g.edge_rows()
+    w = np.ldexp(u.w, shift)
+    w.setflags(write=False)
+    out._union = NeighborUnion(u.ptr, u.nbr, w)
+    return out
+
+
 def load_edge_list(path: str) -> Graph:
     """Parse `src dst [weight]` lines; weight defaults to 1.0.
 

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bench import BenchSpec, generate
 from .detector import RunConfig, run
 
 CSV_FIELDS = ("threads", "repeat", "wall_seconds", "score", "levels",
@@ -41,7 +40,6 @@ class RunRecord:
 
 @dataclass
 class SpeedupCurve:
-    baseline: RunRecord
     points: list  # (threads, baseline mean wall / mean wall), sorted
     records: list = field(default_factory=list)
 
@@ -66,14 +64,11 @@ def curve_from_records(records) -> SpeedupCurve:
         raise ValueError("records must include a threads=1 baseline")
     mean_wall = {t: float(np.mean([r.wall_seconds for r in rs]))
                  for t, rs in by_threads.items()}
-    first = by_threads[1][0]
-    baseline = replace(first, wall_seconds=mean_wall[1], repeat=0)
     points = [(t, mean_wall[1] / mean_wall[t]) for t in sorted(by_threads)]
-    return SpeedupCurve(baseline=baseline, points=points,
-                        records=list(records))
+    return SpeedupCurve(points=points, records=list(records))
 
 
-def measure(source, threads=(1,), repeats=2, config=None, csv_path=None,
+def measure(graph, threads=(1,), repeats=2, config=None, csv_path=None,
             phase_path=None) -> SpeedupCurve:
     """Run the detector ``repeats`` times per thread count on one graph,
     check that every run lands on the same partition bit for bit, and
@@ -84,7 +79,6 @@ def measure(source, threads=(1,), repeats=2, config=None, csv_path=None,
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     base_cfg = config if config is not None else RunConfig()
-    graph = generate(source).graph if isinstance(source, BenchSpec) else source
     graph.neighbor_union()  # one-time setup, not charged to the first run
     records = []
     ref_flat = None
@@ -137,21 +131,6 @@ def write_csv(records, path) -> None:
         for r in records:
             writer.writerow([r.threads, r.repeat, repr(r.wall_seconds),
                              repr(r.score), r.levels, r.seed, repr(r.p)])
-
-
-def read_csv(path):
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if tuple(header) != CSV_FIELDS:
-            raise ValueError(f"unexpected CSV header: {header!r}")
-        for row in reader:
-            records.append(RunRecord(
-                threads=int(row[0]), repeat=int(row[1]),
-                wall_seconds=float(row[2]), score=float(row[3]),
-                levels=int(row[4]), seed=int(row[5]), p=float(row[6])))
-    return records
 
 
 def emit_plot_data(curve: SpeedupCurve, p_fraction: float = 0.95,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from synclouvain import cli
 from synclouvain.cli import main
 from synclouvain.graph import read_partition
 
@@ -65,19 +66,34 @@ def test_detect_empty_graph(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("weight, rc_want", [
-    ("1e-170", 3),  # 0/0 in join_gain
-    ("1e160", 3),   # overflow of the strength products
-    ("1.0", 0)])
-def test_detect_debug_floating_point_fault_exits_3(tmp_path, capsys, threads,
-                                                   weight, rc_want):
-    p = tmp_path / "tri.edges"
-    p.write_text(TRIANGLES.replace("1.0", weight))
-    rc = main(["detect", str(p), "--out-dir", str(tmp_path / "o"), "--debug",
-               "--threads", threads])
-    assert rc == rc_want
-    err = capsys.readouterr().err
-    assert ("invariant breach: floating-point fault: " in err) == (rc == 3)
+@pytest.mark.parametrize("weight", ["1e-170", "1e160", "1.0"])
+def test_detect_debug_weight_scale_exits_0(tmp_path, capsys, threads, weight):
+    # products of the raw weights would vanish or overflow at either scale
+    flats = []
+    for w in ("1.0", weight):
+        p = tmp_path / "tri.edges"
+        p.write_text(TRIANGLES.replace("1.0", w))
+        out = tmp_path / f"o{w}"
+        rc = main(["detect", str(p), "--out-dir", str(out), "--debug",
+                   "--threads", threads])
+        assert rc == 0
+        assert "score=0.5 " in capsys.readouterr().out
+        flats.append((out / "tri.flat").read_bytes())
+    assert flats[1] == flats[0]
+
+
+def test_detect_debug_floating_point_fault_exits_3(tri_file, tmp_path,
+                                                   capsys, monkeypatch):
+    # --debug makes a floating-point fault raise, and main maps it to exit 3
+    def overflowing(graph, config):
+        return np.float64(1e300) * 1e300
+
+    monkeypatch.setattr(cli, "run", overflowing)
+    rc = main(["detect", str(tri_file), "--out-dir", str(tmp_path / "o"),
+               "--debug"])
+    assert rc == 3
+    assert ("invariant breach: floating-point fault: overflow"
+            in capsys.readouterr().err)
 
 
 def test_detect_env_threads(tri_file, tmp_path, capsys, monkeypatch):

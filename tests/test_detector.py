@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from synclouvain import detector
 from synclouvain.detector import (
@@ -32,8 +35,6 @@ def test_config_validation():
         RunConfig(accept_prob=0.0)
     with pytest.raises(ValueError):
         RunConfig(accept_prob=1.5)
-    with pytest.raises(ValueError):
-        RunConfig(max_outer_iters=0)
 
 
 def test_assignment_two_triangles_ties_to_lowest_id():
@@ -112,6 +113,27 @@ def test_positive_correction_cuts_two_cycle_when_no_branch_cut_improves():
     assert gains[0] == pytest.approx(max(cuts.values()), abs=1e-12)
     np.testing.assert_array_equal(forest2.comm, [0, 0, 0, 1, 1, 1, 2])
     np.testing.assert_array_equal(forest2.a, [0, 0, 0, 3, 3, 3, 6])
+
+
+def test_positive_correction_cuts_again_above_an_earlier_cut():
+    # chain 4 -> 3 -> 2 -> 1 -> 0 of strong pairs {1, 2} and {3, 4} on weak
+    # links, next to a K4 on 5..8: the first cut detaches {3, 4}, the second
+    # {1, 2}, from node 1, whose subtree before any cut held node 3
+    pairs = [(0, 1, 0.5), (1, 2, 5.0), (2, 3, 0.5), (3, 4, 5.0), (0, 5, 2.0)]
+    pairs += [(i, j, 1.0) for i in range(5, 9) for j in range(i + 1, 9)]
+    edges = pairs + [(j, i, w) for i, j, w in pairs]
+    g = build_graph(9, edges)
+    forest = extract_components(np.array([0, 0, 1, 2, 3, 5, 5, 5, 5]))
+    forest2, splits, unresolved, gains, left = positive_correction(
+        g, strengths(g), forest, None)
+    assert splits == 2 and unresolved == 0 and not left.any()
+    steps = [forest.comm, [0, 0, 0, 1, 1, 2, 2, 2, 2], forest2.comm]
+    for gain, before, after in zip(gains, steps, steps[1:]):
+        assert gain == pytest.approx(oracle_score(9, edges, after)
+                                     - oracle_score(9, edges, before),
+                                     abs=1e-12)
+    np.testing.assert_array_equal(forest2.comm, [0, 1, 1, 2, 2, 3, 3, 3, 3])
+    np.testing.assert_array_equal(forest2.a, [0, 1, 1, 3, 3, 5, 5, 5, 5])
 
 
 def test_debug_validate_flags_cycles_longer_than_two():
@@ -222,11 +244,12 @@ def test_first_max_picks_first_row_maximum_above_floor():
         _first_max(np.empty(0, np.int64), np.empty(0), 0.0, 2), [-1, -1])
 
 
-def test_run_stops_level_at_sweep_cap(rng):
+def test_run_stops_level_at_sweep_cap(rng, monkeypatch):
     edges = random_edges(rng, 60, density=0.1)
     g = build_graph(60, edges)
     assert run(g, RunConfig(seed=1)).stats.sweeps_per_level[0] > 1
-    res = run(g, RunConfig(seed=1, max_outer_iters=1, debug_checks=True))
+    monkeypatch.setattr(detector, "MAX_SWEEPS", 1)
+    res = run(g, RunConfig(seed=1, debug_checks=True))
     assert res.stats.sweeps_per_level[0] == 1
     assert "level 0: stopped after 1 sweeps" in res.stats.warnings
     assert res.stats.debug_failures == []
@@ -262,15 +285,52 @@ def test_pool_workers_keep_the_callers_error_state():
 
 
 def test_run_edgeless_graph_short_circuits():
-    g = build_graph(4, [])
-    with np.errstate(all="raise"):
-        res = run(g, RunConfig(threads=2, record_scores=True,
-                               debug_checks=True))
-    np.testing.assert_array_equal(res.hierarchy.flat, np.arange(4))
-    assert len(res.hierarchy.levels) == 1 and res.stats.levels == 1
-    assert res.final_score == 0.0
-    assert res.stats.sweeps_per_level == [1]
-    assert res.stats.debug_failures == []
+    # no edge (m_w 0), and self-loops only (m_w > 0): both have an empty
+    # union, so no node can move and one sweep ends the only level
+    for edges in ([], [(0, 0, 1.5), (2, 2, 0.25)]):
+        g = build_graph(4, edges)
+        with np.errstate(all="raise"):
+            res = run(g, RunConfig(threads=2, record_scores=True,
+                                   debug_checks=True))
+        np.testing.assert_array_equal(res.hierarchy.flat, np.arange(4))
+        assert len(res.hierarchy.levels) == 1 and res.stats.levels == 1
+        q = oracle_score(4, edges, np.arange(4))
+        assert res.final_score == pytest.approx(q, abs=1e-15)
+        assert res.stats.sweeps_per_level == [1]
+        assert res.stats.trace_level_starts == [0]
+        assert res.stats.score_trace == []
+        assert res.stats.drift_checks == [(res.final_score,) * 2]
+        assert res.stats.debug_failures == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=strategies.integers(-1000, 1000), seed=strategies.integers(0, 2**31))
+def test_run_does_not_depend_on_weight_scale(k, seed):
+    # the two-triangle graph, or a random one with non-dyadic weights; every
+    # weight times 2**k stays normal, so the scaled run must match bit for bit
+    rng = np.random.default_rng(seed)
+    if seed % 4 == 0:
+        n, edges = two_triangles()
+    else:
+        n = int(rng.integers(2, 30))
+        edges = random_edges(rng, n, density=float(rng.uniform(0.05, 0.3)),
+                             self_loops=seed % 2 == 1)
+
+    def detect(e):
+        g = build_graph(n, [(i, j, math.ldexp(w, e)) for i, j, w in edges])
+        with np.errstate(all="raise"):
+            return run(g, RunConfig(seed=seed % 97, record_scores=True,
+                                    debug_checks=True))
+
+    ref, got = detect(0), detect(k)
+    assert got.stats.debug_failures == []
+    np.testing.assert_array_equal(got.hierarchy.flat, ref.hierarchy.flat)
+    assert len(got.hierarchy.levels) == len(ref.hierarchy.levels)
+    for la, lb in zip(got.hierarchy.levels, ref.hierarchy.levels):
+        np.testing.assert_array_equal(la, lb)
+    assert got.final_score.hex() == ref.final_score.hex()
+    assert [x.hex() for x in got.stats.score_trace] == [
+        x.hex() for x in ref.stats.score_trace]
 
 
 def test_positive_correction_noop_when_all_gains_nonnegative():
