@@ -34,7 +34,7 @@ import numpy as np
 from .forest import extract_components, reverse_assignment
 from .graph import Graph, _unit_scaled, aggregate, compose_labels, strengths
 from .quality import (CommunityAggregates, gain_switch, join_gain, local_gains,
-                      score, switch_gain)
+                      score)
 from .rng import uniform01
 
 MAX_SWEEPS = 100  # maximal-correction sweeps per level
@@ -184,13 +184,6 @@ class _Frontier:
         self.lg = np.zeros(n)
 
 
-def _in_sorted(sorted_arr, values):
-    """Boolean mask: which of ``values`` occur in ``sorted_arr``."""
-    pos = np.searchsorted(sorted_arr, values)
-    pos[pos == sorted_arr.size] = 0
-    return sorted_arr[pos] == values
-
-
 def _first_max(pos, val, floor, nrows):
     """Per row 0..nrows-1 of the ascending ``pos``: the index of the first
     entry holding the row's maximum of ``val`` when that maximum is above
@@ -231,70 +224,57 @@ def find_assignment(graph, st, pool=None):
 
 # ------------------------------------------------------- positive correction
 
-def _detach_gain(u, st, mem, b_nodes, so_c, si_c):
-    """Exact score change from splitting ``b_nodes`` out of the community
-    ``mem`` into its own community."""
-    x_w = 0.0
-    for y in b_nodes:
-        lo, hi = int(u.ptr[y]), int(u.ptr[y + 1])
-        nb = u.nbr[lo:hi]
-        keep = _in_sorted(mem, nb) & ~_in_sorted(b_nodes, nb)
-        x_w += float(u.w[lo:hi][keep].sum())
-    so_b = float(st.s_out[b_nodes].sum())
-    si_b = float(st.s_in[b_nodes].sum())
-    return switch_gain(st.m_w, 0.0, x_w, so_b, si_b, so_c, si_c)
-
-
-def _split_community(graph, st, a, rptr, rkids, seen, members, cycle):
-    """Repeatedly bisect one community while any member has negative local
+def _split_community(graph, st, labels, agg, a, rptr, rkids, seen, fresh, c,
+                     members, cycle):
+    """Repeatedly bisect community ``c`` while any member has negative local
     gain and some single cut yields a strictly positive score change.
-    ``cycle`` holds the community's cycle nodes in ascending order.
-    Mutates ``a`` in place for the community's own nodes only.  Returns
-    (gains, unresolved, left): the gain of each applied cut, the count of
-    negative-gain members no cut could repair, and the pieces holding
-    them.
+    ``members`` holds its nodes and ``cycle`` its cycle nodes, both in
+    ascending order.  Returns (gains, unresolved, left): the gain of each
+    applied cut, the count of negative-gain members no cut could repair,
+    and the pieces holding them.
+
+    Pieces are labels of the scratch labeling ``labels``, and ``agg`` holds
+    their aggregates, with room for a label per node.  A cut moves the
+    detached nodes to the next label of the counter ``fresh``, so it is a
+    maximal-correction commit to an empty community: ``local_gains`` tests a
+    piece, ``gain_switch(..., to=None)`` prices a cut and
+    ``agg.move_nodes`` applies it, each linear in the piece's rows.  Only
+    the community's own nodes change in ``a``, ``labels`` and ``agg``.
 
     ``rptr``/``rkids`` is ``reverse_assignment`` of ``a`` before any cut,
-    and ``seen`` an all-False scratch mask, left all-False.  The nodes a cut
-    detaches are the ``_tail`` of its node in that reverse map, walked with
-    the piece's cycle nodes marked seen, restricted to the piece.  That is
-    the node's subtree in the current ``a``, because a cut only
-    self-assigns the cut node and everything below that node in the piece
-    leaves with it: inside a piece the reverse map and ``a`` have the same
-    edges, and a walk that leaves a piece through a cut node never comes
-    back into it.
+    and ``seen`` an all-False scratch mask, left all-False; between walks
+    it serves as ``gain_switch``'s buffer.  The nodes a cut detaches are the
+    ``_tail`` of its node in that reverse map, walked with the piece's cycle
+    nodes marked seen, restricted to the piece.  That is the node's subtree
+    in the current ``a``, because a cut only self-assigns the cut node and
+    everything below that node in the piece leaves with it: inside a piece
+    the reverse map and ``a`` have the same edges, and a walk that leaves a
+    piece through a cut node never comes back into it.
 
     A cut is one tree edge (a branch cut: the subtree below a non-cycle
     node leaves) or, when no branch cut improves, both edges of a 2-cycle
-    (c0, c1): c1's subtree leaves and both cycle nodes self-assign.  No
-    longer cycle can occur.  The pair gain of ``find_assignment`` is
+    (c0, c1): c1's subtree leaves and both cycle nodes self-assign.  Branch
+    cuts are tried in ascending node order and the first best one wins.
+    No longer cycle can occur.  The pair gain of ``find_assignment`` is
     symmetric bit for bit (entries (i, j) and (j, i) of the union hold the
     same sum W(i, j) + W(j, i), and both products of ``join_gain``
     commute), so on a cycle i1 -> i2 -> ... -> ik each node's best gain is
-    at least its predecessor's and all gains on the cycle are equal.  With ties broken
-    to the lowest id, k >= 3 then forces i3 < i1, i5 < i3, ... around the
-    cycle, a contradiction.  Positive correction only makes self-loops,
-    and maximal correction points a node into another component, so
-    neither closes a new cycle; ``_debug_validate`` asserts the bound.
-    Branch cuts still run on any cycle, so hand-built forests work."""
-    u = graph.neighbor_union()
-    s_out, s_in = st.s_out, st.s_in
+    at least its predecessor's and all gains on the cycle are equal.  With
+    ties broken to the lowest id, k >= 3 then forces i3 < i1, i5 < i3, ...
+    around the cycle, a contradiction.  Positive correction only makes
+    self-loops, and maximal correction points a node into another
+    component, so neither closes a new cycle; ``_debug_validate`` asserts
+    the bound.  Branch cuts still run on any cycle, so hand-built forests
+    work."""
     gains = []
     unresolved = 0
     left = []
-    stack = [(np.sort(np.asarray(members, dtype=np.int64)), tuple(cycle))]
+    stack = [(c, members, tuple(cycle))]
     while stack:
-        mem, cyc = stack.pop()
+        c, mem, cyc = stack.pop()
         if mem.size <= 1:
             continue
-        so_c = float(s_out[mem].sum())
-        si_c = float(s_in[mem].sum())
-        w_c = np.empty(mem.size)
-        for k, x in enumerate(mem.tolist()):
-            lo, hi = int(u.ptr[x]), int(u.ptr[x + 1])
-            w_c[k] = float(u.w[lo:hi][_in_sorted(mem, u.nbr[lo:hi])].sum())
-        so, si = s_out[mem], s_in[mem]
-        g = join_gain(st.m_w, w_c, so, si, so_c - so, si_c - si)
+        g = local_gains(graph, st, labels, agg, mem)
         if not (g < 0.0).any():
             continue
         cuts = [(x,) for x in mem.tolist() if x not in cyc]
@@ -302,17 +282,17 @@ def _split_community(graph, st, a, rptr, rkids, seen, members, cycle):
             cuts.append(cyc)  # tried only when no branch cut improves
         best_gain = 0.0
         best = None  # (detached nodes, pointer sources to self-assign)
-        seen[list(cyc)] = True
         for cut in cuts:
             if len(cut) == 2 and best is not None:
                 break
+            seen[list(cyc)] = True
             moved = _tail(rptr, rkids, cut[-1], seen)
-            b_nodes = np.sort(moved[_in_sorted(mem, moved)])
-            gsp = _detach_gain(u, st, mem, b_nodes, so_c, si_c)
+            seen[list(cyc)] = False
+            b_nodes = np.sort(moved[labels[moved] == c])
+            gsp = gain_switch(graph, st, labels, agg, b_nodes, c, None, seen)
             if gsp > best_gain:
                 best_gain = gsp
                 best = (b_nodes, cut)
-        seen[list(cyc)] = False
         if best is None:
             unresolved += int((g < 0.0).sum())
             left.append(mem)
@@ -321,10 +301,13 @@ def _split_community(graph, st, a, rptr, rkids, seen, members, cycle):
         for x in cut:
             a[x] = x
         gains.append(best_gain)
+        b = next(fresh)
+        labels[b_nodes] = b
+        agg.move_nodes(st, b_nodes, c, b)
         # the detached piece's cycle is its self-assigned root cut[-1]
-        rest = mem[~_in_sorted(b_nodes, mem)]
-        stack.append((rest, tuple(c for c in cyc if c != cut[-1])))
-        stack.append((b_nodes, (cut[-1],)))
+        stack.append((c, mem[labels[mem] == c],
+                      tuple(x for x in cyc if x != cut[-1])))
+        stack.append((b, b_nodes, (cut[-1],)))
     return gains, unresolved, left
 
 
@@ -339,8 +322,8 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
     if memo is None:
         memo = _Frontier(graph.n)
     comm = forest.comm
-    agg = CommunityAggregates.from_labels(st, comm, forest.n_comms)
-    changed = _changed_nodes(memo.lg_comm, comm)
+    agg = CommunityAggregates.from_labels(st, comm, graph.n)
+    changed = np.flatnonzero(_changed_nodes(memo.lg_comm, comm))
     lg = memo.lg
     lg[changed] = local_gains(graph, st, comm, agg, changed)
     memo.lg_comm = comm
@@ -355,13 +338,15 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
     members = forest.community_members()
     rptr, rkids = reverse_assignment(forest.a)
     a = forest.a.copy()
+    labels = comm.copy()
     seen = np.zeros(graph.n, dtype=bool)
+    fresh = itertools.count(forest.n_comms)
     gains = []
     unresolved = 0
     for c in bad.tolist():
         mem = members[c]
         gl, un, pieces = _split_community(
-            graph, st, a, rptr, rkids, seen, mem,
+            graph, st, labels, agg, a, rptr, rkids, seen, fresh, c, mem,
             mem[forest.on_cycle[mem]].tolist())
         gains.extend(gl)
         unresolved += un

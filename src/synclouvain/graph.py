@@ -88,7 +88,13 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, src, dst, w) -> "Graph":
-        """Build the canonical form from parallel arrays of directed edges."""
+        """Build the canonical form from parallel arrays of directed edges.
+
+        The merged weights must have a finite total, summed as
+        ``strengths`` sums m_w.  Every merged weight and every union entry
+        W(i, j) + W(j, i) is then finite too: rounding is monotone, so a
+        float sum of positive terms is at least the rounded sum of any two
+        of them."""
         n = int(n)
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -100,7 +106,12 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if not np.isfinite(w).all() or (w <= 0).any():
                 raise ValueError("edge weights must be finite and positive")
-        return cls(n, *_merge_pairs(n, src, dst, w))
+        with np.errstate(over="ignore"):  # an inf total is rejected below
+            ptr, dst, w = _merge_pairs(n, src, dst, w)
+            total = w.sum()
+        if not np.isfinite(total):
+            raise ValueError("edge weights must sum to a finite total")
+        return cls(n, ptr, dst, w)
 
     def edge_rows(self) -> np.ndarray:
         """Source node per forward edge (cached)."""

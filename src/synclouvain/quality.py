@@ -12,6 +12,9 @@ strict > 0 with no epsilon, so each expression has one arithmetic shape and
 one home: ``join_gain`` (a node joining a community) and ``switch_gain`` (a
 set moving between two communities) are the only places the null-model term
 is written, and every gain kernel here and in ``detector`` calls them.
+The kernels that take node ids (``local_gains``, ``gain_switch`` given its
+scratch buffer) cost time linear in those nodes' union-adjacency rows, not
+in n, so pricing a small piece of a large graph stays cheap.
 """
 
 from __future__ import annotations
@@ -130,20 +133,19 @@ def gain_insert(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,
 def local_gain(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,
                i: int) -> float:
     """Gain of node i against the rest of its own community."""
-    mask = np.zeros(graph.n, dtype=bool)
-    mask[i] = True
-    return float(local_gains(graph, st, labels, agg, mask)[0])
+    return float(local_gains(graph, st, labels, agg, np.array([i]))[0])
 
 
 def local_gains(graph: Graph, st: Strengths, labels,
-                agg: CommunityAggregates, mask=None) -> np.ndarray:
-    """local_gain for every node at once (one pass over the union adjacency),
-    or only for the nodes of the boolean ``mask``, in ascending order.  A
-    node's value has the same bits either way: its own entries are summed
-    in the same order."""
+                agg: CommunityAggregates, nodes=None) -> np.ndarray:
+    """local_gain of each of the ascending node ids ``nodes`` (None: every
+    node), in one pass over their union-adjacency rows, so the cost is
+    linear in those rows.  A node's value has the same bits whichever
+    nodes are asked for: its own entries are summed in the same order."""
     labels = np.asarray(labels, dtype=np.int64)
     m = st.m_w
-    nodes = np.arange(graph.n) if mask is None else np.flatnonzero(mask)
+    nodes = (np.arange(graph.n) if nodes is None
+             else np.asarray(nodes, dtype=np.int64))
     if m == 0.0:
         return np.zeros(nodes.size)
     lab = labels[nodes]

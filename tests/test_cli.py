@@ -82,6 +82,20 @@ def test_detect_debug_weight_scale_exits_0(tmp_path, capsys, threads, weight):
     assert flats[1] == flats[0]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("debug", [[], ["--debug"]])
+def test_detect_infinite_weight_total_exits_2(tmp_path, capsys, threads,
+                                              debug):
+    # finite weights whose sum overflows: m_w would be inf and Q nan
+    p = tmp_path / "big.edges"
+    p.write_text("0 1 1e308\n1 0 1e308\n2 3 1e308\n3 2 1e308\n")
+    rc = main(["detect", str(p), "--out-dir", str(tmp_path / "o"),
+               "--threads", threads] + debug)
+    assert rc == 2
+    assert "finite total" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_detect_debug_floating_point_fault_exits_3(tri_file, tmp_path,
                                                    capsys, monkeypatch):
     # --debug makes a floating-point fault raise, and main maps it to exit 3

@@ -136,6 +136,71 @@ def test_positive_correction_cuts_again_above_an_earlier_cut():
     np.testing.assert_array_equal(forest2.a, [0, 1, 1, 3, 3, 5, 5, 5, 5])
 
 
+def test_positive_correction_gains_are_oracle_differences_on_random_forests(
+        monkeypatch):
+    # every cut is applied through the aggregates' move_nodes; record them
+    # to replay the pieces step by step on the input labeling
+    moves, aggs = [], []
+
+    class Recording(CommunityAggregates):
+        def move_nodes(self, st, nodes, frm, to):
+            moves.append((np.array(nodes), to))
+            aggs.append(self)
+            super().move_nodes(st, nodes, frm, to)
+
+    monkeypatch.setattr(detector, "CommunityAggregates", Recording)
+    rng = np.random.default_rng(8)
+    most_cuts = 0
+    for t in range(36):
+        n = int(rng.integers(6, 31))
+        edges = random_edges(rng, n, density=float(rng.uniform(0.1, 0.4)),
+                             self_loops=t % 2 == 1)
+        if t % 3 == 0:
+            edges = [(i, j, 1.0) for i, j, _ in edges]
+        g = build_graph(n, edges)
+        st = strengths(g)
+        u = g.neighbor_union()
+        if t % 4 == 0:
+            a = find_assignment(g, st)
+        else:
+            # random pointers into union neighbors (lower ones only for
+            # t % 4 == 1, giving trees under self-assigned roots)
+            a = np.arange(n)
+            for i in range(n):
+                nb = u.nbr[u.ptr[i]:u.ptr[i + 1]]
+                nb = nb[nb < i] if t % 4 == 1 else nb
+                if nb.size:
+                    a[i] = rng.choice(nb)
+        forest = extract_components(a)
+        moves.clear()
+        aggs.clear()
+        forest2, splits, unresolved, gains, left = positive_correction(
+            g, st, forest, None)
+        assert splits == len(gains) == len(moves)
+        labels = forest.comm.copy()
+        before = oracle_score(n, edges, labels)
+        start = before
+        for gain, (nodes, to) in zip(gains, moves):
+            assert gain > 0.0
+            labels[nodes] = to
+            after = oracle_score(n, edges, labels)
+            assert gain == pytest.approx(after - before, abs=1e-12)
+            before = after
+        np.testing.assert_array_equal(canonicalize_labels(labels),
+                                      forest2.comm)
+        assert sum(gains) == pytest.approx(before - start, abs=1e-12)
+        assert all(agg.check(st, labels) for agg in aggs)
+        # the same tolerance as _debug_validate: a zero gain may round
+        # either way between incremental and fresh aggregates
+        agg = CommunityAggregates.from_labels(st, forest2.comm)
+        lg = local_gains(g, st, forest2.comm, agg)
+        assert not ((lg < -1e-12) & ~left).any()
+        cuts = np.bincount(forest.comm[[nodes[0] for nodes, _ in moves]],
+                           minlength=forest.n_comms)
+        most_cuts = max(most_cuts, int(cuts.max()))
+    assert most_cuts >= 3  # several pieces of one community were priced
+
+
 def test_debug_validate_flags_cycles_longer_than_two():
     n, edges = two_triangles()
     g = build_graph(n, edges)

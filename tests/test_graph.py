@@ -212,3 +212,19 @@ def test_union_adjacency_merges_directions(rng):
 def test_empty_graph_allowed():
     g = Graph.from_edges(0, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     assert g.n == 0 and g.edge_count == 0
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 1e308), (1, 0, 1e308)],  # a total past the largest double
+    [(0, 1, 1e308), (0, 1, 1e308)],  # parallel edges that merge past it
+])
+def test_from_edges_rejects_an_infinite_weight_total(edges):
+    with pytest.raises(ValueError, match="finite total"):
+        build_graph(2, edges)
+
+
+def test_from_edges_accepts_a_total_just_below_the_largest_double():
+    big = np.finfo(np.float64).max / 2
+    g = build_graph(2, [(0, 1, big), (1, 0, big)])
+    assert np.isfinite(strengths(g).m_w)
+    assert np.isfinite(g.neighbor_union().w).all()

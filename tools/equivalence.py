@@ -5,9 +5,10 @@
 Extracts ``src/`` at REV with ``git archive`` and runs one fixed corpus
 through ``run`` on both trees, each in its own process, at threads 1 and 2
 with ``record_scores`` and ``debug_checks`` on.  Prints every field that
-differs, with the number of runs it differs on and one of them, and the
-fields that are identical on every run; exits 1 on any difference or any
-debug failure, else 0.
+differs, with the number of runs it differs on, one of them and, for a
+float field, the largest absolute difference between the two trees; then
+the fields that are identical on every run.  Exits 1 on any difference or
+any debug failure, else 0.
 """
 
 import os, pickle, subprocess, sys, tempfile, zlib
@@ -23,6 +24,7 @@ SHAPES = {"planted-file": (6000, 16, 32, 0.2, 0.1),
 FIELDS = ("flat levels final_score "
           "score_trace trace_level_starts drift_checks sweeps_per_level warnings "
           "accepted_moves accepted_splits unresolved_negative debug_failures").split()
+FLOATS = ("final_score", "score_trace", "drift_checks")
 
 
 def corpus():
@@ -69,8 +71,18 @@ def dump():
                                        record_scores=True, debug_checks=True))
             got = {**vars(res.stats), "flat": res.hierarchy.flat,
                    "levels": res.hierarchy.levels, "final_score": res.final_score}
-            out[f"{name} threads={threads}"] = {f: bits(got[f]) for f in FIELDS}
+            out[f"{name} threads={threads}"] = {f: got[f] for f in FIELDS}
     sys.stdout.buffer.write(pickle.dumps(out))
+
+
+def largest_gap(f, keys, old, new):
+    """``; max |diff| x`` over the runs ``keys`` where the float field ``f``
+    has the same shape on both trees, else an empty string."""
+    if f not in FLOATS:
+        return ""
+    gaps = [np.abs(np.subtract(new[k][f], old[k][f])).max(initial=0.0)
+            for k in keys if np.shape(new[k][f]) == np.shape(old[k][f])]
+    return f"; max |diff| {max(gaps):.3g}" if gaps else ""
 
 
 def main(rev):
@@ -86,12 +98,12 @@ def main(rev):
     if any(p.returncode for p in procs):
         sys.exit("a corpus run failed")
     old, new = map(pickle.loads, outs)
-    differ = {f: [key for key in new if new[key][f] != old[key][f]]
-              for f in FIELDS}
+    differ = {f: [key for key in new
+                  if bits(new[key][f]) != bits(old[key][f])] for f in FIELDS}
     for f, keys in differ.items():
         if keys:
             print(f"{f} differs from {rev} on {len(keys)} of {len(new)} "
-                  f"runs, e.g. {keys[0]}")
+                  f"runs, e.g. {keys[0]}{largest_gap(f, keys, old, new)}")
     same = [f for f, keys in differ.items() if not keys]
     failures = sum(len(fields["debug_failures"]) for fields in new.values())
     print(f"{len(new)} runs; bit-identical to {rev}: {' '.join(same)}; "
