@@ -13,12 +13,14 @@ on the weight scale, and a power of two keeps every normal weight's bits.
 
 Every sweep plans all candidate moves from a frozen snapshot of the
 current partition, then applies them in a fixed serial order.  Planning is
-row-local, and ``_map_rows`` is the one place that splits rows across
-threads: contiguous pieces of the planned rows, of about equal entry
-count.  Within a level only rows touching a changed community are planned
-again (``_Frontier``); the first sweep plans every row through that same
-path.  Results depend only on (graph, seed, accept_prob), never on the
-thread count.
+row-local: ``_best_targets`` is the one row kernel (the assignment is its
+plan on singletons), and ``_map_rows`` the one place that splits rows
+across threads, into contiguous pieces of the planned rows of about equal
+entry count.  Within a level only rows touching a changed community are
+planned again (``_Frontier``); the first sweep plans every row through
+that same path.  Results depend only on (graph, seed, accept_prob), never
+on the thread count.  Every run records its score trace, checked against
+``score`` at each level's end.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ class RunConfig:
     seed: int = 0
     accept_prob: float = 0.5
     debug_checks: bool = False
-    record_scores: bool = False
 
     def __post_init__(self):
         if self.threads < 1:
@@ -203,23 +204,19 @@ def _first_max(pos, val, floor, nrows):
 
 # --------------------------------------------------------------- assignment
 
-def _assign_targets(graph, st, rows):
-    pos, nbr, w = graph.neighbor_union().gather(rows)
-    g = join_gain(st.m_w, w, st.s_out[rows][pos], st.s_in[rows][pos],
-                  st.s_out[nbr], st.s_in[nbr])
-    first = _first_max(pos, g, 0.0, rows.size)
-    ok = first >= 0
-    res = rows.copy()
-    res[ok] = nbr[first[ok]]
-    return res
-
-
 def find_assignment(graph, st, pool=None):
     """Point every node at its best single neighbor (or itself when no
-    pairing has positive gain).  Ties break to the lowest neighbor id."""
-    return _map_rows(graph, pool,
-                     lambda lo, hi, rows: _assign_targets(graph, st, rows),
-                     np.arange(graph.n))
+    pairing has positive gain).  Ties break to the lowest neighbor id.
+    This is ``_best_targets`` on singletons, bit for bit: staying scores
+    ``join_gain`` of zero sums, +0.0; the union has no self-loop and
+    distinct neighbors per row, so each group is one entry (i, j), never
+    i's own, with sum W(i, j) + W(j, i) and ``join_gain`` the pair gain;
+    and the keys are already ascending, so the lowest-id maximum above 0.0
+    wins."""
+    labels = np.arange(graph.n)
+    agg = CommunityAggregates.from_labels(st, labels, graph.n)
+    return _map_rows(graph, pool, lambda lo, hi, rows: _best_targets(
+        graph, st, labels, agg, lo, hi, rows), labels)
 
 
 # ------------------------------------------------------- positive correction
@@ -541,14 +538,13 @@ def _debug_validate(graph, st, forest, phase, stats, unresolved):
     reported as left unrepaired, and any negative local gain outside it is
     a failure; None skips the gain check."""
     a = forest.a
-    n = graph.n
-    u = graph.neighbor_union()
-    for i in np.flatnonzero(a != np.arange(n)).tolist():
-        nb = u.nbr[u.ptr[i]:u.ptr[i + 1]]
-        p = int(np.searchsorted(nb, a[i]))
-        if p == nb.size or nb[p] != a[i]:
-            stats.debug_failures.append(
-                f"{phase}: node {i} points at non-neighbor {a[i]}")
+    ptd = np.flatnonzero(a != np.arange(graph.n))
+    pos, nbr, _ = graph.neighbor_union().gather(ptd)
+    hit = np.zeros(ptd.size, dtype=bool)
+    hit[pos[nbr == a[ptd][pos]]] = True
+    for i in ptd[~hit].tolist():
+        stats.debug_failures.append(
+            f"{phase}: node {i} points at non-neighbor {a[i]}")
     fresh = extract_components(a)
     if not (np.array_equal(fresh.comm, forest.comm)
             and np.array_equal(fresh.on_cycle, forest.on_cycle)):
@@ -595,7 +591,6 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
     graph = _unit_scaled(graph)
     pool = _Pool(config.threads)
     clock = {"t": t_start}
-    trace = [] if config.record_scores else None
     debug = stats if config.debug_checks else None
     running = 0.0
 
@@ -606,12 +601,12 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
 
     def record(gains):
         nonlocal running
-        if trace is not None:
-            for gv in gains:
-                running += gv
-                trace.append(running)
+        for gv in gains:
+            running += gv
+            stats.score_trace.append(running)
 
     def positive(forest):
+        clock["t"] = time.perf_counter()
         forest, splits, unresolved, gains, left = positive_correction(
             g, st, forest, debug, memo)
         tick("positive")
@@ -628,14 +623,13 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
         for level in itertools.count():
             st = strengths(g)
             memo = _Frontier(g.n)
-            if trace is not None:
-                stats.trace_level_starts.append(len(trace))
+            stats.trace_level_starts.append(len(stats.score_trace))
             clock["t"] = time.perf_counter()
             a = find_assignment(g, st, pool)
             tick("assign")
             forest = extract_components(a)
             tick("components")
-            running = score(g, st, forest.comm) if trace is not None else 0.0
+            running = score(g, st, forest.comm)
             forest = positive(forest)
             for sweep in range(MAX_SWEEPS):
                 clock["t"] = time.perf_counter()
@@ -658,8 +652,7 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
             stats.sweeps_per_level.append(sweep + 1)
             labels = forest.comm
             levels.append(labels)
-            if trace is not None:
-                stats.drift_checks.append((running, score(g, st, labels)))
+            stats.drift_checks.append((running, score(g, st, labels)))
             if forest.n_comms == g.n:
                 break
             clock["t"] = time.perf_counter()
@@ -671,8 +664,6 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
         hierarchy = Hierarchy(levels=levels, flat=flat)
         final = score(graph, strengths(graph), flat)
         stats.levels = len(levels)
-        if trace is not None:
-            stats.score_trace = trace
         stats.wall_seconds = time.perf_counter() - t_start
         return RunResult(hierarchy=hierarchy, final_score=final, stats=stats)
     finally:

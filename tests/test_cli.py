@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -48,6 +53,19 @@ def test_detect_missing_file(tmp_path, capsys):
     rc = main(["detect", str(missing)])
     assert rc == 2
     assert "nope.edges" in capsys.readouterr().err
+
+
+def test_module_run_reaches_main(tmp_path):
+    # ``python -m synclouvain.cli`` runs the same ``main`` as the script
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "synclouvain.cli", "detect",
+         str(tmp_path / "nope.edges")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "nope.edges" in proc.stderr
 
 
 def test_detect_bad_line(tmp_path, capsys):

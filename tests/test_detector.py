@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,10 +22,11 @@ from synclouvain.detector import (
 )
 from synclouvain.forest import extract_components
 from synclouvain.graph import canonicalize_labels, compose_labels, strengths
-from synclouvain.quality import CommunityAggregates, local_gains, score
+from synclouvain.quality import (CommunityAggregates, join_gain, local_gains,
+                                 score)
 
 from conftest import build_graph, two_triangles
-from oracles import oracle_score, random_edges
+from oracles import dense_weights, oracle_score, random_edges
 
 
 def test_config_validation():
@@ -53,6 +55,40 @@ def test_assignment_single_edge_pair_stays_singleton():
     g = build_graph(2, [(0, 1, 1.0)])
     a = find_assignment(g, strengths(g))
     np.testing.assert_array_equal(a, [0, 1])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_find_assignment_matches_brute_force_pick(threads):
+    # per node, the lowest-id neighbor with the largest pair gain if that
+    # gain is positive, else the node itself, from a dense weight matrix;
+    # a third of the graphs unit-weight (tie-heavy), half with self-loops
+    rng = np.random.default_rng(77)
+    pool = _Pool(threads)
+    try:
+        for t in range(45):
+            n = int(rng.integers(2, 41))
+            edges = random_edges(rng, n, density=float(rng.uniform(0.05, 0.5)),
+                                 self_loops=t % 2 == 1)
+            if t % 3 == 0:
+                edges = [(i, j, 1.0) for i, j, _ in edges]
+            g = build_graph(n, edges)
+            st = strengths(g)
+            w = dense_weights(n, edges)
+            want = np.arange(n)
+            for i in range(n):
+                best = 0.0
+                for j in range(n):
+                    if j == i or w[i, j] + w[j, i] == 0.0:
+                        continue
+                    gain = join_gain(st.m_w, w[i, j] + w[j, i], st.s_out[i],
+                                     st.s_in[i], st.s_out[j], st.s_in[j])
+                    if gain > best:
+                        best, want[i] = gain, j
+            got = find_assignment(g, st, pool)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+    finally:
+        pool.close()
 
 
 def test_positive_correction_detaches_external_heavy_pendant():
@@ -218,6 +254,18 @@ def test_debug_validate_flags_cycles_longer_than_two():
     assert stats.debug_failures == []
 
 
+def test_debug_validate_flags_pointer_to_non_neighbor():
+    n, edges = two_triangles()
+    g = build_graph(n, edges)
+    stats = RunStats()
+    forest = extract_components(np.array([1, 0, 4, 4, 3, 0]))
+    _debug_validate(g, strengths(g), forest, "hand", stats,
+                    unresolved=None)
+    assert stats.debug_failures == [
+        "hand: node 2 points at non-neighbor 4",
+        "hand: node 5 points at non-neighbor 0"]
+
+
 def test_debug_validate_flags_negative_gain_outside_unresolved():
     # pendant 3 sits in the triangle's community with a negative local gain
     edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0),
@@ -339,6 +387,23 @@ def test_debug_flags_a_level_stopped_with_an_applicable_move(
                for msg in res.stats.debug_failures)
 
 
+def test_phase_seconds_leave_out_the_trace_scores(rng, monkeypatch):
+    # every level scores its start and end for the trace; neither call is
+    # charged to a phase
+    g = build_graph(60, random_edges(rng, 60, density=0.1))
+    real = detector.score
+    delay = 0.2
+
+    def slow(*args):
+        time.sleep(delay)
+        return real(*args)
+
+    monkeypatch.setattr(detector, "score", slow)
+    res = run(g, RunConfig(seed=1))
+    assert res.stats.levels >= 2
+    assert all(v < delay for v in res.stats.phase_seconds.values())
+
+
 def test_pool_workers_keep_the_callers_error_state():
     pool = _Pool(2)
     try:
@@ -355,8 +420,7 @@ def test_run_edgeless_graph_short_circuits():
     for edges in ([], [(0, 0, 1.5), (2, 2, 0.25)]):
         g = build_graph(4, edges)
         with np.errstate(all="raise"):
-            res = run(g, RunConfig(threads=2, record_scores=True,
-                                   debug_checks=True))
+            res = run(g, RunConfig(threads=2, debug_checks=True))
         np.testing.assert_array_equal(res.hierarchy.flat, np.arange(4))
         assert len(res.hierarchy.levels) == 1 and res.stats.levels == 1
         q = oracle_score(4, edges, np.arange(4))
@@ -384,8 +448,7 @@ def test_run_does_not_depend_on_weight_scale(k, seed):
     def detect(e):
         g = build_graph(n, [(i, j, math.ldexp(w, e)) for i, j, w in edges])
         with np.errstate(all="raise"):
-            return run(g, RunConfig(seed=seed % 97, record_scores=True,
-                                    debug_checks=True))
+            return run(g, RunConfig(seed=seed % 97, debug_checks=True))
 
     ref, got = detect(0), detect(k)
     assert got.stats.debug_failures == []
@@ -528,7 +591,7 @@ def test_aggregation_level_scores_consistent(rng):
     from synclouvain.graph import aggregate
     edges = random_edges(rng, 30, density=0.2)
     g = build_graph(30, edges)
-    res = run(g, RunConfig(seed=3, record_scores=True))
+    res = run(g, RunConfig(seed=3))
     # score of each level's labels on its own graph equals the composed score
     gt = g
     flat = None
@@ -563,7 +626,7 @@ def test_score_trace_monotone_within_levels_and_reconciled(rng):
     for trial in range(4):
         edges = random_edges(rng, 50, density=0.15)
         g = build_graph(50, edges)
-        res = run(g, RunConfig(seed=trial, record_scores=True))
+        res = run(g, RunConfig(seed=trial))
         trace = np.array(res.stats.score_trace)
         bounds = res.stats.trace_level_starts + [trace.size]
         for lo, hi in zip(bounds[:-1], bounds[1:]):

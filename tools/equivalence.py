@@ -4,7 +4,8 @@
 
 Extracts ``src/`` at REV with ``git archive`` and runs one fixed corpus
 through ``run`` on both trees, each in its own process, at threads 1 and 2
-with ``record_scores`` and ``debug_checks`` on.  Prints every field that
+with ``debug_checks`` on (and ``record_scores``, on a tree whose
+``RunConfig`` still has that switch).  Prints every field that
 differs, with the number of runs it differs on, one of them and, for a
 float field, the largest absolute difference between the two trees; then
 the fields that are identical on every run.  Exits 1 on any difference or
@@ -63,12 +64,15 @@ def bits(x):
 
 def dump():
     from synclouvain import RunConfig, run
+    # a tree from before every run recorded its trace records it on request
+    record = ({"record_scores": True}
+              if "record_scores" in RunConfig.__dataclass_fields__ else {})
     out = {}
     for name, graph in corpus():
         for threads in (1, 2):
             res = run(graph, RunConfig(threads=threads,
                                        seed=zlib.crc32(name.encode()) % 97,
-                                       record_scores=True, debug_checks=True))
+                                       debug_checks=True, **record))
             got = {**vars(res.stats), "flat": res.hierarchy.flat,
                    "levels": res.hierarchy.levels, "final_score": res.final_score}
             out[f"{name} threads={threads}"] = {f: got[f] for f in FIELDS}
