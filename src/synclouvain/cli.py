@@ -12,7 +12,7 @@ import numpy as np
 
 from .bench import BenchSpec, generate, write_benchmark
 from .detector import RunConfig, run
-from .graph import GraphFormatError, load_edge_list, write_partition
+from .graph import load_edge_list, write_partition
 from .perf import DeterminismError, amdahl, emit_plot_data, measure
 
 ENV_THREADS = "SYNCLOUVAIN_THREADS"
@@ -178,7 +178,7 @@ def main(argv=None) -> int:
         print(f"invariant breach: floating-point fault: {exc}",
               file=sys.stderr)
         return 3
-    except (GraphFormatError, OSError, ValueError) as exc:
+    except (argparse.ArgumentTypeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

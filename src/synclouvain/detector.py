@@ -34,7 +34,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .forest import extract_components, reverse_assignment
-from .graph import Graph, _unit_scaled, aggregate, compose_labels, strengths
+from .graph import (Graph, _merge_pairs, _unit_scaled, aggregate,
+                    compose_labels, strengths)
 from .quality import (CommunityAggregates, gain_switch, join_gain, local_gains,
                       score)
 from .rng import uniform01
@@ -185,20 +186,20 @@ class _Frontier:
         self.lg = np.zeros(n)
 
 
-def _first_max(pos, val, floor, nrows):
-    """Per row 0..nrows-1 of the ascending ``pos``: the index of the first
-    entry holding the row's maximum of ``val`` when that maximum is above
-    ``floor`` (a scalar or one value per row), else -1.  Entries are in
-    neighbor order, so ties go to the lowest neighbor."""
-    seg = np.searchsorted(pos, np.arange(nrows + 1))
-    has = np.flatnonzero(seg[1:] > seg[:-1])
-    first = np.full(nrows, -1, dtype=np.int64)
-    if has.size:
-        mx = np.full(nrows, -np.inf)
-        mx[has] = np.maximum.reduceat(val, seg[has])
-        idx = np.where(val == mx[pos], np.arange(val.size), val.size)
-        beat = (mx > floor)[has]
-        first[has[beat]] = np.minimum.reduceat(idx, seg[has])[beat]
+def _first_max(ptr, val, floor):
+    """Per row of the CSR pointer ``ptr`` over ``val`` (as ``_merge_pairs``
+    returns it): the index of the first entry holding the row's maximum of
+    ``val`` when that maximum is above ``floor`` (a scalar or one value per
+    row), else -1.  Entries are in neighbor order, so ties go to the lowest
+    neighbor."""
+    size = np.diff(ptr)
+    has = np.flatnonzero(size)
+    first = np.full(size.size, -1, dtype=np.int64)
+    mx = np.full(size.size, -np.inf)
+    mx[has] = np.maximum.reduceat(val, ptr[has])
+    idx = np.where(val == np.repeat(mx, size), np.arange(val.size), val.size)
+    beat = (mx > floor)[has]
+    first[has[beat]] = np.minimum.reduceat(idx, ptr[has])[beat]
     return first
 
 
@@ -360,9 +361,12 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows):
     the highest switch score for moving the node alone, or its own
     community when no alternative strictly beats staying.  Pure snapshot
     computation; a row's result depends only on its own entries, so any
-    split of the rows gives the same bits per row.  ``[lo, hi)`` spans
-    ``rows``; it is not read here, and stays so that ``perfbench/spans.py``
-    can count the entries a call covers."""
+    split of the rows gives the same bits per row.  ``_merge_pairs`` sums
+    each row's union weights per neighboring community, in entry order,
+    and returns the groups sorted by community with their row pointer, so
+    ``_first_max`` breaks ties to the lowest community label.  ``[lo, hi)``
+    spans ``rows``; it is not read here, and stays so that
+    ``perfbench/spans.py`` can count the entries a call covers."""
     m = st.m_w
     pos, nbr, wsum = graph.neighbor_union().gather(rows)
     cstar = labels[rows]
@@ -373,18 +377,9 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows):
     si_r = st.s_in[rows]
     t_stay = join_gain(m, 0.0, so_r, si_r, agg.s_out[cstar] - so_r,
                        agg.s_in[cstar] - si_r)
-    cn = labels[nbr]
-    del nbr  # the gathered copy would otherwise outlive the sort
-    key = pos * np.int64(agg.n_comms + 1) + cn
-    order = np.argsort(key, kind="stable")
-    ks = key[order]
-    new_grp = np.empty(ks.size, dtype=bool)
-    new_grp[0] = True
-    new_grp[1:] = ks[1:] != ks[:-1]
-    starts = np.flatnonzero(new_grp)
-    gsum = np.add.reduceat(wsum[order], starts)
-    g_pos = pos[order][starts]
-    g_comm = cn[order][starts]
+    gptr, g_comm, gsum = _merge_pairs(rows.size, agg.n_comms, pos,
+                                      labels[nbr], wsum)
+    g_pos = np.repeat(np.arange(rows.size), np.diff(gptr))
     own = g_comm == cstar[g_pos]
     so_i = so_r[g_pos]
     si_i = si_r[g_pos]
@@ -393,7 +388,7 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows):
                   agg.s_in[g_comm] - np.where(own, si_i, 0.0))
     t_stay[g_pos[own]] = t[own]
     t[own] = -np.inf
-    first = _first_max(g_pos, t, t_stay, rows.size)
+    first = _first_max(gptr, t, t_stay)
     ok = first >= 0
     cstar[ok] = g_comm[first[ok]]
     return cstar

@@ -107,7 +107,7 @@ class Graph:
             if not np.isfinite(w).all() or (w <= 0).any():
                 raise ValueError("edge weights must be finite and positive")
         with np.errstate(over="ignore"):  # an inf total is rejected below
-            ptr, dst, w = _merge_pairs(n, src, dst, w)
+            ptr, dst, w = _merge_pairs(n, n, src, dst, w)
             total = w.sum()
         if not np.isfinite(total):
             raise ValueError("edge weights must sum to a finite total")
@@ -138,23 +138,27 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def _merge_pairs(n, row, nbr, w):
-    """CSR form (ptr, nbr, w) of the (row, nbr, w) triples: sorted by row,
-    then neighbor, with the weights of equal pairs summed.  The stable sort
-    keeps input order inside each group, so merged sums are deterministic."""
-    order = np.lexsort((nbr, row))
-    row, nbr, w = row[order], nbr[order], w[order]
-    if row.size:
-        new_group = np.empty(row.size, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = (row[1:] != row[:-1]) | (nbr[1:] != nbr[:-1])
-        starts = np.flatnonzero(new_group)
-        row = row[starts]
-        nbr = nbr[starts]
-        w = np.add.reduceat(w, starts)
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
-    return ptr, nbr, w
+def _merge_pairs(n, ncols, row, nbr, w):
+    """CSR form (ptr, nbr, w) of the (row, nbr, w) triples, 0 <= row < n and
+    0 <= nbr < ncols: sorted by row, then neighbor, with the weights of
+    equal pairs summed.  This is the one sort-and-merge kernel: the graph,
+    its union and the plan's per-row community sums are all built here.
+
+    Pairs are grouped by a stable sort of the key row * ncols + nbr, which
+    orders them as (row, nbr) does and keeps input order inside each group,
+    so every merged sum adds the same terms in the same order.  The largest
+    key, n * ncols - 1, must fit in int64, so n * ncols > 2**63 raises
+    ValueError before anything of size n is allocated."""
+    if n * ncols > 2**63:
+        raise ValueError(f"{n} rows x {ncols} columns overflow the int64 "
+                         "pair key")
+    key = row * np.int64(ncols) + nbr
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    w = np.add.reduceat(w[order], starts)
+    order = order[starts]
+    ptr = np.r_[0, np.cumsum(np.bincount(row[order], minlength=n))]
+    return ptr, nbr[order], w
 
 
 def _build_union(g: Graph) -> NeighborUnion:
@@ -163,7 +167,7 @@ def _build_union(g: Graph) -> NeighborUnion:
     rows = g.edge_rows()
     keep = g.out_dst != rows
     src, dst, w = rows[keep], g.out_dst[keep], g.out_w[keep]
-    ptr, nbr, wsum = _merge_pairs(g.n, np.concatenate([src, dst]),
+    ptr, nbr, wsum = _merge_pairs(g.n, g.n, np.concatenate([src, dst]),
                                   np.concatenate([dst, src]),
                                   np.concatenate([w, w]))
     for arr in (ptr, nbr, wsum):
@@ -194,9 +198,9 @@ def _unit_scaled(g: Graph) -> Graph:
 def load_edge_list(path: str) -> Graph:
     """Parse `src dst [weight]` lines; weight defaults to 1.0.
 
-    `#` starts a comment; the special comment `# nodes N` declares trailing
-    isolated nodes. Bad ids or non-positive/non-finite weights are rejected
-    with the offending line number.
+    `#` starts a comment; the special comment `# nodes N`, N >= 0, declares
+    trailing isolated nodes. Bad ids, bad headers and non-positive or
+    non-finite weights are rejected with the offending line number.
     """
     srcs: list[int] = []
     dsts: list[int] = []
@@ -212,10 +216,13 @@ def load_edge_list(path: str) -> Graph:
                 parts = line[1:].split()
                 if len(parts) == 2 and parts[0] == "nodes":
                     try:
-                        declared = max(declared, int(parts[1]))
+                        count = int(parts[1])
                     except ValueError:
+                        count = -1
+                    if count < 0:
                         raise GraphFormatError(
                             f"line {lineno}: bad node-count header: {line!r}")
+                    declared = max(declared, count)
                 continue
             parts = line.split()
             if len(parts) not in (2, 3):

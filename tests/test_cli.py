@@ -140,6 +140,28 @@ def test_detect_env_threads(tri_file, tmp_path, capsys, monkeypatch):
     assert "threads=3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("sub", ["detect", "bench"])
+def test_env_threads_zero_exits_2(tri_file, tmp_path, capsys, monkeypatch,
+                                  sub):
+    monkeypatch.setenv("SYNCLOUVAIN_THREADS", "0")
+    args = {"detect": ["detect", str(tri_file)],
+            "bench": ["bench", "--input", str(tri_file)]}[sub]
+    rc = main(args + ["--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: thread counts")
+    assert not (tmp_path / "o").exists()
+
+
+def test_detect_node_count_overflowing_pair_key_exits_2(tmp_path, capsys):
+    # 2**32 nodes make the int64 pair key row * n + nbr overflow
+    p = tmp_path / "huge.edges"
+    p.write_text("# nodes 4294967296\n0 1\n")
+    rc = main(["detect", str(p), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
 def test_generate_reproducible(tmp_path, capsys):
     args = ["generate", "--N", "300", "--k", "8", "--kmax", "16",
             "--mut", "0.2", "--muw", "0.1", "--cmin", "30", "--cmax", "60",

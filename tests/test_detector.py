@@ -91,6 +91,50 @@ def test_find_assignment_matches_brute_force_pick(threads):
         pool.close()
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_best_targets_matches_brute_force_pick(threads):
+    # per planned node, the lowest-label community with the largest join
+    # gain if it beats staying, else the node's own, from a dense weight
+    # matrix and community sums; random labelings (empty labels included),
+    # random planned rows, dyadic weights, so every sum is exact in any order
+    rng = np.random.default_rng(91)
+    pool = _Pool(threads)
+    try:
+        for t in range(40):
+            n = int(rng.integers(2, 41))
+            edges = random_edges(rng, n, density=float(rng.uniform(0.05, 0.5)),
+                                 dyadic=True, self_loops=t % 2 == 1)
+            g = build_graph(n, edges)
+            st = strengths(g)
+            w = dense_weights(n, edges)
+            k = int(rng.integers(1, n + 2))
+            labels = rng.integers(0, k, n)
+            agg = CommunityAggregates.from_labels(st, labels, k)
+            rows = np.flatnonzero(rng.random(n) < 0.7) if t % 4 else np.arange(n)
+            want = labels[rows]
+            for r, i in enumerate(rows.tolist()):
+                to = np.zeros(k)
+                np.add.at(to, labels, w[i] + w[:, i])
+                to[labels[i]] -= w[i, i] + w[i, i]
+                near = {int(labels[j]) for j in range(n)
+                        if j != i and w[i, j] + w[j, i] > 0.0}
+                own = labels[i]
+                best = join_gain(st.m_w, to[own], st.s_out[i], st.s_in[i],
+                                 agg.s_out[own] - st.s_out[i],
+                                 agg.s_in[own] - st.s_in[i])
+                for c in sorted(near - {int(own)}):
+                    gain = join_gain(st.m_w, to[c], st.s_out[i], st.s_in[i],
+                                     agg.s_out[c], agg.s_in[c])
+                    if gain > best:
+                        best, want[r] = gain, c
+            got = _map_rows(g, pool, lambda lo, hi, r: detector._best_targets(
+                g, st, labels, agg, lo, hi, r), rows)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+    finally:
+        pool.close()
+
+
 def test_positive_correction_detaches_external_heavy_pendant():
     # triangle 0-1-2, pendant 3 lightly tied to the triangle, heavily to 4
     edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0),
@@ -343,18 +387,18 @@ def test_map_rows_balances_entries_of_the_given_rows(rng):
 
 
 def test_first_max_picks_first_row_maximum_above_floor():
-    pos = np.array([0, 0, 0, 2, 2, 3])
+    ptr = np.array([0, 3, 3, 5, 6])  # entry rows 0, 0, 0, 2, 2, 3
     val = np.array([1.0, 3.0, 3.0, 0.5, 0.25, 2.0])
     # row 0 ties at entries 1 and 2; row 1 has no entries; row 2's maximum
     # 0.5 does not beat its floor 0.5; row 3's 2.0 beats its floor 1.0
     np.testing.assert_array_equal(
-        _first_max(pos, val, np.array([0.0, 0.0, 0.5, 1.0]), 4), [1, -1, -1, 5])
-    np.testing.assert_array_equal(_first_max(pos, val, 0.0, 4), [1, -1, 3, 5])
-    np.testing.assert_array_equal(_first_max(pos, val, 3.0, 4), [-1, -1, -1, -1])
-    empty = _first_max(np.empty(0, np.int64), np.empty(0), 0.0, 0)
+        _first_max(ptr, val, np.array([0.0, 0.0, 0.5, 1.0])), [1, -1, -1, 5])
+    np.testing.assert_array_equal(_first_max(ptr, val, 0.0), [1, -1, 3, 5])
+    np.testing.assert_array_equal(_first_max(ptr, val, 3.0), [-1, -1, -1, -1])
+    empty = _first_max(np.zeros(1, np.int64), np.empty(0), 0.0)
     assert empty.size == 0 and empty.dtype == np.int64
     np.testing.assert_array_equal(
-        _first_max(np.empty(0, np.int64), np.empty(0), 0.0, 2), [-1, -1])
+        _first_max(np.zeros(3, np.int64), np.empty(0), 0.0), [-1, -1])
 
 
 def test_run_stops_level_at_sweep_cap(rng, monkeypatch):

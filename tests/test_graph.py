@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from synclouvain.graph import (
     Graph,
     GraphFormatError,
+    _merge_pairs,
     aggregate,
     canonicalize_labels,
     compose_labels,
@@ -54,7 +55,8 @@ def test_load_nodes_header_too_small_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "line",
-    ["0 1 0.0", "0 1 -2", "0 1 nan", "0 1 inf", "0 x 1.0", "0 1.5 1.0", "-1 2 1.0", "0 1 2 3"],
+    ["0 1 0.0", "0 1 -2", "0 1 nan", "0 1 inf", "0 x 1.0", "0 1.5 1.0", "-1 2 1.0", "0 1 2 3",
+     "# nodes -5"],
 )
 def test_load_rejects_bad_lines_with_line_number(tmp_path, line):
     path = tmp_path / "g.txt"
@@ -72,6 +74,51 @@ def test_parallel_edges_merge_and_sorted_rows(tmp_path):
     lo, hi = g.out_ptr[0], g.out_ptr[1]
     assert list(g.out_dst[lo:hi]) == [1, 2]
     assert list(g.out_w[lo:hi]) == [1.0, 3.0]
+
+
+def _lexsort_merge(n, row, nbr, w):
+    """The pair merge as a lexsort over (row, nbr), for reference."""
+    order = np.lexsort((nbr, row))
+    row, nbr, w = row[order], nbr[order], w[order]
+    if row.size:
+        new = np.r_[True, (row[1:] != row[:-1]) | (nbr[1:] != nbr[:-1])]
+        starts = np.flatnonzero(new)
+        row, nbr = row[starts], nbr[starts]
+        w = np.add.reduceat(w, starts)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
+    return ptr, nbr, w
+
+
+def test_merge_pairs_matches_lexsort_reference(rng):
+    # many duplicates (few distinct pairs), empty rows, an empty input and
+    # ncols both below and above n; weights are not dyadic, so equal bits
+    # need the same summation order inside each group
+    cases = [(0, 0, 0), (5, 3, 0), (1, 1, 40)]
+    for _ in range(40):
+        cases.append((int(rng.integers(1, 30)), int(rng.integers(1, 30)),
+                      int(rng.integers(0, 300))))
+    for n, ncols, size in cases:
+        row = rng.integers(0, max(1, n // 2), size)  # upper rows stay empty
+        nbr = rng.integers(0, min(ncols, 4), size)
+        w = rng.uniform(0.1, 3.0, size)
+        got = _merge_pairs(n, ncols, row, nbr, w)
+        want = _lexsort_merge(n, row, nbr, w)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+def test_pair_key_overflow_is_rejected():
+    with pytest.raises(ValueError, match="int64"):
+        Graph.from_edges(2**32, [0], [1], [1.0])
+    with pytest.raises(ValueError, match="int64"):
+        _merge_pairs(2**40, 2**23 + 1, np.zeros(1, np.int64),
+                     np.zeros(1, np.int64), np.ones(1))
+    # n * ncols == 2**63: the largest key, 2**63 - 1, still fits
+    ptr, nbr, w = _merge_pairs(2, 2**62, np.array([1]), np.array([2**62 - 1]),
+                               np.ones(1))
+    assert ptr.tolist() == [0, 0, 1] and nbr.tolist() == [2**62 - 1]
 
 
 def test_union_rows_match_dense_weights(rng):
