@@ -16,9 +16,16 @@ current partition, then applies them in a fixed serial order.  Planning is
 row-local: ``_best_targets`` is the one row kernel (the assignment is its
 plan on singletons), and ``_map_rows`` the one place that splits rows
 across threads, into contiguous pieces of the planned rows of about equal
-entry count.  Within a level only rows touching a changed community are
-planned again (``_Frontier``); the first sweep plans every row through
-that same path.  Results depend only on (graph, seed, accept_prob), never
+entry count, none below ``MIN_PIECE_ENTRIES``.  Within a level only rows
+touching a changed community are planned again (``_Frontier``); the first
+sweep plans every row through that same path.  The commit prices every
+move the coin accepted in one numpy pass against the snapshot
+(``_MovePrices``), then applies the moves in ascending node order and
+re-prices only those whose target community an earlier move touched; a
+move whose source was touched is skipped, so every other snapshot price is
+exact.  Every sum over a node set is one ``segment_sums`` order, so a set
+has the same price, bit for bit, in the batch, in a re-price and in
+``gain_switch``.  Results depend only on (graph, seed, accept_prob), never
 on the thread count.  Every run records its score trace, checked against
 ``score`` at each level's end.
 """
@@ -34,13 +41,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .forest import extract_components, reverse_assignment
-from .graph import (Graph, _merge_pairs, _unit_scaled, aggregate,
-                    compose_labels, strengths)
+from .graph import (Graph, _merge_pairs, _row_entries, _unit_scaled,
+                    aggregate, canonicalize_labels, compose_labels, strengths)
 from .quality import (CommunityAggregates, gain_switch, join_gain, local_gains,
-                      score)
+                      score, segment_total, set_sums, switch_gain)
 from .rng import uniform01
 
 MAX_SWEEPS = 100  # maximal-correction sweeps per level
+# union entries per piece below which a second thread costs more than it
+# saves: on a 2-vCPU x86 machine, planning 2**14 entries took 1.5 ms on one
+# thread and 2.2 ms split over two, and the split first won near 3 * 10**4
+MIN_PIECE_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -114,17 +125,19 @@ class _Pool:
 
 
 def _map_rows(graph, pool, fn, rows):
-    """Cut the ascending ``rows`` into one contiguous piece per thread, run
-    ``fn(lo, hi, piece)`` on each nonempty piece, ``[lo, hi)`` being its
-    span, and concatenate the results in row order.  A row goes to the
-    piece its entries' midpoint falls in, so each cut lies within half a
-    row's entries of an equal split of the union entries of ``rows``."""
+    """Cut the ascending ``rows`` into contiguous pieces, one per thread but
+    at most one per ``MIN_PIECE_ENTRIES`` union entries, run ``fn(lo, hi,
+    piece)`` on each nonempty piece, ``[lo, hi)`` being its span, and
+    concatenate the results in row order.  A row goes to the piece its
+    entries' midpoint falls in, so each cut lies within half a row's
+    entries of an equal split of the union entries of ``rows``."""
     pool = pool or _Pool(1)
     ptr = graph.neighbor_union().ptr
     size = ptr[rows + 1] - ptr[rows]
+    total = int(size.sum())
+    parts = max(1, min(pool.parts, total // MIN_PIECE_ENTRIES))
     mid2 = 2 * np.cumsum(size) - size  # twice each row's entry midpoint
-    cuts = np.searchsorted(mid2 * pool.parts,
-                           2 * int(size.sum()) * np.arange(1, pool.parts))
+    cuts = np.searchsorted(mid2 * parts, 2 * total * np.arange(1, parts))
     pieces = [p for p in np.split(rows, cuts) if p.size]
     if not pieces:
         return np.empty(0, dtype=np.int64)
@@ -240,14 +253,13 @@ def _split_community(graph, st, labels, agg, a, rptr, rkids, seen, fresh, c,
     the community's own nodes change in ``a``, ``labels`` and ``agg``.
 
     ``rptr``/``rkids`` is ``reverse_assignment`` of ``a`` before any cut,
-    and ``seen`` an all-False scratch mask, left all-False; between walks
-    it serves as ``gain_switch``'s buffer.  The nodes a cut detaches are the
-    ``_tail`` of its node in that reverse map, walked with the piece's cycle
-    nodes marked seen, restricted to the piece.  That is the node's subtree
-    in the current ``a``, because a cut only self-assigns the cut node and
-    everything below that node in the piece leaves with it: inside a piece
-    the reverse map and ``a`` have the same edges, and a walk that leaves a
-    piece through a cut node never comes back into it.
+    and ``seen`` an all-False scratch mask, left all-False.  The nodes a cut
+    detaches are the ``_tail`` of its node in that reverse map, walked with
+    the piece's cycle nodes marked seen, restricted to the piece.  That is
+    the node's subtree in the current ``a``, because a cut only self-assigns
+    the cut node and everything below that node in the piece leaves with it:
+    inside a piece the reverse map and ``a`` have the same edges, and a walk
+    that leaves a piece through a cut node never comes back into it.
 
     A cut is one tree edge (a branch cut: the subtree below a non-cycle
     node leaves) or, when no branch cut improves, both edges of a 2-cycle
@@ -287,7 +299,7 @@ def _split_community(graph, st, labels, agg, a, rptr, rkids, seen, fresh, c,
             moved = _tail(rptr, rkids, cut[-1], seen)
             seen[list(cyc)] = False
             b_nodes = np.sort(moved[labels[moved] == c])
-            gsp = gain_switch(graph, st, labels, agg, b_nodes, c, None, seen)
+            gsp = gain_switch(graph, st, labels, agg, b_nodes, c, None)
             if gsp > best_gain:
                 best_gain = gsp
                 best = (b_nodes, cut)
@@ -414,6 +426,48 @@ def _tail(rptr, rkids, i, seen):
     return moved
 
 
+def _tails(rptr, rkids, roots):
+    """``_tail`` of every node of ``roots`` with nothing seen, as (seg,
+    nodes): ``nodes`` lists each tail in ascending order, tail after tail,
+    and ``seg`` is the position of its root in ``roots``.
+
+    A level-synchronous expansion over the reverse map ``rptr``/``rkids``
+    of an assignment: each round replaces the frontier by its children.
+    Every node but a self-assigned one has exactly one parent, so a node
+    is reached once for each time its parent is, and by induction once per
+    root, except the root itself, reached again when it lies on a cycle.
+    That child is dropped, so each tail is exactly ``_tail``'s node set.
+
+    A round costs about what walking 16 nodes in Python does (17 us and
+    1.1 us a node on a 2-vCPU x86 machine), so past 32 rounds, more than
+    the planted benchmark graphs ever need, a frontier of fewer than 16
+    nodes is finished by ``_tail`` walks that stop at their root.  A long
+    pointer chain then costs one walk instead of a round per node."""
+    n = rptr.size - 1
+    seg = np.arange(roots.size)
+    node = roots
+    segs, nodes = [seg], [node]
+    rounds = 0
+    while node.size >= 16 or (node.size and rounds < 32):
+        pos, ent = _row_entries(rptr, node)
+        kids = rkids[ent]
+        keep = kids != roots[seg[pos]]
+        seg, node = seg[pos[keep]], kids[keep]
+        segs.append(seg)
+        nodes.append(node)
+        rounds += 1
+    if node.size:
+        seen = np.zeros(n, dtype=bool)
+        for s, x in zip(seg.tolist(), node.tolist()):
+            seen[roots[s]] = True
+            rest = _tail(rptr, rkids, x, seen)[1:]  # x is in nodes already
+            seen[roots[s]] = False
+            segs.append(np.full(rest.size, s))
+            nodes.append(rest)
+    key = np.sort(np.concatenate(segs) * n + np.concatenate(nodes))
+    return key // n, key % n
+
+
 def _attach_target(graph, st, labels, i, to):
     """Best neighbor of i inside community ``to`` by pairwise gain; -1 if i
     has no neighbor there."""
@@ -429,16 +483,94 @@ def _attach_target(graph, st, labels, i, to):
     return int(cand[int(np.argmax(pg))])
 
 
+class _MovePrices:
+    """Prices of moving each node of the ascending ``roots``, with its
+    pointer tail, to its planned community ``cstar[root]``, taken in one
+    numpy pass against the snapshot ``labels``/``agg``.
+
+    The tails come from ``_tails`` and their sums from one ``set_sums``
+    call, the kernel of ``gain_switch``, so each ``gain`` has
+    ``gain_switch``'s bits.  ``attach`` is ``_attach_target``'s pick, the
+    first maximum of the root's pairwise gains over its entries in ``to``,
+    or -1.  A move applies iff ``gain > 0`` and ``attach >= 0``."""
+
+    def __init__(self, graph, st, labels, agg, rptr, rkids, roots, cstar):
+        u = graph.neighbor_union()
+        k = roots.size
+        self.m = m = st.m_w
+        self.to = to = cstar[roots]
+        self.frm = frm = labels[roots]
+        seg, self.nodes = _tails(rptr, rkids, roots)
+        self.tptr = np.searchsorted(seg, np.arange(k + 1))
+        sums, (eseg, self.nbr, self.w) = set_sums(graph, st, labels, seg,
+                                                  self.nodes, frm, to, k)
+        w_to, self.w_from, self.so_b, self.si_b = sums
+        self.eptr = np.searchsorted(eseg, np.arange(k + 1))
+        self.gain = switch_gain(m, w_to, self.w_from, self.so_b, self.si_b,
+                                agg.s_out[frm], agg.s_in[frm], agg.s_out[to],
+                                agg.s_in[to])
+        rpos, self.rnbr, rw = u.gather(roots)
+        self.rptr = np.searchsorted(rpos, np.arange(k + 1))
+        self.pg = join_gain(m, rw, st.s_out[roots][rpos],
+                            st.s_in[roots][rpos], st.s_out[self.rnbr],
+                            st.s_in[self.rnbr])
+        first = _first_max(self.rptr, np.where(
+            labels[self.rnbr] == to[rpos], self.pg, -np.inf), -np.inf)
+        ok = first >= 0
+        self.attach = np.full(k, -1, dtype=np.int64)
+        self.attach[ok] = self.rnbr[first[ok]]
+
+    def applies(self):
+        return (self.gain > 0.0) & (self.attach >= 0)
+
+    def tail(self, k):
+        return self.nodes[self.tptr[k]:self.tptr[k + 1]]
+
+    def reprice(self, k, frm, to, labels, agg):
+        """(gain, attach target) of candidate k, moving from ``frm`` to
+        ``to``, at the current ``labels`` and ``agg``.  Exact when the
+        source community is the snapshot's: the tail, W(T, frm minus T),
+        T's strengths and ``agg[frm]`` are then unchanged, and only the
+        terms of ``to`` are summed again, from the candidate's stored
+        entries in the same order."""
+        lo, hi = self.rptr[k], self.rptr[k + 1]
+        nb = self.rnbr[lo:hi]
+        sel = labels[nb] == to
+        if not sel.any():
+            return 0.0, -1
+        j = int(nb[sel][np.argmax(self.pg[lo:hi][sel])])
+        lo, hi = self.eptr[k], self.eptr[k + 1]
+        w_to = segment_total(self.w[lo:hi][labels[self.nbr[lo:hi]] == to])
+        g = switch_gain(self.m, w_to, self.w_from[k], self.so_b[k],
+                        self.si_b[k], agg.s_out[frm], agg.s_in[frm],
+                        agg.s_out[to], agg.s_in[to])
+        return float(g), j
+
+
 def maximal_correction(graph, st, forest, config, level, sweep, pool,
                        stats=None, memo=None):
     """One synchronized sweep: plan the best community switch for every
     node from a frozen snapshot, then commit accepted moves serially in
     ascending node order.  Each committed node drags its pointer tail
-    along.  Moves are re-priced at commit time and skipped unless still
-    strictly positive; a node is also skipped once its source community
-    has been touched by an earlier commit this sweep.  Only the nodes
-    touching a community changed since the level's ``memo`` last planned
-    are planned (see ``_Frontier``).
+    along.  Only the nodes touching a community changed since the level's
+    ``memo`` last planned are planned (see ``_Frontier``).
+
+    The commit prices every candidate the coin accepted in one batch
+    against the snapshot (``_MovePrices``), then applies them in ascending
+    order.  A candidate is skipped once its source community has been
+    touched by an earlier commit this sweep, and otherwise applies iff its
+    price at the current labels is strictly positive and it has a
+    neighbor in the target to attach to.  That price is the snapshot's
+    unless the target was touched: a commit changes only the labels of its
+    tail, the aggregates of its source and target, and the pointer of its
+    root, and marks both communities dirty.  So while the source is clean
+    its members, their pointers and ``agg[frm]`` are the snapshot's, hence
+    the tail and W(T, frm minus T) too, and while the target is clean its
+    members and ``agg[to]`` are.  A dirty target is re-priced from the
+    candidate's stored entries (``_MovePrices.reprice``).  Every sum is a
+    ``segment_sums`` in one order, so the batch price, the re-price and
+    ``gain_switch`` agree bit for bit; under ``debug_checks`` every applied
+    move is checked against ``gain_switch`` and ``_attach_target``.
 
     ``improved`` is False, ending the level, unless a move applied or a
     candidate the coin rejected would apply at the snapshot.  That is
@@ -477,52 +609,51 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
         return forest, False, 0, []
     accept = uniform01(config.seed, (level, sweep), cand) < config.accept_prob
     rptr, rkids = reverse_assignment(forest.a)
+    roots = cand[accept]
+    mp = _MovePrices(graph, st, labels, agg, rptr, rkids, roots, cstar)
     a = forest.a.copy()
     dirty = np.zeros(forest.n_comms, dtype=bool)
-    in_set = np.zeros(graph.n, dtype=bool)
-    seen = np.zeros(graph.n, dtype=bool)
-
-    def price(i):
-        """(tail, gain, attach target) of moving node i to its planned
-        community at the current labels, or None if the move cannot apply."""
-        to = int(cstar[i])
-        if agg.count[to] == 0:
-            return None
-        moved = _tail(rptr, rkids, i, seen)
-        g = gain_switch(graph, st, labels, agg, moved, int(labels[i]), to,
-                        in_set)
-        if not g > 0.0:
-            return None
-        j = _attach_target(graph, st, labels, i, to)
-        return (moved, g, j) if j >= 0 else None
-
-    applied = 0
+    seen = np.zeros(graph.n, dtype=bool) if stats is not None else None
     gains = []
-    for k in range(cand.size):
-        i = int(cand[k])
-        frm = int(labels[i])
-        if dirty[frm] or not accept[k]:
+    for k, (i, frm, to, ok) in enumerate(zip(
+            roots.tolist(), mp.frm.tolist(), mp.to.tolist(),
+            mp.applies().tolist())):
+        if dirty[frm] or not (ok or dirty[to]):
             continue
-        move = price(i)
-        if move is None:
+        g, j = (mp.reprice(k, frm, to, labels, agg) if dirty[to]
+                else (float(mp.gain[k]), int(mp.attach[k])))
+        if not (g > 0.0 and j >= 0):
             continue
-        moved, g, j = move
-        to = int(cstar[i])
+        moved = mp.tail(k)
+        if stats is not None:
+            fresh = (gain_switch(graph, st, labels, agg, moved, frm, to),
+                     _attach_target(graph, st, labels, i, to))
+            if fresh != (g, j) or not np.array_equal(
+                    np.sort(_tail(rptr, rkids, i, seen)), moved):
+                stats.debug_failures.append(
+                    f"level {level} sweep {sweep}: move of node {i} priced "
+                    f"{(g, j)}, fresh {fresh}")
         a[i] = j
         labels[moved] = to
-        agg.move_nodes(st, moved, frm, to)
+        agg.move(frm, to, mp.so_b[k], mp.si_b[k], moved.size)
         dirty[frm] = True
         dirty[to] = True
-        applied += 1
         gains.append(g)
-    if stats is not None and applied and not agg.check(st, labels):
+    if stats is not None and gains and not agg.check(st, labels):
         stats.debug_failures.append(
             f"incremental aggregates drifted at level {level} sweep {sweep}")
-    if applied:
-        return extract_components(a), True, applied, gains
+    if gains:
+        forest = extract_components(a)
+        if stats is not None and not np.array_equal(
+                canonicalize_labels(labels), forest.comm):
+            stats.debug_failures.append(
+                f"committed labels are not the components of the pointers "
+                f"at level {level} sweep {sweep}")
+        return forest, True, len(gains), gains
     # nothing applied, so nothing is dirty and labels and agg are the snapshot
-    improved = any(price(int(i)) is not None for i in cand[~accept])
-    return forest, improved, 0, gains
+    idle = _MovePrices(graph, st, labels, agg, rptr, rkids, cand[~accept],
+                       cstar)
+    return forest, bool(idle.applies().any()), 0, gains
 
 
 # ---------------------------------------------------------------- main loop

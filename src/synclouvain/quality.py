@@ -12,9 +12,11 @@ strict > 0 with no epsilon, so each expression has one arithmetic shape and
 one home: ``join_gain`` (a node joining a community) and ``switch_gain`` (a
 set moving between two communities) are the only places the null-model term
 is written, and every gain kernel here and in ``detector`` calls them.
-The kernels that take node ids (``local_gains``, ``gain_switch`` given its
-scratch buffer) cost time linear in those nodes' union-adjacency rows, not
-in n, so pricing a small piece of a large graph stays cheap.
+Every sum over a node set adds its terms one at a time in one fixed order
+(``segment_sums``), so a set price has the same bits wherever it is taken.
+The kernels that take node ids (``local_gains``, ``gain_switch``) cost time
+linear in those nodes' union-adjacency rows, not in n, so pricing a small
+piece of a large graph stays cheap.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ __all__ = [
     "local_gain",
     "local_gains",
     "score",
+    "segment_sums",
+    "segment_total",
+    "set_sums",
     "switch_gain",
 ]
 
@@ -65,14 +70,18 @@ class CommunityAggregates:
         )
 
     def move_nodes(self, st: Strengths, nodes, frm: int, to: int) -> None:
-        so = st.s_out[nodes].sum()
-        si = st.s_in[nodes].sum()
+        self.move(frm, to, segment_total(st.s_out[nodes]),
+                  segment_total(st.s_in[nodes]), len(nodes))
+
+    def move(self, frm: int, to: int, so, si, count: int) -> None:
+        """Move a set with strength sums ``so``/``si`` (summed in the
+        order of ``segment_sums``) and ``count`` members."""
         self.s_out[frm] -= so
         self.s_in[frm] -= si
-        self.count[frm] -= len(nodes)
+        self.count[frm] -= count
         self.s_out[to] += so
         self.s_in[to] += si
-        self.count[to] += len(nodes)
+        self.count[to] += count
 
     def check(self, st: Strengths, labels, atol: float = 1e-9) -> bool:
         fresh = CommunityAggregates.from_labels(st, labels, self.n_comms)
@@ -98,6 +107,20 @@ def switch_gain(m, w_to, w_from, so_b, si_b, so_f, si_f, so_t=0.0, si_t=0.0):
     d_null = (-so_f * si_b - so_b * si_f + so_t * si_b + so_b * si_t
               + 2.0 * so_b * si_b)
     return (w_to - w_from) / m - d_null / (m * m)
+
+
+def segment_sums(seg, w, nseg: int) -> np.ndarray:
+    """Per segment 0..nseg-1, the sum of the ``w`` whose ``seg`` is that
+    segment, added one term at a time in input order, starting from 0.0
+    (``np.bincount``).  This is the one summation order of every set price
+    and every aggregate move.  ``ndarray.sum`` adds pairwise beyond 8 terms
+    and would round differently."""
+    return np.bincount(seg, weights=w, minlength=nseg)
+
+
+def segment_total(w) -> float:
+    """``segment_sums`` of ``w`` as one segment."""
+    return float(segment_sums(np.zeros(len(w), dtype=np.intp), w, 1)[0])
 
 
 def score(graph: Graph, st: Strengths, labels) -> float:
@@ -156,35 +179,49 @@ def local_gains(graph: Graph, st: Strengths, labels,
     return join_gain(m, w_own, so, si, agg.s_out[lab] - so, agg.s_in[lab] - si)
 
 
-def gain_switch(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,
-                nodes, frm: int, to: int | None, in_set: np.ndarray | None = None) -> float:
-    """Exact score difference of relabeling `nodes` from `frm` to `to`.
+def set_sums(graph: Graph, st: Strengths, labels, seg, nodes, frm, to,
+             nseg: int):
+    """Weight and strength sums of node sets T_0, ..., T_{nseg-1}, given as
+    ``nodes`` with the set ``seg`` of each, sorted by set, then by node.
+    ``frm`` and ``to`` hold a community per set (-1 for none).
 
-    to=None detaches the set to a fresh empty community. Cost is linear in
-    the union-adjacency rows of the moved set. `in_set` is an optional
-    reusable n-bool scratch buffer (left all-False on return).
+    Returns ((w_to, w_from, so_b, si_b), (eseg, nbr, w)): per set W(T, to)
+    and W(T, frm minus T), both directions, and T's out- and in-strength
+    sums; then the gathered entries of the sets' rows, with their set.
+    Every sum is a ``segment_sums`` over the nodes in ascending order and
+    each row's entries in order, so a set's sums do not depend on the
+    other sets."""
+    pos, nbr, w = graph.neighbor_union().gather(nodes)
+    eseg = seg[pos]
+    lab = labels[nbr]
+    key = seg * graph.n + nodes
+    ekey = eseg * graph.n + nbr
+    inside = key[np.searchsorted(key, ekey).clip(max=key.size - 1)] == ekey
+    hit_from = (lab == frm[eseg]) & ~inside
+    hit_to = lab == to[eseg]
+    sums = (segment_sums(eseg[hit_to], w[hit_to], nseg),
+            segment_sums(eseg[hit_from], w[hit_from], nseg),
+            segment_sums(seg, st.s_out[nodes], nseg),
+            segment_sums(seg, st.s_in[nodes], nseg))
+    return sums, (eseg, nbr, w)
+
+
+def gain_switch(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,
+                nodes, frm: int, to: int | None) -> float:
+    """Exact score difference of relabeling the node set ``nodes`` from
+    ``frm`` to ``to``; to=None detaches the set to a fresh empty community.
+
+    Cost is linear in the union-adjacency rows of the set, up to the log of
+    its size.  The sums come from ``set_sums`` with the set in ascending
+    order, whatever order it is passed in, so a set has one price, bit for
+    bit, here and in ``detector``'s batch pricing.
     """
     if to is not None and to == frm:
         return 0.0
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if in_set is None:
-        in_set = np.zeros(graph.n, dtype=bool)
-    in_set[nodes] = True
-    u = graph.neighbor_union()
-    w_to = 0.0
-    w_from = 0.0
-    for x in nodes:
-        lo, hi = u.ptr[x], u.ptr[x + 1]
-        nb = u.nbr[lo:hi]
-        lab = labels[nb]
-        ws = u.w[lo:hi]
-        if to is not None:
-            w_to += float(ws[lab == to].sum())
-        w_from += float(ws[(lab == frm) & ~in_set[nb]].sum())
-    in_set[nodes] = False
-    so_b = float(st.s_out[nodes].sum())
-    si_b = float(st.s_in[nodes].sum())
-    so_t = float(agg.s_out[to]) if to is not None else 0.0
-    si_t = float(agg.s_in[to]) if to is not None else 0.0
-    return switch_gain(st.m_w, w_to, w_from, so_b, si_b, float(agg.s_out[frm]),
-                       float(agg.s_in[frm]), so_t, si_t)
+    nodes = np.sort(np.asarray(nodes, dtype=np.int64))
+    (w_to, w_from, so_b, si_b), _ = set_sums(
+        graph, st, labels, np.zeros(nodes.size, dtype=np.int64), nodes,
+        np.array([frm]), np.array([-1 if to is None else to]), 1)
+    so_t, si_t = (0.0, 0.0) if to is None else (agg.s_out[to], agg.s_in[to])
+    return float(switch_gain(st.m_w, w_to[0], w_from[0], so_b[0], si_b[0],
+                             agg.s_out[frm], agg.s_in[frm], so_t, si_t))

@@ -10,20 +10,25 @@ from synclouvain.detector import (
     Hierarchy,
     RunConfig,
     RunStats,
+    _MovePrices,
     _Pool,
+    _attach_target,
     _changed_nodes,
     _debug_validate,
     _first_max,
     _map_rows,
+    _tail,
+    _tails,
     find_assignment,
     maximal_correction,
     positive_correction,
     run,
 )
-from synclouvain.forest import extract_components
-from synclouvain.graph import canonicalize_labels, compose_labels, strengths
-from synclouvain.quality import (CommunityAggregates, join_gain, local_gains,
-                                 score)
+from synclouvain.forest import extract_components, reverse_assignment
+from synclouvain.graph import (_unit_scaled, canonicalize_labels,
+                               compose_labels, strengths)
+from synclouvain.quality import (CommunityAggregates, gain_switch, join_gain,
+                                 local_gains, score)
 
 from conftest import build_graph, two_triangles
 from oracles import dense_weights, oracle_score, random_edges
@@ -360,7 +365,8 @@ def test_changed_nodes_matches_member_set_brute_force(rng):
         np.testing.assert_array_equal(_changed_nodes(old, new), expect)
 
 
-def test_map_rows_balances_entries_of_the_given_rows(rng):
+def test_map_rows_balances_entries_of_the_given_rows(rng, monkeypatch):
+    monkeypatch.setattr(detector, "MIN_PIECE_ENTRIES", 1)
     g = build_graph(60, random_edges(rng, 60, density=0.2))
     ptr = g.neighbor_union().ptr
     rows = np.flatnonzero(rng.random(60) < 0.5)
@@ -384,6 +390,140 @@ def test_map_rows_balances_entries_of_the_given_rows(rng):
     entries = [int((ptr[p + 1] - ptr[p]).sum()) for _, _, p in seen]
     assert abs(entries[0] - entries[1]) <= int(np.diff(ptr)[rows].max())
     assert empty.size == 0 and empty.dtype == np.int64
+
+
+def test_map_rows_runs_small_frontiers_as_one_piece(rng, monkeypatch):
+    g = build_graph(60, random_edges(rng, 60, density=0.2))
+    rows = np.arange(60)
+    entries = int(g.neighbor_union().ptr[-1])
+    pool = _Pool(2)
+    try:
+        for least, pieces in ((entries // 2 + 1, 1), (entries // 2, 2)):
+            monkeypatch.setattr(detector, "MIN_PIECE_ENTRIES", least)
+            seen = []
+            out = _map_rows(g, pool, lambda lo, hi, p: seen.append(p) or p,
+                            rows)
+            np.testing.assert_array_equal(out, rows)
+            assert len(seen) == pieces
+    finally:
+        pool.close()
+
+
+def _random_pointers(rng, g, two_cycles):
+    """Each node points at a random union neighbor or at itself; then
+    ``two_cycles`` random neighbor pairs point at each other."""
+    u = g.neighbor_union()
+    a = np.arange(g.n)
+    for i in range(g.n):
+        nb = u.nbr[u.ptr[i]:u.ptr[i + 1]]
+        if nb.size and rng.random() < 0.8:
+            a[i] = rng.choice(nb)
+    for _ in range(two_cycles):
+        i = int(rng.integers(0, g.n))
+        nb = u.nbr[u.ptr[i]:u.ptr[i + 1]]
+        if nb.size:
+            j = int(rng.choice(nb))
+            a[i], a[j] = j, i
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=strategies.integers(0, 2**31), n=strategies.integers(1, 200))
+def test_tails_are_tail_node_sets(seed, n):
+    # any functional graph: self-assigned nodes, 2-cycles, longer cycles;
+    # for a third of the seeds a long chain i -> i - 1, half of them closed
+    # into a ring, so that deep narrow frontiers are expanded too
+    rng = np.random.default_rng(seed)
+    if seed % 3 == 0:
+        a = np.arange(n) - 1
+        a[0] = n - 1 if seed % 2 == 0 else 0
+    else:
+        a = rng.integers(0, n, size=n)
+        stay = rng.random(n) < 0.2
+        a[stay] = np.flatnonzero(stay)
+    for _ in range(int(rng.integers(0, 3))):
+        i, j = rng.integers(0, n, size=2)
+        a[i], a[j] = j, i
+    rptr, rkids = reverse_assignment(a)
+    roots = np.flatnonzero(rng.random(n) < rng.choice([0.05, 0.6]))
+    seg, nodes = _tails(rptr, rkids, roots)
+    assert (np.diff(seg) >= 0).all()
+    seen = np.zeros(n, dtype=bool)
+    for k, i in enumerate(roots.tolist()):
+        np.testing.assert_array_equal(nodes[seg == k],
+                                      np.sort(_tail(rptr, rkids, i, seen)))
+    assert not seen.any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=strategies.integers(0, 2**31),
+       scale=strategies.sampled_from((-500, 0, 500)),
+       unit=strategies.booleans(), loops=strategies.booleans())
+def test_move_prices_match_gain_switch_and_attach_target(seed, scale, unit,
+                                                         loops):
+    # batch prices against the snapshot, then re-prices after another set
+    # moved into some targets, each checked bit for bit with the one-move
+    # kernels at the labels and aggregates it is taken at
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 25))
+    edges = [(i, j, math.ldexp(1.0 if unit else w, scale)) for i, j, w in
+             random_edges(rng, n, density=float(rng.uniform(0.05, 0.4)),
+                          self_loops=loops)]
+    g = _unit_scaled(build_graph(n, edges))
+    st = strengths(g)
+    a = _random_pointers(rng, g, int(rng.integers(0, 3)))
+    forest = extract_components(a)
+    if forest.n_comms < 2:
+        return
+    labels = forest.comm.copy()
+    agg = CommunityAggregates.from_labels(st, labels, forest.n_comms)
+    roots = np.flatnonzero(rng.random(n) < 0.7)
+    cstar = (labels + rng.integers(1, forest.n_comms, size=n)) % forest.n_comms
+    to = cstar[roots]
+    rptr, rkids = reverse_assignment(a)
+    mp = _MovePrices(g, st, labels, agg, rptr, rkids, roots, cstar)
+    assert mp.gain.dtype == np.float64 and mp.attach.dtype == np.int64
+
+    def check(k, i, t, labels, agg, gain, attach):
+        assert attach == _attach_target(g, st, labels, i, t)
+        if attach >= 0:
+            want = gain_switch(g, st, labels, agg, mp.tail(k), labels[i], t)
+            assert float(gain).hex() == want.hex()
+
+    for k, i in enumerate(roots.tolist()):
+        frm, t = int(labels[i]), int(to[k])
+        check(k, i, t, labels, agg, mp.gain[k], mp.attach[k])
+        if mp.attach[k] >= 0:
+            assert mp.reprice(k, frm, t, labels, agg) == (
+                float(mp.gain[k]), int(mp.attach[k]))
+    # move the members of one community x with their labels and aggregates
+    # into community y; candidates leaving neither re-price exactly
+    x, y = (int(c) for c in rng.choice(forest.n_comms, size=2, replace=False))
+    members = np.flatnonzero(labels == x)
+    labels2 = labels.copy()
+    labels2[members] = y
+    agg2 = CommunityAggregates(agg.s_out.copy(), agg.s_in.copy(),
+                               agg.count.copy())
+    agg2.move_nodes(st, members, x, y)
+    for k, i in enumerate(roots.tolist()):
+        frm, t = int(labels[i]), int(to[k])
+        if frm not in (x, y):
+            check(k, i, t, labels2, agg2, *mp.reprice(k, frm, t, labels2,
+                                                      agg2))
+
+
+def test_debug_flags_a_move_priced_against_a_stale_target(monkeypatch):
+    # a commit that took the snapshot price of a touched target would be
+    # wrong; the debug check re-prices every applied move from scratch
+    monkeypatch.setattr(_MovePrices, "reprice", lambda self, k, frm, to, *_:
+                        (float(self.gain[k]), int(self.attach[k])))
+    rng = np.random.default_rng(3)
+    failures = []
+    for seed in range(4):
+        g = build_graph(80, random_edges(rng, 80, density=0.08))
+        res = run(g, RunConfig(seed=seed, accept_prob=1.0, debug_checks=True))
+        failures += res.stats.debug_failures
+    assert any(" priced " in msg for msg in failures)
 
 
 def test_first_max_picks_first_row_maximum_above_floor():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from synclouvain.quality import (
     local_gain,
     local_gains,
     score,
+    switch_gain,
 )
 
 from conftest import build_graph, two_triangles
@@ -160,7 +163,12 @@ def test_pair_gain_is_symmetric_bit_for_bit(rng):
 
 
 def test_gain_switch_is_exact_score_difference():
-    for n, edges, labels, rng in corpus(19, cases=40):
+    # two labels on up to 24 nodes give sums of many terms, where a
+    # pairwise sum would round differently from the one order
+    coarse = ((n, edges, labels % 2, rng)
+              for n, edges, labels, rng in corpus(23, cases=10, nmax=24))
+    for n, edges, labels, rng in itertools.chain(corpus(19, cases=40),
+                                                 coarse):
         g, st_ = make(n, edges)
         agg = aggregates_for(st_, labels)
         frm = int(labels[int(rng.integers(0, n))])
@@ -174,6 +182,28 @@ def test_gain_switch_is_exact_score_difference():
         want = oracle_score(n, edges, after) - oracle_score(n, edges, labels)
         got = gain_switch(g, st_, labels, agg, moved_set, frm, to)
         assert got == pytest.approx(want, abs=1e-12)
+        # one price per set: its sums add one term at a time, over the
+        # nodes in ascending order and each row's entries in order,
+        # whatever order the set is passed in
+        shuffled = rng.permutation(moved_set)
+        assert gain_switch(g, st_, labels, agg, shuffled, frm,
+                           to).hex() == got.hex()
+        u = g.neighbor_union()
+        w_to = w_from = so_b = si_b = 0.0
+        for x in moved_set.tolist():
+            so_b += st_.s_out[x]
+            si_b += st_.s_in[x]
+            for e in range(u.ptr[x], u.ptr[x + 1]):
+                c = labels[u.nbr[e]]
+                if c == to:
+                    w_to += u.w[e]
+                elif c == frm and u.nbr[e] not in moved_set:
+                    w_from += u.w[e]
+        so_t, si_t = (0.0, 0.0) if to is None else (agg.s_out[to],
+                                                    agg.s_in[to])
+        ref = switch_gain(st_.m_w, w_to, w_from, so_b, si_b, agg.s_out[frm],
+                          agg.s_in[frm], so_t, si_t)
+        assert float(ref).hex() == got.hex()
 
 
 def test_gain_switch_identity_and_whole_community():
