@@ -18,14 +18,14 @@ plan on singletons), and ``_map_rows`` the one place that splits rows
 across threads, into contiguous pieces of the planned rows of about equal
 entry count, none below ``MIN_PIECE_ENTRIES``.  Within a level only rows
 touching a changed community are planned again (``_Frontier``); the first
-sweep plans every row through that same path.  The commit prices every
-move the coin accepted in one numpy pass against the snapshot
-(``_MovePrices``), then applies the moves in ascending node order and
-re-prices only those whose target community an earlier move touched; a
-move whose source was touched is skipped, so every other snapshot price is
-exact.  Every sum over a node set is one ``segment_sums`` order, so a set
-has the same price, bit for bit, in the batch, in a re-price and in
-``gain_switch``.  Results depend only on (graph, seed, accept_prob), never
+sweep plans every row through that same path.  The commit applies the
+moves the coin accepted in ascending node order, skipping a move whose
+source an earlier move touched.  It prices them in rounds of one numpy
+pass each (``_PriceRounds``, ``_MovePrices``): a round prices the next
+candidate of every untouched source community at once, and a price is
+taken again only for a target community a move touched since.  Every sum
+over a node set is one ``segment_sums`` order, so a set has the same
+price, bit for bit, in a round, in a re-price and in ``gain_switch``.  Results depend only on (graph, seed, accept_prob), never
 on the thread count.  Every run records its score trace, checked against
 ``score`` at each level's end.
 """
@@ -41,8 +41,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .forest import extract_components, reverse_assignment
-from .graph import (Graph, _merge_pairs, _row_entries, _unit_scaled,
-                    aggregate, canonicalize_labels, compose_labels, strengths)
+from .graph import (Graph, _merge_pairs, _unit_scaled, aggregate,
+                    canonicalize_labels, compose_labels, strengths)
 from .quality import (CommunityAggregates, gain_switch, join_gain, local_gains,
                       score, segment_total, set_sums, switch_gain)
 from .rng import uniform01
@@ -426,48 +426,6 @@ def _tail(rptr, rkids, i, seen):
     return moved
 
 
-def _tails(rptr, rkids, roots):
-    """``_tail`` of every node of ``roots`` with nothing seen, as (seg,
-    nodes): ``nodes`` lists each tail in ascending order, tail after tail,
-    and ``seg`` is the position of its root in ``roots``.
-
-    A level-synchronous expansion over the reverse map ``rptr``/``rkids``
-    of an assignment: each round replaces the frontier by its children.
-    Every node but a self-assigned one has exactly one parent, so a node
-    is reached once for each time its parent is, and by induction once per
-    root, except the root itself, reached again when it lies on a cycle.
-    That child is dropped, so each tail is exactly ``_tail``'s node set.
-
-    A round costs about what walking 16 nodes in Python does (17 us and
-    1.1 us a node on a 2-vCPU x86 machine), so past 32 rounds, more than
-    the planted benchmark graphs ever need, a frontier of fewer than 16
-    nodes is finished by ``_tail`` walks that stop at their root.  A long
-    pointer chain then costs one walk instead of a round per node."""
-    n = rptr.size - 1
-    seg = np.arange(roots.size)
-    node = roots
-    segs, nodes = [seg], [node]
-    rounds = 0
-    while node.size >= 16 or (node.size and rounds < 32):
-        pos, ent = _row_entries(rptr, node)
-        kids = rkids[ent]
-        keep = kids != roots[seg[pos]]
-        seg, node = seg[pos[keep]], kids[keep]
-        segs.append(seg)
-        nodes.append(node)
-        rounds += 1
-    if node.size:
-        seen = np.zeros(n, dtype=bool)
-        for s, x in zip(seg.tolist(), node.tolist()):
-            seen[roots[s]] = True
-            rest = _tail(rptr, rkids, x, seen)[1:]  # x is in nodes already
-            seen[roots[s]] = False
-            segs.append(np.full(rest.size, s))
-            nodes.append(rest)
-    key = np.sort(np.concatenate(segs) * n + np.concatenate(nodes))
-    return key // n, key % n
-
-
 def _attach_target(graph, st, labels, i, to):
     """Best neighbor of i inside community ``to`` by pairwise gain; -1 if i
     has no neighbor there."""
@@ -484,15 +442,15 @@ def _attach_target(graph, st, labels, i, to):
 
 
 class _MovePrices:
-    """Prices of moving each node of the ascending ``roots``, with its
-    pointer tail, to its planned community ``cstar[root]``, taken in one
-    numpy pass against the snapshot ``labels``/``agg``.
+    """Prices of moving each node of ``roots`` with its pointer tail
+    (``_tail``) to its planned community ``cstar[root]``, taken in one
+    numpy pass at the current ``labels``/``agg``.
 
-    The tails come from ``_tails`` and their sums from one ``set_sums``
-    call, the kernel of ``gain_switch``, so each ``gain`` has
-    ``gain_switch``'s bits.  ``attach`` is ``_attach_target``'s pick, the
-    first maximum of the root's pairwise gains over its entries in ``to``,
-    or -1.  A move applies iff ``gain > 0`` and ``attach >= 0``."""
+    The tails' sums come from one ``set_sums`` call, the kernel of
+    ``gain_switch``, so each ``gain`` has ``gain_switch``'s bits.
+    ``attach`` is ``_attach_target``'s pick, the first maximum of the
+    root's pairwise gains over its entries in ``to``, or -1.  A move
+    applies iff ``gain > 0`` and ``attach >= 0``."""
 
     def __init__(self, graph, st, labels, agg, rptr, rkids, roots, cstar):
         u = graph.neighbor_union()
@@ -500,8 +458,12 @@ class _MovePrices:
         self.m = m = st.m_w
         self.to = to = cstar[roots]
         self.frm = frm = labels[roots]
-        seg, self.nodes = _tails(rptr, rkids, roots)
-        self.tptr = np.searchsorted(seg, np.arange(k + 1))
+        seen = np.zeros(graph.n, dtype=bool)
+        tails = [np.sort(_tail(rptr, rkids, i, seen)) for i in roots.tolist()]
+        self.tptr = np.zeros(k + 1, dtype=np.int64)
+        self.tptr[1:] = np.cumsum([t.size for t in tails])
+        self.nodes = np.concatenate([self.tptr[:0], *tails])
+        seg = np.repeat(np.arange(k), np.diff(self.tptr))
         sums, (eseg, self.nbr, self.w) = set_sums(graph, st, labels, seg,
                                                   self.nodes, frm, to, k)
         w_to, self.w_from, self.so_b, self.si_b = sums
@@ -520,19 +482,16 @@ class _MovePrices:
         self.attach = np.full(k, -1, dtype=np.int64)
         self.attach[ok] = self.rnbr[first[ok]]
 
-    def applies(self):
-        return (self.gain > 0.0) & (self.attach >= 0)
-
     def tail(self, k):
         return self.nodes[self.tptr[k]:self.tptr[k + 1]]
 
     def reprice(self, k, frm, to, labels, agg):
         """(gain, attach target) of candidate k, moving from ``frm`` to
-        ``to``, at the current ``labels`` and ``agg``.  Exact when the
-        source community is the snapshot's: the tail, W(T, frm minus T),
-        T's strengths and ``agg[frm]`` are then unchanged, and only the
-        terms of ``to`` are summed again, from the candidate's stored
-        entries in the same order."""
+        ``to``, at the current ``labels`` and ``agg``.  Exact while no
+        commit has touched the source community since the batch: the
+        tail, W(T, frm minus T), T's strengths and ``agg[frm]`` are then
+        unchanged, and only the terms of ``to`` are summed again, from the
+        candidate's stored entries in the same order."""
         lo, hi = self.rptr[k], self.rptr[k + 1]
         nb = self.rnbr[lo:hi]
         sel = labels[nb] == to
@@ -547,6 +506,59 @@ class _MovePrices:
         return float(g), j
 
 
+class _PriceRounds:
+    """Prices of the ascending candidates ``roots`` of one sweep, taken in
+    rounds as the serial commit reaches them.  Reaching a candidate not
+    yet priced prices one round (a ``_MovePrices`` batch at the current
+    labels): the first candidate at or after it of every source community
+    no commit has touched.  A community's candidate thus waits until its
+    earlier ones have been reached, and the round's tails, one per
+    community, are disjoint.  Every candidate priced is one the commit
+    reaches with its source untouched, except at most one per community
+    that a commit touches first, so the tails priced in a sweep sum to at
+    most those the commit reaches plus n.
+
+    ``touched[c]`` is the index of the last commit that touched community
+    c, -1 for none; ``commit`` records one."""
+
+    def __init__(self, graph, st, labels, agg, rptr, rkids, roots, cstar,
+                 n_comms):
+        self.kernel = (graph, st, labels, agg, rptr, rkids)
+        self.roots = roots
+        self.frm = labels[roots]
+        self.cstar = cstar
+        self.batch = np.full(roots.size, -1)
+        self.slot = np.zeros(roots.size, dtype=np.int64)
+        self.rounds = []  # (prices, commits made before they were taken)
+        self.touched = np.full(n_comms, -1)
+        self.commits = 0
+
+    def price(self, k):
+        """(prices, slot, gain, attach target) of candidate k at the
+        current labels, its source untouched.  The round's price holds
+        unless a commit touched the target since, and is then re-priced
+        (``_MovePrices.reprice``)."""
+        if self.batch[k] < 0:
+            q = k + np.unique(self.frm[k:], return_index=True)[1]
+            q = np.sort(q[(self.batch[q] < 0)
+                          & (self.touched[self.frm[q]] < 0)])
+            self.batch[q] = len(self.rounds)
+            self.slot[q] = np.arange(q.size)
+            self.rounds.append((_MovePrices(*self.kernel, self.roots[q],
+                                            self.cstar), self.commits))
+        mp, born = self.rounds[self.batch[k]]
+        s = int(self.slot[k])
+        frm, to = int(mp.frm[s]), int(mp.to[s])
+        if self.touched[to] >= born:
+            _, _, labels, agg, _, _ = self.kernel
+            return (mp, s) + mp.reprice(s, frm, to, labels, agg)
+        return mp, s, float(mp.gain[s]), int(mp.attach[s])
+
+    def commit(self, frm, to):
+        self.touched[frm] = self.touched[to] = self.commits
+        self.commits += 1
+
+
 def maximal_correction(graph, st, forest, config, level, sweep, pool,
                        stats=None, memo=None):
     """One synchronized sweep: plan the best community switch for every
@@ -555,26 +567,28 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     along.  Only the nodes touching a community changed since the level's
     ``memo`` last planned are planned (see ``_Frontier``).
 
-    The commit prices every candidate the coin accepted in one batch
-    against the snapshot (``_MovePrices``), then applies them in ascending
-    order.  A candidate is skipped once its source community has been
-    touched by an earlier commit this sweep, and otherwise applies iff its
-    price at the current labels is strictly positive and it has a
-    neighbor in the target to attach to.  That price is the snapshot's
-    unless the target was touched: a commit changes only the labels of its
-    tail, the aggregates of its source and target, and the pointer of its
-    root, and marks both communities dirty.  So while the source is clean
-    its members, their pointers and ``agg[frm]`` are the snapshot's, hence
-    the tail and W(T, frm minus T) too, and while the target is clean its
-    members and ``agg[to]`` are.  A dirty target is re-priced from the
-    candidate's stored entries (``_MovePrices.reprice``).  Every sum is a
-    ``segment_sums`` in one order, so the batch price, the re-price and
-    ``gain_switch`` agree bit for bit; under ``debug_checks`` every applied
-    move is checked against ``gain_switch`` and ``_attach_target``.
+    The commit walks the candidates the coin accepted in ascending order.
+    A candidate is skipped once its source community has been touched by
+    an earlier commit this sweep, and otherwise applies iff its price at
+    the current labels is strictly positive and it has a neighbor in the
+    target to attach to.  The prices come in rounds (``_PriceRounds``):
+    reaching a candidate not yet priced prices, in one batch at the
+    current labels (``_MovePrices``), the next candidate of every source
+    community still untouched.  A batch price stays exact until a commit
+    touches its target: a commit changes only the labels of its tail, the
+    aggregates of its source and target, and the pointer of its root.  So
+    while the source is untouched its members, their pointers and
+    ``agg[frm]`` are unchanged, hence the tail and W(T, frm minus T) too,
+    and while the target is untouched its members and ``agg[to]`` are.  A
+    touched target is re-priced from the candidate's stored entries
+    (``_MovePrices.reprice``).  Every sum is a ``segment_sums`` in one
+    order, so the batch price, the re-price and ``gain_switch`` agree bit
+    for bit; under ``debug_checks`` every applied move is checked against
+    ``gain_switch`` and ``_attach_target``.
 
     ``improved`` is False, ending the level, unless a move applied or a
     candidate the coin rejected would apply at the snapshot.  That is
-    exact.  A sweep that applies nothing dirties nothing, so each
+    exact.  A sweep that applies nothing touches nothing, so each
     candidate's snapshot price is the price a later sweep would see: the
     forest stays the same, so do the frontier plan and the output of
     positive correction, which is idempotent on an unchanged forest.
@@ -609,35 +623,30 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
         return forest, False, 0, []
     accept = uniform01(config.seed, (level, sweep), cand) < config.accept_prob
     rptr, rkids = reverse_assignment(forest.a)
-    roots = cand[accept]
-    mp = _MovePrices(graph, st, labels, agg, rptr, rkids, roots, cstar)
+    book = _PriceRounds(graph, st, labels, agg, rptr, rkids, cand[accept],
+                        cstar, forest.n_comms)
     a = forest.a.copy()
-    dirty = np.zeros(forest.n_comms, dtype=bool)
-    seen = np.zeros(graph.n, dtype=bool) if stats is not None else None
     gains = []
-    for k, (i, frm, to, ok) in enumerate(zip(
-            roots.tolist(), mp.frm.tolist(), mp.to.tolist(),
-            mp.applies().tolist())):
-        if dirty[frm] or not (ok or dirty[to]):
+    for k, (i, frm) in enumerate(zip(book.roots.tolist(),
+                                     book.frm.tolist())):
+        if book.touched[frm] >= 0:
             continue
-        g, j = (mp.reprice(k, frm, to, labels, agg) if dirty[to]
-                else (float(mp.gain[k]), int(mp.attach[k])))
+        mp, s, g, j = book.price(k)
         if not (g > 0.0 and j >= 0):
             continue
-        moved = mp.tail(k)
+        to = int(mp.to[s])
+        moved = mp.tail(s)
         if stats is not None:
             fresh = (gain_switch(graph, st, labels, agg, moved, frm, to),
                      _attach_target(graph, st, labels, i, to))
-            if fresh != (g, j) or not np.array_equal(
-                    np.sort(_tail(rptr, rkids, i, seen)), moved):
+            if fresh != (g, j):
                 stats.debug_failures.append(
                     f"level {level} sweep {sweep}: move of node {i} priced "
                     f"{(g, j)}, fresh {fresh}")
         a[i] = j
         labels[moved] = to
-        agg.move(frm, to, mp.so_b[k], mp.si_b[k], moved.size)
-        dirty[frm] = True
-        dirty[to] = True
+        agg.move(frm, to, mp.so_b[s], mp.si_b[s], moved.size)
+        book.commit(frm, to)
         gains.append(g)
     if stats is not None and gains and not agg.check(st, labels):
         stats.debug_failures.append(
@@ -650,10 +659,13 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
                 f"committed labels are not the components of the pointers "
                 f"at level {level} sweep {sweep}")
         return forest, True, len(gains), gains
-    # nothing applied, so nothing is dirty and labels and agg are the snapshot
-    idle = _MovePrices(graph, st, labels, agg, rptr, rkids, cand[~accept],
-                       cstar)
-    return forest, bool(idle.applies().any()), 0, gains
+    # nothing applied, so nothing is touched and labels and agg are the
+    # snapshot; the rejected candidates are priced until one applies
+    idle = _PriceRounds(graph, st, labels, agg, rptr, rkids, cand[~accept],
+                        cstar, forest.n_comms)
+    improved = any(g > 0.0 and j >= 0 for _, _, g, j in map(
+        idle.price, range(idle.roots.size)))
+    return forest, improved, 0, gains
 
 
 # ---------------------------------------------------------------- main loop

@@ -62,19 +62,12 @@ class NeighborUnion:
         """The entries of ``rows``, row after row in the order given and
         each row's entries in order: per entry the position of its row in
         ``rows``, the neighbor, and w."""
-        pos, ent = _row_entries(self.ptr, rows)
+        start = self.ptr[rows]
+        size = self.ptr[rows + 1] - start
+        pos = np.repeat(np.arange(rows.size), size)
+        ent = (start - (np.cumsum(size) - size))[pos]
+        ent += np.arange(pos.size)
         return pos, self.nbr[ent], self.w[ent]
-
-
-def _row_entries(ptr, rows):
-    """Per entry of ``rows`` in the CSR pointer ``ptr``, row after row in
-    the order given: the position of its row in ``rows``, and its index."""
-    start = ptr[rows]
-    size = ptr[rows + 1] - start
-    pos = np.repeat(np.arange(rows.size), size)
-    ent = (start - (np.cumsum(size) - size))[pos]
-    ent += np.arange(pos.size)
-    return pos, ent
 
 
 class Graph:

@@ -12,13 +12,13 @@ from synclouvain.detector import (
     RunStats,
     _MovePrices,
     _Pool,
+    _PriceRounds,
     _attach_target,
     _changed_nodes,
     _debug_validate,
     _first_max,
     _map_rows,
     _tail,
-    _tails,
     find_assignment,
     maximal_correction,
     positive_correction,
@@ -428,31 +428,63 @@ def _random_pointers(rng, g, two_cycles):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=strategies.integers(0, 2**31), n=strategies.integers(1, 200))
-def test_tails_are_tail_node_sets(seed, n):
-    # any functional graph: self-assigned nodes, 2-cycles, longer cycles;
-    # for a third of the seeds a long chain i -> i - 1, half of them closed
-    # into a ring, so that deep narrow frontiers are expanded too
+@given(seed=strategies.integers(0, 2**31),
+       scale=strategies.sampled_from((-500, 0, 500)),
+       chain=strategies.booleans())
+def test_price_rounds_are_exact_and_bounded(seed, scale, chain):
+    # the serial commit over rounds of batch prices: every price a
+    # candidate is reached with equals the one-move kernels at the labels
+    # of that moment; a round prices one candidate per untouched source, so
+    # the tails priced sum to at most those reached plus n.  With ``chain``
+    # every node points at its predecessor, nested tails of one community.
     rng = np.random.default_rng(seed)
-    if seed % 3 == 0:
-        a = np.arange(n) - 1
-        a[0] = n - 1 if seed % 2 == 0 else 0
+    n = int(rng.integers(2, 40))
+    edges = [(i, j, math.ldexp(w, scale)) for i, j, w in
+             random_edges(rng, n, density=float(rng.uniform(0.05, 0.4)))]
+    if chain:
+        edges += [(i, i + 1, 1.0) for i in range(n - 1)]
+    g = _unit_scaled(build_graph(n, edges))
+    st = strengths(g)
+    if chain:
+        a = np.where(rng.random(n) < 0.15, np.arange(n),
+                     np.maximum(np.arange(n) - 1, 0))
     else:
-        a = rng.integers(0, n, size=n)
-        stay = rng.random(n) < 0.2
-        a[stay] = np.flatnonzero(stay)
-    for _ in range(int(rng.integers(0, 3))):
-        i, j = rng.integers(0, n, size=2)
-        a[i], a[j] = j, i
+        a = _random_pointers(rng, g, int(rng.integers(0, 3)))
+    forest = extract_components(a)
+    if forest.n_comms < 2:
+        return
+    labels = forest.comm.copy()
+    agg = CommunityAggregates.from_labels(st, labels, forest.n_comms)
+    roots = np.flatnonzero(rng.random(n) < 0.8)
+    cstar = (labels + rng.integers(1, forest.n_comms, size=n)) % forest.n_comms
     rptr, rkids = reverse_assignment(a)
-    roots = np.flatnonzero(rng.random(n) < rng.choice([0.05, 0.6]))
-    seg, nodes = _tails(rptr, rkids, roots)
-    assert (np.diff(seg) >= 0).all()
+    book = _PriceRounds(g, st, labels, agg, rptr, rkids, roots, cstar,
+                        forest.n_comms)
     seen = np.zeros(n, dtype=bool)
+    reached = 0
     for k, i in enumerate(roots.tolist()):
-        np.testing.assert_array_equal(nodes[seg == k],
+        frm = int(labels[i])
+        if book.touched[frm] >= 0:
+            continue
+        mp, s, g_k, j = book.price(k)
+        to = int(cstar[i])
+        moved = mp.tail(s)
+        reached += moved.size
+        np.testing.assert_array_equal(moved,
                                       np.sort(_tail(rptr, rkids, i, seen)))
-    assert not seen.any()
+        assert j == _attach_target(g, st, labels, i, to)
+        if j >= 0:
+            want = gain_switch(g, st, labels, agg, moved, frm, to)
+            assert g_k.hex() == want.hex()
+        if g_k > 0.0 and j >= 0:
+            labels[moved] = to
+            agg.move(frm, to, mp.so_b[s], mp.si_b[s], moved.size)
+            book.commit(frm, to)
+    priced = 0
+    for mp, _ in book.rounds:
+        assert np.unique(mp.frm).size == mp.frm.size
+        priced += mp.nodes.size
+    assert priced <= reached + n
 
 
 @settings(max_examples=60, deadline=None)
