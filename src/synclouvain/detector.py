@@ -459,11 +459,15 @@ class _MovePrices:
         self.to = to = cstar[roots]
         self.frm = frm = labels[roots]
         seen = np.zeros(graph.n, dtype=bool)
-        tails = [np.sort(_tail(rptr, rkids, i, seen)) for i in roots.tolist()]
-        self.tptr = np.zeros(k + 1, dtype=np.int64)
-        self.tptr[1:] = np.cumsum([t.size for t in tails])
-        self.nodes = np.concatenate([self.tptr[:0], *tails])
-        seg = np.repeat(np.arange(k), np.diff(self.tptr))
+        # a root without children is its own tail: walk the others only
+        walk = np.flatnonzero(rptr[roots + 1] > rptr[roots])
+        rest = [_tail(rptr, rkids, i, seen)[1:] for i in roots[walk].tolist()]
+        size = np.array([t.size for t in rest], dtype=np.int64)
+        key = np.concatenate([np.arange(k), np.repeat(walk, size)]) * graph.n
+        key += np.concatenate([roots, *rest])
+        key.sort()
+        seg, self.nodes = np.divmod(key, graph.n)
+        self.tptr = np.searchsorted(seg, np.arange(k + 1))
         sums, (eseg, self.nbr, self.w) = set_sums(graph, st, labels, seg,
                                                   self.nodes, frm, to, k)
         w_to, self.w_from, self.so_b, self.si_b = sums
