@@ -25,9 +25,10 @@ pass each (``_PriceRounds``, ``_MovePrices``): a round prices the next
 candidate of every untouched source community at once, and a price is
 taken again only for a target community a move touched since.  Every sum
 over a node set is one ``segment_sums`` order, so a set has the same
-price, bit for bit, in a round, in a re-price and in ``gain_switch``.  Results depend only on (graph, seed, accept_prob), never
-on the thread count.  Every run records its score trace, checked against
-``score`` at each level's end.
+price, bit for bit, in a round, in a re-price and in ``gain_switch``.
+Results depend only on (graph, seed, accept_prob), never on the thread
+count.  Every run records its score trace, checked against ``score`` at
+each level's end.
 """
 
 from __future__ import annotations
