@@ -9,8 +9,11 @@ array equality, which the determinism suite relies on.
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -202,80 +205,204 @@ def load_edge_list(path: str) -> Graph:
     `#` starts a comment; the special comment `# nodes N`, N >= 0, declares
     trailing isolated nodes. Bad ids, bad headers and non-positive or
     non-finite weights are rejected with the offending line number.
+
+    The common shape (comment lines, then rows of 2 or 3 numbers) is parsed
+    in bulk; anything else, and every rejection, goes through the line
+    parser, which gives the same graph or raises the error.
     """
+    raw = Path(path).read_bytes()
+    edges = _bulk_edges(raw)
+    if edges is None:
+        edges = _parse_edge_lines(_text_lines(raw))
+    return Graph.from_edges(*edges)
+
+
+_INT64_MAX = 2**63 - 1
+# the characters the bulk path accepts outside comment lines; anything else
+# (the letters of nan or inf, `_`, non-ASCII digits or whitespace) sends
+# the file to the line parser
+_ROW_CHARS = b"0123456789+-.eE \t\n"
+_EDGE_ROWS = (np.dtype([("src", np.int64), ("dst", np.int64),
+                        ("w", np.float64)]),
+              np.dtype([("src", np.int64), ("dst", np.int64)]))
+_PARTITION_ROWS = (np.dtype([("node", np.int64), ("comm", np.int64)]),)
+_WRITE_BLOCK = 2**14  # rows per write of dump_edge_list
+
+
+def _text_lines(raw):
+    """The lines of the file contents ``raw`` as iterating the file in text
+    mode gives them: UTF-8, universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+
+
+def _bulk_rows(raw, dtypes):
+    """The rows of the file contents ``raw`` as one structured array,
+    parsed by one ``np.loadtxt`` call, and its comment lines, decoded and
+    stripped.
+
+    This is the one place that decides whether a file's format lets it skip
+    its line parser.  It returns None, and the caller re-parses ``raw`` line
+    by line, unless the line parser would read the same rows with the same
+    values:
+
+    - every `#` is preceded on its line by spaces or tabs only, so the line
+      is a comment to both parsers (loadtxt cuts a line at any `#`; the
+      line parser rejects `0 1 1.0 # note`), and every comment line is
+      UTF-8;
+    - the other lines hold only ASCII digits, `+`, `-`, `.`, `e`, `E`,
+      spaces and tabs, so both split them into the same tokens, an int64
+      field takes what ``int`` takes or fails, and a float64 field converts
+      as ``float`` does (loadtxt calls the same ``PyOS_string_to_double``);
+    - every row has as many tokens as the fields of one dtype of
+      ``dtypes``, tried in order; loadtxt raises on a row that does not;
+    - loadtxt warns about nothing: numpy before 2.0 parses `1.0` into an
+      int64 field with a DeprecationWarning, where ``int`` fails.
+
+    Values the line parser rejects after conversion (negative ids,
+    non-positive or non-finite weights) are the caller's to check; the
+    caller falls back to its line parser on them too."""
+    if b"\r" in raw:  # universal newlines, as the line parser reads
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    comments, pieces, start = [], [], 0
+    pos = raw.find(b"#")
+    while pos >= 0:
+        bol = raw.rfind(b"\n", 0, pos) + 1
+        if raw[bol:pos].strip(b" \t"):
+            return None
+        eol = raw.find(b"\n", pos)
+        if eol < 0:
+            eol = len(raw)
+        try:
+            comments.append(raw[bol:eol].decode("utf-8").strip())
+        except UnicodeDecodeError:
+            return None
+        pieces.append(raw[start:bol])
+        start = eol
+        pos = raw.find(b"#", eol)
+    pieces.append(raw[start:])
+    data = b"".join(pieces)
+    if data.translate(None, _ROW_CHARS):
+        return None
+    if not data or data.isspace():  # no rows, where loadtxt would warn
+        return np.empty(0, dtypes[0]), comments
+    for dtype in dtypes:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(io.BytesIO(data), dtype=dtype,
+                                  comments=None, ndmin=1, encoding="ascii")
+        except (ValueError, Warning):
+            continue
+        return rows, comments
+    return None
+
+
+def _node_count(comment):
+    """N of the comment line ``comment`` (stripped, starting with `#`) if it
+    is a `# nodes N` header, else None; a header is malformed where N < 0,
+    and N is -1 where it is not an integer."""
+    parts = comment[1:].split()
+    if len(parts) != 2 or parts[0] != "nodes":
+        return None
+    try:
+        return int(parts[1])
+    except ValueError:
+        return -1
+
+
+def _bulk_edges(raw):
+    """(n, src, dst, w) of an edge list by the bulk path, or None where
+    the line parser must read it."""
+    parsed = _bulk_rows(raw, _EDGE_ROWS)
+    if parsed is None:
+        return None
+    rows, comments = parsed
+    counts = [c for c in map(_node_count, comments) if c is not None]
+    src, dst = rows["src"], rows["dst"]
+    w = rows["w"] if "w" in rows.dtype.names else np.ones(rows.size)
+    max_id = -1
+    if rows.size:
+        if min(src.min(), dst.min()) < 0 or not ((w > 0) & (w < np.inf)).all():
+            return None
+        max_id = int(max(src.max(), dst.max()))
+    declared = max(counts, default=-1)
+    if min(counts, default=0) < 0 or 0 <= declared <= max_id:
+        return None
+    return max(declared, max_id + 1), src, dst, w
+
+
+def _parse_edge_lines(lines):
+    """(n, src, dst, w) of an edge list, read line by line."""
     srcs: list[int] = []
     dsts: list[int] = []
     ws: list[float] = []
     declared = -1
     max_id = -1
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "nodes":
-                    try:
-                        count = int(parts[1])
-                    except ValueError:
-                        count = -1
-                    if count < 0:
-                        raise GraphFormatError(
-                            f"line {lineno}: bad node-count header: {line!r}")
-                    declared = max(declared, count)
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise GraphFormatError(
-                    f"line {lineno}: expected 'src dst [weight]', got {line!r}")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            count = _node_count(line)
+            if count is not None:
+                if count < 0:
+                    raise GraphFormatError(
+                        f"line {lineno}: bad node-count header: {line!r}")
+                declared = max(declared, count)
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise GraphFormatError(
+                f"line {lineno}: expected 'src dst [weight]', got {line!r}")
+        try:
+            s = int(parts[0])
+            d = int(parts[1])
+        except ValueError:
+            raise GraphFormatError(
+                f"line {lineno}: node ids must be integers: {line!r}")
+        if s < 0 or d < 0:
+            raise GraphFormatError(
+                f"line {lineno}: node ids must be non-negative: {line!r}")
+        if s > _INT64_MAX or d > _INT64_MAX:
+            raise GraphFormatError(
+                f"line {lineno}: node ids must fit in int64: {line!r}")
+        if len(parts) == 3:
             try:
-                s = int(parts[0])
-                d = int(parts[1])
+                weight = float(parts[2])
             except ValueError:
                 raise GraphFormatError(
-                    f"line {lineno}: node ids must be integers: {line!r}")
-            if s < 0 or d < 0:
-                raise GraphFormatError(
-                    f"line {lineno}: node ids must be non-negative: {line!r}")
-            if len(parts) == 3:
-                try:
-                    weight = float(parts[2])
-                except ValueError:
-                    raise GraphFormatError(
-                        f"line {lineno}: bad weight: {line!r}")
-            else:
-                weight = 1.0
-            if not math.isfinite(weight) or weight <= 0.0:
-                raise GraphFormatError(
-                    f"line {lineno}: weight must be finite and > 0: {line!r}")
-            srcs.append(s)
-            dsts.append(d)
-            ws.append(weight)
-            if s > max_id:
-                max_id = s
-            if d > max_id:
-                max_id = d
+                    f"line {lineno}: bad weight: {line!r}")
+        else:
+            weight = 1.0
+        if not math.isfinite(weight) or weight <= 0.0:
+            raise GraphFormatError(
+                f"line {lineno}: weight must be finite and > 0: {line!r}")
+        srcs.append(s)
+        dsts.append(d)
+        ws.append(weight)
+        if s > max_id:
+            max_id = s
+        if d > max_id:
+            max_id = d
     if declared >= 0 and declared < max_id + 1:
         raise GraphFormatError(
             f"node-count header declares {declared} nodes but ids reach {max_id}")
     n = max(declared, max_id + 1, 0)
-    return Graph.from_edges(n,
-                            np.array(srcs, dtype=np.int64),
-                            np.array(dsts, dtype=np.int64),
-                            np.array(ws, dtype=np.float64))
+    return (n, np.array(srcs, dtype=np.int64), np.array(dsts, dtype=np.int64),
+            np.array(ws, dtype=np.float64))
 
 
 def dump_edge_list(graph: Graph, path: str, header_lines=()) -> None:
     """Write the canonical edge list: `# nodes N`, then `src dst %.17g` rows."""
-    rows = graph.edge_rows()
-    lines = [f"# {h}" for h in header_lines]
-    lines.append(f"# nodes {graph.n}")
-    for s, d, w in zip(rows, graph.out_dst, graph.out_w):
-        lines.append("%d %d %.17g" % (s, d, w))
-    lines.append("")
+    rows, dst, w = graph.edge_rows(), graph.out_dst, graph.out_w
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines))
+        handle.writelines(f"# {h}\n" for h in header_lines)
+        handle.write(f"# nodes {graph.n}\n")
+        # formats plain values, a block at a time to bound the text held
+        for lo in range(0, rows.size, _WRITE_BLOCK):
+            part = slice(lo, lo + _WRITE_BLOCK)
+            handle.write("".join(map("%d %d %.17g\n".__mod__, zip(
+                rows[part].tolist(), dst[part].tolist(), w[part].tolist()))))
 
 
 def strengths(graph: Graph) -> Strengths:
@@ -325,32 +452,60 @@ def compose_labels(inner, outer) -> np.ndarray:
 def write_partition(labels, path: str) -> None:
     labels = np.asarray(labels, dtype=np.int64)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(f"{i} {c}" for i, c in enumerate(labels)))
+        handle.write("\n".join(map("%d %d".__mod__,
+                                   enumerate(labels.tolist()))))
         handle.write("\n")
 
 
 def read_partition(path: str) -> np.ndarray:
+    """Labels from `node community` lines, each node 0..n-1 exactly once;
+    parsed in bulk where ``_bulk_rows`` allows, else line by line."""
+    raw = Path(path).read_bytes()
+    labels = _bulk_partition(raw)
+    if labels is None:
+        labels = _parse_partition_lines(_text_lines(raw))
+    return labels
+
+
+def _bulk_partition(raw):
+    parsed = _bulk_rows(raw, _PARTITION_ROWS)
+    if parsed is None:
+        return None
+    nodes, comms = parsed[0]["node"], parsed[0]["comm"]
+    n = nodes.size
+    if n and (comms.min() < 0 or nodes.min() < 0 or nodes.max() >= n
+              or np.bincount(nodes, minlength=n).max() > 1):
+        return None
+    labels = np.empty(n, dtype=np.int64)
+    labels[nodes] = comms
+    return labels
+
+
+def _parse_partition_lines(lines):
     nodes: list[int] = []
     comms: list[int] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(
-                    f"line {lineno}: expected 'node community', got {line!r}")
-            try:
-                node, comm = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: bad integer: {line!r}")
-            if comm < 0:
-                raise GraphFormatError(
-                    f"line {lineno}: community labels must be non-negative: "
-                    f"{line!r}")
-            nodes.append(node)
-            comms.append(comm)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(
+                f"line {lineno}: expected 'node community', got {line!r}")
+        try:
+            node, comm = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: bad integer: {line!r}")
+        if comm < 0:
+            raise GraphFormatError(
+                f"line {lineno}: community labels must be non-negative: "
+                f"{line!r}")
+        if comm > _INT64_MAX:
+            raise GraphFormatError(
+                f"line {lineno}: community labels must fit in int64: "
+                f"{line!r}")
+        nodes.append(node)
+        comms.append(comm)
     labels = np.zeros(len(nodes), dtype=np.int64)
     seen = np.zeros(len(nodes), dtype=bool)
     for node, comm in zip(nodes, comms):

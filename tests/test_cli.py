@@ -76,6 +76,14 @@ def test_detect_bad_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_detect_id_past_int64_exits_2(tmp_path, capsys):
+    p = tmp_path / "big.edges"
+    p.write_text("0 1 1.0\n99999999999999999999 1 1.0\n")
+    rc = main(["detect", str(p), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_detect_empty_graph(tmp_path, capsys):
     p = tmp_path / "empty.edges"
     p.write_text("# nodes 0\n")

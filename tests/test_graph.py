@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,11 @@ from hypothesis import given, settings, strategies as st
 from synclouvain.graph import (
     Graph,
     GraphFormatError,
+    _bulk_edges,
+    _bulk_partition,
     _merge_pairs,
+    _parse_edge_lines,
+    _parse_partition_lines,
     aggregate,
     canonicalize_labels,
     compose_labels,
@@ -56,7 +62,7 @@ def test_load_nodes_header_too_small_rejected(tmp_path):
 @pytest.mark.parametrize(
     "line",
     ["0 1 0.0", "0 1 -2", "0 1 nan", "0 1 inf", "0 x 1.0", "0 1.5 1.0", "-1 2 1.0", "0 1 2 3",
-     "# nodes -5"],
+     "# nodes -5", "99999999999999999999 1 1.0"],
 )
 def test_load_rejects_bad_lines_with_line_number(tmp_path, line):
     path = tmp_path / "g.txt"
@@ -64,6 +70,143 @@ def test_load_rejects_bad_lines_with_line_number(tmp_path, line):
     with pytest.raises(GraphFormatError) as err:
         load_edge_list(str(path))
     assert "line 2" in str(err.value)
+
+
+def _outcome(parse, path):
+    """What ``parse(path)`` gives: the result, or the error's type and text."""
+    try:
+        return parse(path)
+    except ValueError as exc:  # GraphFormatError and the finite-total check
+        return type(exc), str(exc)
+
+
+def _line_parsed_graph(path):
+    with open(path, encoding="utf-8") as handle:
+        return Graph.from_edges(*_parse_edge_lines(handle))
+
+
+def _line_parsed_partition(path):
+    with open(path, encoding="utf-8") as handle:
+        return _parse_partition_lines(handle)
+
+
+def _assert_paths_agree(tmp_path, text, bulk=None):
+    """``load_edge_list`` (bulk where it may) and the line parser alone give
+    equal graphs, or the same error; ``bulk`` pins whether the bulk path
+    read the file."""
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("utf-8"))
+    got, want = _outcome(load_edge_list, path), _outcome(_line_parsed_graph, path)
+    if isinstance(want, Graph):
+        assert isinstance(got, Graph) and got == want
+    else:
+        assert got == want
+    if bulk is not None:
+        assert (_bulk_edges(path.read_bytes()) is not None) == bulk
+
+
+_WEIGHT_FORMS = [lambda w: "%.17g" % w, repr, lambda w: "%.25e" % w,
+                 lambda w: "%.3g" % w, lambda w: "%.0f" % w if w < 1e6 else repr(w)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bulk_path_matches_line_parser(tmp_path_factory, data):
+    # rows of 2, 3 or mixed token counts; weights in several text forms from
+    # subnormal to near the largest double; blank and whitespace-only lines,
+    # comments and `# nodes` headers between rows, `\r\n` and tabs
+    draw = data.draw
+    shape = draw(st.sampled_from(["2", "3", "mixed"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines, max_id, counts, headers, weights = [], -1, set(), [], []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "comment", "nodes"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t", " \t "])))
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["", " ", "\t"]))
+                         + "#" + draw(st.sampled_from(["", " note", "#x", " 0 1 2"])))
+        elif kind == "nodes":
+            headers.append(draw(st.integers(0, 60)))
+            lines.append("# nodes %d" % headers[-1])
+        else:
+            s, d = draw(st.integers(0, 50)), draw(st.integers(0, 50))
+            max_id = max(max_id, s, d)
+            sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+            row = [str(s), str(d)]
+            if shape == "3" or shape == "mixed" and draw(st.booleans()):
+                w = draw(st.floats(min_value=0.0, exclude_min=True,
+                                   allow_infinity=False))
+                row.append(draw(st.sampled_from(_WEIGHT_FORMS))(w))
+                weights.append(float(row[-1]))
+            counts.add(len(row))
+            lines.append(draw(st.sampled_from(["", " "])) + sep.join(row))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    # the line parser rejects a short header and a weight that rounds to 0
+    # or to inf
+    bulk = (len(counts) <= 1 and max(headers, default=max_id + 1) > max_id
+            and all(0 < w < np.inf for w in weights))
+    _assert_paths_agree(tmp_path_factory.mktemp("g"), text, bulk)
+
+
+@pytest.mark.parametrize("text", [
+    "# benchmark N=3\n# nodes 3\n0 1 0.90000000000000002\n2 0 1e-300\n",
+    "0 1\n1 2\n\n2 0\n",
+    "\t# indented comment\n  0\t1\t2.5  \n\n   \n1 0 +1.5e-3\n",
+    "# nodes 9\r\n0 1 1\r\n1 0 5e-324\r\n",
+    "# nodes 3\r0 1 1.0\r\r\n1 2 2.0\r",
+    "0 1 1.7976931348623157e308\n",
+    "",
+    "# only a comment\n# nodes 4\n",
+])
+def test_bulk_path_reads_the_common_shapes(tmp_path, text):
+    _assert_paths_agree(tmp_path, text, bulk=True)
+
+
+# each case with whether the bulk path reads it; it declines every file the
+# line parser rejects and every row with a character outside its alphabet
+@pytest.mark.parametrize("text, bulk", [
+    ("0 1 1.0 # note\n", False),
+    ("0 1 1.0 #\n", False),
+    ("\x0b# a comment after a vertical tab\n0 1\n", False),
+    ("1_0 1 1.0\n", False),
+    ("0 1 1_0.5\n", False),
+    ("+1 2 1.0\n", True),
+    ("-0 1 1\n", True),
+    ("0x1 2 1.0\n", False),
+    ("0 1 0x1\n", False),
+    ("1.0 2 1.0\n", False),
+    ("0 1 nan\n", False),
+    ("0 1 inf\n", False),
+    ("0 1 -3\n", False),
+    ("0 1 1e-400\n", False),
+    ("0 1 1e400\n", False),
+    ("99999999999999999999 1 1.0\n", False),
+    ("0 9223372036854775808\n", False),
+    ("0 1 1.0\n0 1\n1 0 2\n", False),
+    ("0 1 1.0\n2 3 4 5\n", False),
+    ("0\n", False),
+    ("0\r1 2\n", False),
+    ("0 1 1e308\n1 0 1e308\n", True),  # the total overflows in from_edges
+    ("# nodes 2\n0 2 1.0\n", False),
+    ("# nodes -1\n0 1\n", False),
+    ("# nodes x\n0 1\n", False),
+    ("# nodes 1_0\n0 9\n", True),
+    ("\u0663 1 1.0\n", False),
+    ("0\xa01 1.0\n", False),
+    ("0 1 1.0\x0c\n", False),
+])
+def test_bulk_path_edge_cases_match_line_parser(tmp_path, text, bulk):
+    _assert_paths_agree(tmp_path, text, bulk)
+
+
+def test_comment_only_file_loads_without_a_warning(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("# nodes 3\n# nothing else\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = load_edge_list(str(path))
+    assert g.n == 3 and g.edge_count == 0
 
 
 def test_parallel_edges_merge_and_sorted_rows(tmp_path):
@@ -144,6 +287,20 @@ def test_roundtrip_bit_exact(tmp_path, rng):
     assert g == g2
     dump_edge_list(g2, str(tmp_path / "g2.txt"))
     assert (tmp_path / "g.txt").read_bytes() == (tmp_path / "g2.txt").read_bytes()
+
+
+def test_writers_match_per_value_formatting(tmp_path, rng):
+    # the writers format plain Python values; the bytes are those of
+    # formatting each numpy value on its own
+    g = build_graph(15, random_edges(rng, 15, density=0.3, self_loops=True))
+    dump_edge_list(g, str(tmp_path / "g.txt"), header_lines=("h",))
+    want = ["# h", f"# nodes {g.n}"] + [
+        "%d %d %.17g" % e for e in zip(g.edge_rows(), g.out_dst, g.out_w)]
+    assert (tmp_path / "g.txt").read_text() == "\n".join(want + [""])
+    labels = rng.integers(0, 2**62, 40)
+    write_partition(labels, str(tmp_path / "p.txt"))
+    want = "".join(f"{i} {c}\n" for i, c in enumerate(labels))
+    assert (tmp_path / "p.txt").read_text() == want
 
 
 def test_strengths_identities_exact_for_dyadic(rng):
@@ -238,6 +395,39 @@ def test_read_partition_rejects_duplicate_and_missing_nodes(tmp_path):
     path.write_text("0 0\n0 5\n")
     with pytest.raises(GraphFormatError):
         read_partition(str(path))
+
+
+def test_read_partition_label_past_int64_is_a_format_error(tmp_path):
+    path = tmp_path / "p.txt"
+    path.write_text("0 0\n1 99999999999999999999\n")
+    with pytest.raises(GraphFormatError, match="line 2"):
+        read_partition(str(path))
+
+
+@pytest.mark.parametrize("text, bulk", [
+    ("2 1\n0 0\n1 1\n", True),
+    ("# truth\n0 3\r\n  1\t3\n\n", True),
+    ("", True),
+    ("0 0\n0 5\n", False),
+    ("0 0\n2 1\n", False),
+    ("0 -1\n1 0\n", False),
+    ("0 0 # note\n", False),
+    ("0 1.0\n", False),
+    ("0 0\n1 1 1\n", False),
+    ("0 99999999999999999999\n", False),
+], ids=["shuffled", "comment-crlf-tab", "empty", "duplicate", "gap",
+        "negative", "trailing-comment", "float-label", "three-tokens",
+        "label-past-int64"])
+def test_read_partition_bulk_path_matches_line_parser(tmp_path, text, bulk):
+    path = tmp_path / "p.txt"
+    path.write_bytes(text.encode("utf-8"))
+    got = _outcome(read_partition, path)
+    want = _outcome(_line_parsed_partition, path)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    else:
+        assert got == want
+    assert (_bulk_partition(path.read_bytes()) is not None) == bulk
 
 
 def test_union_adjacency_merges_directions(rng):
