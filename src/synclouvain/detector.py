@@ -5,11 +5,14 @@ neighbor, components turn the pointer forest into communities, positive
 correction splits communities that hold a node with negative local gain,
 maximal correction sweeps nodes to their best community (each improving
 sweep followed by positive correction again), and aggregation contracts
-the communities into the next level's nodes.  A level ends when a sweep
-applies no move and none of its coin-rejected candidates could apply, or
-after ``MAX_SWEEPS`` sweeps.  ``run`` first scales the weights by a power of
-two that brings the total weight into [0.5, 1); modularity does not depend
-on the weight scale, and a power of two keeps every normal weight's bits.
+the communities into the next level's nodes.  Components are extracted
+once per level, after the assignment; each correction phase hands back the
+forest of its new pointers, built from the labels it already holds.  A
+level ends when a sweep applies no move and none of its coin-rejected
+candidates could apply, or after ``MAX_SWEEPS`` sweeps.  ``run`` first
+scales the weights by a power of two that brings the total weight into
+[0.5, 1); modularity does not depend on the weight scale, and a power of
+two keeps every normal weight's bits.
 
 Every sweep plans all candidate moves from a frozen snapshot of the
 current partition, then applies them in a fixed serial order.  Planning is
@@ -41,9 +44,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .forest import extract_components, reverse_assignment
+from .forest import (AssignmentForest, extract_components,
+                     reverse_assignment)
 from .graph import (Graph, _merge_pairs, _unit_scaled, aggregate,
-                    canonicalize_labels, compose_labels, strengths)
+                    compose_labels, strengths)
 from .quality import (CommunityAggregates, gain_switch, join_gain, local_gains,
                       score, segment_total, set_sums, switch_gain)
 from .rng import uniform01
@@ -236,31 +240,36 @@ def find_assignment(graph, st, pool=None):
 
 # ------------------------------------------------------- positive correction
 
-def _split_community(graph, st, labels, agg, a, rptr, rkids, seen, fresh, c,
-                     members, cycle):
-    """Repeatedly bisect community ``c`` while any member has negative local
-    gain and some single cut yields a strictly positive score change.
-    ``members`` holds its nodes and ``cycle`` its cycle nodes, both in
-    ascending order.  Returns (gains, unresolved, left): the gain of each
-    applied cut, the count of negative-gain members no cut could repair,
-    and the pieces holding them.
+def positive_correction(graph, st, forest, stats=None, memo=None):
+    """Split every community that still contains a member with negative
+    local gain, as long as some single cut strictly improves the score.
+    Returns (forest, splits, unresolved, gains, left): the forest of the
+    cut pointers, the gain of each applied cut, the count of negative-gain
+    members no cut could repair, and a mask of the nodes of the pieces
+    holding them.  Only the local gains of nodes changed since the level's
+    ``memo`` last saw them are recomputed; a ``stats`` turns on the
+    comparison with a full recompute.
 
-    Pieces are labels of the scratch labeling ``labels``, and ``agg`` holds
-    their aggregates, with room for a label per node.  A cut moves the
-    detached nodes to the next label of the counter ``fresh``, so it is a
-    maximal-correction commit to an empty community: ``local_gains`` tests a
-    piece, ``gain_switch(..., to=None)`` prices a cut and
-    ``agg.move_nodes`` applies it, each linear in the piece's rows.  Only
-    the community's own nodes change in ``a``, ``labels`` and ``agg``.
+    One stack of pieces, seeded with the bad communities so that the
+    smallest label is popped first, is bisected until no piece holds a
+    negative local gain that a cut repairs; each piece carries its members
+    and its cycle nodes, both ascending.  Pieces are labels of the scratch
+    labeling ``labels``, and ``agg`` holds their aggregates, with room for
+    a label per node.  A cut moves the detached nodes to the next label of
+    the counter ``fresh``, so it is a maximal-correction commit to an
+    empty community: ``local_gains`` tests a piece, ``gain_switch(...,
+    to=None)`` prices a cut and ``agg.move_nodes`` applies it, each linear
+    in the piece's rows.  Only the bad communities' nodes change in ``a``,
+    ``labels`` and ``agg``.
 
-    ``rptr``/``rkids`` is ``reverse_assignment`` of ``a`` before any cut,
-    and ``seen`` an all-False scratch mask, left all-False.  The nodes a cut
-    detaches are the ``_tail`` of its node in that reverse map, walked with
-    the piece's cycle nodes marked seen, restricted to the piece.  That is
-    the node's subtree in the current ``a``, because a cut only self-assigns
-    the cut node and everything below that node in the piece leaves with it:
-    inside a piece the reverse map and ``a`` have the same edges, and a walk
-    that leaves a piece through a cut node never comes back into it.
+    ``rptr``/``rkids`` is ``reverse_assignment`` of ``a`` before any cut.
+    The nodes a cut detaches are the ``_tail`` of its node in that reverse
+    map, walked with the piece's cycle nodes marked ``seen``, restricted to
+    the piece.  That is the node's subtree in the current ``a``, because a
+    cut only self-assigns the cut node and everything below that node in
+    the piece leaves with it: inside a piece the reverse map and ``a`` have
+    the same edges, and a walk that leaves a piece through a cut node never
+    comes back into it.
 
     A cut is one tree edge (a branch cut: the subtree below a non-cycle
     node leaves) or, when no branch cut improves, both edges of a 2-cycle
@@ -276,60 +285,12 @@ def _split_community(graph, st, labels, agg, a, rptr, rkids, seen, fresh, c,
     self-loops, and maximal correction points a node into another
     component, so neither closes a new cycle; ``_debug_validate`` asserts
     the bound.  Branch cuts still run on any cycle, so hand-built forests
-    work."""
-    gains = []
-    unresolved = 0
-    left = []
-    stack = [(c, members, tuple(cycle))]
-    while stack:
-        c, mem, cyc = stack.pop()
-        if mem.size <= 1:
-            continue
-        g = local_gains(graph, st, labels, agg, mem)
-        if not (g < 0.0).any():
-            continue
-        cuts = [(x,) for x in mem.tolist() if x not in cyc]
-        if len(cyc) == 2:
-            cuts.append(cyc)  # tried only when no branch cut improves
-        best_gain = 0.0
-        best = None  # (detached nodes, pointer sources to self-assign)
-        for cut in cuts:
-            if len(cut) == 2 and best is not None:
-                break
-            seen[list(cyc)] = True
-            moved = _tail(rptr, rkids, cut[-1], seen)
-            seen[list(cyc)] = False
-            b_nodes = np.sort(moved[labels[moved] == c])
-            gsp = gain_switch(graph, st, labels, agg, b_nodes, c, None)
-            if gsp > best_gain:
-                best_gain = gsp
-                best = (b_nodes, cut)
-        if best is None:
-            unresolved += int((g < 0.0).sum())
-            left.append(mem)
-            continue
-        b_nodes, cut = best
-        for x in cut:
-            a[x] = x
-        gains.append(best_gain)
-        b = next(fresh)
-        labels[b_nodes] = b
-        agg.move_nodes(st, b_nodes, c, b)
-        # the detached piece's cycle is its self-assigned root cut[-1]
-        stack.append((c, mem[labels[mem] == c],
-                      tuple(x for x in cyc if x != cut[-1])))
-        stack.append((b, b_nodes, (cut[-1],)))
-    return gains, unresolved, left
+    work.
 
-
-def positive_correction(graph, st, forest, stats=None, memo=None):
-    """Split every community that still contains a member with negative
-    local gain, as long as some single cut strictly improves the score.
-    Returns (forest, splits, unresolved, gains, left), where ``left`` masks
-    the nodes of the communities left with an unrepaired negative gain.
-    Only the local gains of nodes changed since the level's ``memo`` last
-    saw them are recomputed; a ``stats`` turns on the comparison with a
-    full recompute."""
+    The returned forest takes no second extraction: its components are the
+    pieces, and since a cut only self-assigns its cut nodes, each cut node
+    becomes a 1-cycle and no node leaves a cycle, so the cycle nodes are
+    the old ones plus every self-assigned node."""
     if memo is None:
         memo = _Frontier(graph.n)
     comm = forest.comm
@@ -346,7 +307,13 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
     bad = np.unique(comm[lg < 0.0])
     if bad.size == 0:
         return forest, 0, 0, [], left
-    members = forest.community_members()
+    order = np.argsort(comm, kind="stable")
+    lo, hi = np.searchsorted(comm[order], [bad, bad + 1]).tolist()
+    stack = []  # (label, members, cycle nodes) of the pieces left to split
+    for c, i, j in zip(bad.tolist(), lo, hi):
+        mem = order[i:j]
+        stack.append((c, mem, tuple(mem[forest.on_cycle[mem]].tolist())))
+    stack.reverse()
     rptr, rkids = reverse_assignment(forest.a)
     a = forest.a.copy()
     labels = comm.copy()
@@ -354,17 +321,48 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
     fresh = itertools.count(forest.n_comms)
     gains = []
     unresolved = 0
-    for c in bad.tolist():
-        mem = members[c]
-        gl, un, pieces = _split_community(
-            graph, st, labels, agg, a, rptr, rkids, seen, fresh, c, mem,
-            mem[forest.on_cycle[mem]].tolist())
-        gains.extend(gl)
-        unresolved += un
-        for mem in pieces:
+    while stack:
+        c, mem, cyc = stack.pop()
+        if mem.size <= 1:
+            continue
+        g = local_gains(graph, st, labels, agg, mem)
+        if not (g < 0.0).any():
+            continue
+        cuts = [(x,) for x in mem.tolist() if x not in cyc]
+        if len(cyc) == 2:
+            cuts.append(cyc)  # tried only when no branch cut improves
+        best_gain = 0.0
+        best = None  # (detached nodes, pointer sources to self-assign)
+        seen[list(cyc)] = True
+        for cut in cuts:
+            if len(cut) == 2 and best is not None:
+                break
+            moved = _tail(rptr, rkids, cut[-1], seen)
+            b_nodes = np.sort(moved[labels[moved] == c])
+            gsp = gain_switch(graph, st, labels, agg, b_nodes, c, None)
+            if gsp > best_gain:
+                best_gain = gsp
+                best = (b_nodes, cut)
+        seen[list(cyc)] = False
+        if best is None:
+            unresolved += int((g < 0.0).sum())
             left[mem] = True
-    new_forest = extract_components(a) if gains else forest
-    return new_forest, len(gains), unresolved, gains, left
+            continue
+        b_nodes, cut = best
+        for x in cut:
+            a[x] = x
+        gains.append(best_gain)
+        b = next(fresh)
+        labels[b_nodes] = b
+        agg.move_nodes(st, b_nodes, c, b)
+        # the detached piece's cycle is its self-assigned root cut[-1]
+        stack.append((c, mem[labels[mem] == c],
+                      tuple(x for x in cyc if x != cut[-1])))
+        stack.append((b, b_nodes, (cut[-1],)))
+    if gains:
+        forest = AssignmentForest.from_labels(
+            a, labels, forest.on_cycle | (a == np.arange(graph.n)))
+    return forest, len(gains), unresolved, gains, left
 
 
 # -------------------------------------------------------- maximal correction
@@ -375,11 +373,12 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows):
     community when no alternative strictly beats staying.  Pure snapshot
     computation; a row's result depends only on its own entries, so any
     split of the rows gives the same bits per row.  ``_merge_pairs`` sums
-    each row's union weights per neighboring community, in entry order,
-    and returns the groups sorted by community with their row pointer, so
-    ``_first_max`` breaks ties to the lowest community label.  ``[lo, hi)``
-    spans ``rows``; it is not read here, and stays so that
-    ``perfbench/spans.py`` can count the entries a call covers."""
+    each row's union weights per neighboring community, over its terms in
+    entry order (pairwise beyond 8 terms, so the sum is fixed by the row's
+    own entries), and returns the groups sorted by community with their
+    row pointer, so ``_first_max`` breaks ties to the lowest community
+    label.  ``[lo, hi)`` spans ``rows``; it is not read here, and stays so
+    that ``perfbench/spans.py`` can count the entries a call covers."""
     m = st.m_w
     pos, nbr, wsum = graph.neighbor_union().gather(rows)
     cstar = labels[rows]
@@ -599,7 +598,18 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     positive correction, which is idempotent on an unchanged forest.
     Later sweeps would then differ only in their coins, and none could
     apply a move that cannot apply now.  Under ``debug_checks`` the run
-    loop re-checks every such stop with all coins accepted."""
+    loop re-checks every such stop with all coins accepted.
+
+    The returned forest takes no second extraction: it is ``a``, the
+    canonical ``labels``, and the cycle flags of the nodes that kept their
+    label.  A commit moves root i's tail into another community and points
+    i there.  If i is off its cycle, its tail holds no cycle node.  If i is
+    on its cycle, every member's path runs through i, so the whole
+    community moves and its cycle breaks.  No commit closes a new cycle,
+    because i points into a component whose paths never reach the tail.
+    So a node leaves a cycle iff it moved, and no node joins one.  Under
+    ``debug_checks`` ``_debug_validate`` compares the forest with a fresh
+    ``extract_components`` after every phase."""
     if memo is None:
         memo = _Frontier(graph.n)
     labels = forest.comm.copy()
@@ -657,12 +667,8 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
         stats.debug_failures.append(
             f"incremental aggregates drifted at level {level} sweep {sweep}")
     if gains:
-        forest = extract_components(a)
-        if stats is not None and not np.array_equal(
-                canonicalize_labels(labels), forest.comm):
-            stats.debug_failures.append(
-                f"committed labels are not the components of the pointers "
-                f"at level {level} sweep {sweep}")
+        forest = AssignmentForest.from_labels(
+            a, labels, forest.on_cycle & (labels == forest.comm))
         return forest, True, len(gains), gains
     # nothing applied, so nothing is touched and labels and agg are the
     # snapshot; the rejected candidates are priced until one applies
@@ -679,7 +685,9 @@ def _debug_validate(graph, st, forest, phase, stats, unresolved):
     """Record every broken invariant of ``forest`` in ``stats``.  After a
     positive phase, ``unresolved`` masks the nodes positive correction
     reported as left unrepaired, and any negative local gain outside it is
-    a failure; None skips the gain check."""
+    a failure; None skips the gain check.  The comparison with a fresh
+    ``extract_components`` is the one check that the forests the
+    corrections derive from their labels match their pointers."""
     a = forest.a
     ptd = np.flatnonzero(a != np.arange(graph.n))
     pos, nbr, _ = graph.neighbor_union().gather(ptd)

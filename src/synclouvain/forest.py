@@ -11,7 +11,7 @@ rounds of numpy gathers), so no Python-level walk touches every node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,31 +22,33 @@ __all__ = ["AssignmentForest", "extract_components", "reverse_assignment"]
 
 @dataclass
 class AssignmentForest:
-    """Assignment map plus its derived component structure."""
+    """Assignment map plus its derived component structure.
+
+    ``run`` builds one per level with ``extract_components``; after that
+    each correction phase hands back the forest of its own pointers, built
+    by ``from_labels`` from the labels it already holds instead of a second
+    extraction.  The cycle flags follow two update rules: a committed
+    maximal move clears the flags of exactly the nodes it moved, and a
+    positive cut sets the flag of exactly the nodes it self-assigned (the
+    proofs are in ``maximal_correction`` and ``positive_correction``)."""
 
     a: np.ndarray
     comm: np.ndarray          # dense labels ordered by smallest member
     n_comms: int
     on_cycle: np.ndarray      # node lies on its component's unique cycle
-    _members: list | None = field(default=None, repr=False)
 
-    def community_members(self) -> list:
-        """Member arrays per community, ascending node ids (cached)."""
-        if self._members is None:
-            order = np.argsort(self.comm, kind="stable")
-            bounds = np.searchsorted(self.comm[order], np.arange(self.n_comms + 1))
-            self._members = [order[bounds[c]:bounds[c + 1]]
-                             for c in range(self.n_comms)]
-        return self._members
+    @classmethod
+    def from_labels(cls, a, labels, on_cycle) -> AssignmentForest:
+        """The forest of ``a`` whose components are the communities of
+        ``labels``, any labeling, and whose cycle nodes ``on_cycle`` marks."""
+        comm = canonicalize_labels(labels)
+        return cls(a, comm, int(comm.max(initial=-1)) + 1, on_cycle)
 
 
 def extract_components(a) -> AssignmentForest:
     """Label weakly connected components of i -> a[i] and flag cycle nodes."""
     a = np.asarray(a, dtype=np.int64)
     n = a.size
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return AssignmentForest(a, empty, 0, np.empty(0, dtype=bool))
     # land every node on its cycle: f = a applied >= n times
     f = a.copy()
     steps = 1
@@ -63,8 +65,7 @@ def extract_components(a) -> AssignmentForest:
         minv = np.minimum(minv, minv[hop])
         hop = hop[hop]
         steps *= 2
-    comm = canonicalize_labels(minv)
-    return AssignmentForest(a, comm, int(comm.max()) + 1, on_cycle)
+    return AssignmentForest.from_labels(a, minv, on_cycle)
 
 
 def reverse_assignment(a) -> tuple[np.ndarray, np.ndarray]:

@@ -149,10 +149,14 @@ def _merge_pairs(n, ncols, row, nbr, w):
     its union and the plan's per-row community sums are all built here.
 
     Pairs are grouped by a stable sort of the key row * ncols + nbr, which
-    orders them as (row, nbr) does and keeps input order inside each group,
-    so every merged sum adds the same terms in the same order.  The largest
-    key, n * ncols - 1, must fit in int64, so n * ncols > 2**63 raises
-    ValueError before anything of size n is allocated."""
+    orders them as (row, nbr) does and keeps input order inside each group.
+    ``np.add.reduceat`` sums a group pairwise beyond 8 terms, as
+    ``ndarray.sum`` does, not one term at a time, so its bits can differ
+    from a sequential ``np.bincount``; but a group's sum depends only on
+    its own terms in that fixed order, so every merged sum is
+    deterministic.  The largest key, n * ncols - 1, must fit in int64, so
+    n * ncols > 2**63 raises ValueError before anything of size n is
+    allocated."""
     if n * ncols > 2**63:
         raise ValueError(f"{n} rows x {ncols} columns overflow the int64 "
                          "pair key")

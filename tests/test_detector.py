@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -273,6 +274,7 @@ def test_positive_correction_gains_are_oracle_differences_on_random_forests(
             before = after
         np.testing.assert_array_equal(canonicalize_labels(labels),
                                       forest2.comm)
+        _assert_is_extraction(forest2)
         assert sum(gains) == pytest.approx(before - start, abs=1e-12)
         assert all(agg.check(st, labels) for agg in aggs)
         # the same tolerance as _debug_validate: a zero gain may round
@@ -284,6 +286,34 @@ def test_positive_correction_gains_are_oracle_differences_on_random_forests(
                            minlength=forest.n_comms)
         most_cuts = max(most_cuts, int(cuts.max()))
     assert most_cuts >= 3  # several pieces of one community were priced
+
+
+def _assert_is_extraction(forest):
+    """A forest a phase derived from its labels equals a fresh
+    ``extract_components`` of its pointers."""
+    fresh = extract_components(forest.a)
+    assert forest.n_comms == fresh.n_comms
+    np.testing.assert_array_equal(forest.comm, fresh.comm)
+    np.testing.assert_array_equal(forest.on_cycle, fresh.on_cycle)
+
+
+def test_debug_validate_flags_a_stale_component_labeling():
+    # the derived forests are checked against a fresh extraction only here:
+    # one wrong community label, or one wrong cycle flag, is reported
+    n, edges = two_triangles()
+    g = build_graph(n, edges)
+    st = strengths(g)
+    forest = extract_components(np.array([1, 0, 0, 4, 3, 3]))  # 2-cycles
+    comm = forest.comm.copy()
+    comm[2] = 1
+    on_cycle = forest.on_cycle.copy()
+    on_cycle[0] = False
+    stale = ["hand: stale component labeling"]
+    for bad, want in ((forest, []), (replace(forest, comm=comm), stale),
+                      (replace(forest, on_cycle=on_cycle), stale)):
+        stats = RunStats()
+        _debug_validate(g, st, bad, "hand", stats, unresolved=None)
+        assert stats.debug_failures == want
 
 
 def test_debug_validate_flags_cycles_longer_than_two():
@@ -489,6 +519,43 @@ def test_price_rounds_are_exact_and_bounded(seed, scale, unit, loops, chain):
         assert np.unique(mp.frm).size == mp.frm.size
         priced += mp.nodes.size
     assert priced <= reached + n
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=strategies.integers(0, 2**31),
+       shape=strategies.sampled_from(("chain", "two-cycles", "three-cycles")),
+       accept_prob=strategies.sampled_from((1.0, 0.5)))
+def test_maximal_correction_forest_is_a_fresh_extraction(seed, shape,
+                                                         accept_prob):
+    # the forest a sweep hands back is derived from its labels and the old
+    # cycle flags; it must equal a fresh extraction, sweep after sweep, on
+    # chains, 2-cycles and hand-built 3-cycles (which run never makes)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 40))
+    edges = random_edges(rng, n, density=float(rng.uniform(0.05, 0.4)))
+    if shape == "chain":
+        edges += [(i, i + 1, 1.0) for i in range(n - 1)]
+    g = build_graph(n, edges)
+    st = strengths(g)
+    if shape == "chain":
+        a = np.where(rng.random(n) < 0.15, np.arange(n),
+                     np.maximum(np.arange(n) - 1, 0))
+    else:
+        a = _random_pointers(rng, g, int(rng.integers(0, 3)))
+    if shape == "three-cycles":
+        for _ in range(int(rng.integers(1, 3))):
+            i, j, k = rng.choice(n, size=3, replace=False)
+            a[[i, j, k]] = [j, k, i]
+    forest = extract_components(a)
+    config = RunConfig(seed=seed % 97, accept_prob=accept_prob)
+    stats = RunStats()
+    for sweep in range(4):
+        forest, improved, _, _ = maximal_correction(g, st, forest, config, 0,
+                                                    sweep, None, stats)
+        _assert_is_extraction(forest)
+        if not improved:
+            break
+    assert stats.debug_failures == []
 
 
 def test_debug_flags_a_move_priced_against_a_stale_target(monkeypatch):

@@ -56,13 +56,6 @@ def test_random_functional_graphs_match_oracles():
             assert seen == set(cyc.tolist())
 
 
-def test_members_grouping():
-    a = np.array([1, 0, 1, 2])
-    forest = extract_components(a)
-    groups = forest.community_members()
-    assert [g.tolist() for g in groups] == [[0, 1, 2, 3]]
-
-
 def test_reverse_assignment():
     a = np.array([1, 1, 1, 2])
     ptr, kids = reverse_assignment(a)

@@ -148,7 +148,7 @@ def test_local_gain_is_exact_score_difference():
 
 
 def test_pair_gain_is_symmetric_bit_for_bit(rng):
-    # the premise of the no-cycle-above-2 proof in detector._split_community
+    # the premise of the no-cycle-above-2 proof in detector.positive_correction
     for n in (3, 9, 20, 40):
         g, st_ = make(n, random_edges(rng, n, density=0.3, self_loops=True))
         u = g.neighbor_union()

@@ -51,6 +51,15 @@ def corpus():
     yield "self-loops", Graph.from_edges(20, loops, loops, loops + 0.5)
     yield "mostly-isolated", Graph.from_edges(
         50, [3, 4, 17, 40], [4, 3, 40, 41], [1.0, 2.5, 0.75, 1.0])
+    # a unit path, alone and with 40 chords between non-adjacent nodes:
+    # the shapes with the deepest pointer tails and chains
+    path = np.arange(299)
+    yield "path", Graph.from_edges(300, path, path + 1, np.ones(299))
+    src = rng.integers(0, 300, 40)
+    dst = (src + rng.integers(2, 299, 40)) % 300
+    yield "path-chords", Graph.from_edges(
+        300, np.concatenate([path, src]), np.concatenate([path + 1, dst]),
+        np.ones(339))
 
 
 def bits(x):
