@@ -17,10 +17,10 @@ two keeps every normal weight's bits.
 Every sweep plans all candidate moves from a frozen snapshot of the
 current partition, then applies them in a fixed serial order.  Planning is
 row-local: ``_best_targets`` is the one row kernel (the assignment is its
-plan on singletons), and ``_map_rows`` the one place that splits rows
-across threads, into contiguous pieces of the planned rows of about equal
-entry count, none below ``MIN_PIECE_ENTRIES``.  Within a level only rows
-touching a changed community are planned again (``_Frontier``); the first
+plan on singletons), and ``_map_rows`` the one place that splits rows,
+into contiguous pieces of the planned rows of at most ``PIECE_ENTRIES``
+union entries, which the threads share round-robin.  Within a level only
+rows touching a changed community are planned again (``_Frontier``); the first
 sweep plans every row through that same path.  The commit applies the
 moves the coin accepted in ascending node order, skipping a move whose
 source an earlier move touched.  It prices them in rounds of one numpy
@@ -53,10 +53,15 @@ from .quality import (CommunityAggregates, gain_switch, join_gain, local_gains,
 from .rng import uniform01
 
 MAX_SWEEPS = 100  # maximal-correction sweeps per level
-# union entries per piece below which a second thread costs more than it
-# saves: on a 2-vCPU x86 machine, planning 2**14 entries took 1.5 ms on one
-# thread and 2.2 ms split over two, and the split first won near 3 * 10**4
-MIN_PIECE_ENTRIES = 2**14
+# the most union entries of a plan piece of two or more rows (see _map_rows);
+# the pieces average about half of it, so the plan's temporaries, 8 bytes
+# per entry each, stay near 128 KiB and come back from the heap instead of
+# being page-faulted in again every sweep.  Threads-1 detect, 12 graphs of
+# each benchmark shape on a 2-vCPU 2.1 GHz Xeon VM, median time relative
+# to 2**15 (mixed / file / sparse): 2**13 1.26 / 1.18 / 1.09, 2**14
+# 1.11 / 1.08 / 1.06, 2**16 1.01 / 0.99 / 1.00 but 82 minor faults per
+# sparse run against 2, 2**17 about 5k
+PIECE_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -109,20 +114,35 @@ class RunResult:
 
 class _Pool:
     """Thin thread-pool wrapper; parallelism is an implementation detail
-    and never changes results because work is split on row boundaries."""
+    and never changes results because work is split on row boundaries.
+    The calling thread is one of the ``threads``: it runs its own share of
+    the items while ``threads - 1`` workers run theirs."""
 
     def __init__(self, threads):
-        self.parts = threads
-        self._ex = ThreadPoolExecutor(threads) if threads > 1 else None
+        self.threads = threads
+        self._ex = ThreadPoolExecutor(threads - 1) if threads > 1 else None
 
     def map(self, fn, items):
+        """``[fn(it) for it in items]``.  With k threads, thread j runs
+        items j, j + k, j + 2k, ..., so a worker is handed one share of the
+        items, not one item at a time."""
         items = list(items)
-        if self._ex is None or len(items) <= 1:
+        k = min(self.threads, len(items))
+        if k <= 1:
             return [fn(it) for it in items]
-        # each item runs in a copy of the caller's context, which carries
-        # numpy's error state (``np.errstate``) into the workers
-        ctxs = [contextvars.copy_context() for _ in items]
-        return list(self._ex.map(lambda c, it: c.run(fn, it), ctxs, items))
+
+        def run(share):
+            return [fn(it) for it in share]
+
+        # a worker runs its share in a copy of the caller's context, which
+        # carries numpy's error state (``np.errstate``) into it
+        futs = [self._ex.submit(contextvars.copy_context().run, run,
+                                items[j::k]) for j in range(1, k)]
+        out = [None] * len(items)
+        out[0::k] = run(items[0::k])
+        for j, fut in enumerate(futs, 1):
+            out[j::k] = fut.result()
+        return out
 
     def close(self):
         if self._ex is not None:
@@ -130,24 +150,24 @@ class _Pool:
 
 
 def _map_rows(graph, pool, fn, rows):
-    """Cut the ascending ``rows`` into contiguous pieces, one per thread but
-    at most one per ``MIN_PIECE_ENTRIES`` union entries, run ``fn(lo, hi,
-    piece)`` on each nonempty piece, ``[lo, hi)`` being its span, and
-    concatenate the results in row order.  A row goes to the piece its
-    entries' midpoint falls in, so each cut lies within half a row's
-    entries of an equal split of the union entries of ``rows``."""
-    pool = pool or _Pool(1)
+    """Cut the ascending ``rows`` into contiguous pieces of at most
+    ``PIECE_ENTRIES`` union entries, whatever the thread count, run ``fn(lo,
+    hi, piece)`` on each piece through ``pool``, ``[lo, hi)`` being its
+    span, and concatenate the results in row order.  A row goes to the piece
+    its entries' midpoint falls in, the pieces tiling the entries of
+    ``rows`` in steps of ``PIECE_ENTRIES / 2``.  The midpoints of a piece's
+    first and last rows are less than a step apart, and each lies at least
+    half its row beyond the other's row, so a piece of two or more rows
+    holds fewer than ``PIECE_ENTRIES`` entries; a larger row is a piece of
+    its own."""
+    if rows.size == 0:
+        return np.empty(0, dtype=np.int64)
     ptr = graph.neighbor_union().ptr
     size = ptr[rows + 1] - ptr[rows]
-    total = int(size.sum())
-    parts = max(1, min(pool.parts, total // MIN_PIECE_ENTRIES))
     mid2 = 2 * np.cumsum(size) - size  # twice each row's entry midpoint
-    cuts = np.searchsorted(mid2 * parts, 2 * total * np.arange(1, parts))
-    pieces = [p for p in np.split(rows, cuts) if p.size]
-    if not pieces:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(pool.map(
-        lambda p: fn(int(p[0]), int(p[-1]) + 1, p), pieces))
+    cuts = np.flatnonzero(np.diff(mid2 // PIECE_ENTRIES)) + 1
+    return np.concatenate((pool or _Pool(1)).map(
+        lambda p: fn(int(p[0]), int(p[-1]) + 1, p), np.split(rows, cuts)))
 
 
 def _smallest_members(labels):

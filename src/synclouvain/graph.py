@@ -162,7 +162,12 @@ def _merge_pairs(n, ncols, row, nbr, w):
                          "pair key")
     key = row * np.int64(ncols) + nbr
     order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    key = key[order]
+    # a group starts where the sorted key changes, and at the first pair
+    starts = np.empty(key.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
     w = np.add.reduceat(w[order], starts)
     order = order[starts]
     ptr = np.r_[0, np.cumsum(np.bincount(row[order], minlength=n))]
@@ -218,6 +223,7 @@ def load_edge_list(path: str) -> Graph:
     edges = _bulk_edges(raw)
     if edges is None:
         edges = _parse_edge_lines(_text_lines(raw))
+    del raw  # the sort in from_edges needs the parsed edges only
     return Graph.from_edges(*edges)
 
 
@@ -267,7 +273,7 @@ def _bulk_rows(raw, dtypes):
     caller falls back to its line parser on them too."""
     if b"\r" in raw:  # universal newlines, as the line parser reads
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    comments, pieces, start = [], [], 0
+    lines = []  # the comment lines
     pos = raw.find(b"#")
     while pos >= 0:
         bol = raw.rfind(b"\n", 0, pos) + 1
@@ -276,28 +282,33 @@ def _bulk_rows(raw, dtypes):
         eol = raw.find(b"\n", pos)
         if eol < 0:
             eol = len(raw)
-        try:
-            comments.append(raw[bol:eol].decode("utf-8").strip())
-        except UnicodeDecodeError:
-            return None
-        pieces.append(raw[start:bol])
-        start = eol
+        lines.append(raw[bol:eol])
         pos = raw.find(b"#", eol)
-    pieces.append(raw[start:])
-    data = b"".join(pieces)
-    if data.translate(None, _ROW_CHARS):
+    try:
+        comments = [line.decode("utf-8").strip() for line in lines]
+    except UnicodeDecodeError:
         return None
-    if not data or data.isspace():  # no rows, where loadtxt would warn
-        return np.empty(0, dtypes[0]), comments
+    # the other lines hold row characters only iff deleting those from the
+    # whole file leaves what it leaves of the comment lines; a check on the
+    # file in place, as a copy without the comments would double the bytes
+    # alive while loadtxt parses
+    lines = b"".join(lines)
+    if raw.translate(None, _ROW_CHARS) != lines.translate(None, _ROW_CHARS):
+        return None
     for dtype in dtypes:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                rows = np.loadtxt(io.BytesIO(data), dtype=dtype,
-                                  comments=None, ndmin=1, encoding="ascii")
+                rows = np.loadtxt(io.BytesIO(raw), dtype=dtype, comments="#",
+                                  ndmin=1, encoding="utf-8")
         except (ValueError, Warning):
             continue
         return rows, comments
+    # loadtxt warns on a file without rows: only spaces, tabs and newlines
+    # outside the comment lines
+    if (len(raw.translate(None, b" \t\n"))
+            == len(lines.translate(None, b" \t\n"))):
+        return np.empty(0, dtypes[0]), comments
     return None
 
 

@@ -148,7 +148,7 @@ def gain_insert(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,
     u = graph.neighbor_union()
     lo, hi = u.ptr[i], u.ptr[i + 1]
     sel = labels[u.nbr[lo:hi]] == c
-    wsum = float(u.w[lo:hi][sel].sum())
+    wsum = segment_total(u.w[lo:hi][sel])
     return join_gain(st.m_w, wsum, st.s_out[i], st.s_in[i],
                      agg.s_out[c], agg.s_in[c])
 

@@ -395,48 +395,95 @@ def test_changed_nodes_matches_member_set_brute_force(rng):
         np.testing.assert_array_equal(_changed_nodes(old, new), expect)
 
 
-def test_map_rows_balances_entries_of_the_given_rows(rng, monkeypatch):
-    monkeypatch.setattr(detector, "MIN_PIECE_ENTRIES", 1)
-    g = build_graph(60, random_edges(rng, 60, density=0.2))
-    ptr = g.neighbor_union().ptr
-    rows = np.flatnonzero(rng.random(60) < 0.5)
-    rows = rows[rows < 25]  # concentrated in low ids
+def _pieces_of(g, pool, rows):
+    """The (lo, hi, piece) calls ``_map_rows`` makes on ``rows``, after
+    checking that it returns the pieces' results in row order."""
     seen = []
 
     def fn(lo, hi, piece):
         seen.append((lo, hi, piece))
         return piece
 
-    pool = _Pool(2)
-    try:
-        out = _map_rows(g, pool, fn, rows)
-        empty = _map_rows(g, pool, fn, np.empty(0, dtype=np.int64))
-    finally:
-        pool.close()
+    out = _map_rows(g, pool, fn, rows)
+    assert out.dtype == np.int64
     np.testing.assert_array_equal(out, rows)
-    assert len(seen) == 2
-    for lo, hi, piece in seen:
-        assert (lo, hi) == (piece[0], piece[-1] + 1)
-    entries = [int((ptr[p + 1] - ptr[p]).sum()) for _, _, p in seen]
-    assert abs(entries[0] - entries[1]) <= int(np.diff(ptr)[rows].max())
-    assert empty.size == 0 and empty.dtype == np.int64
+    return sorted(seen, key=lambda call: call[0])
+
+
+def test_map_rows_balances_entries_of_the_given_rows(rng, monkeypatch):
+    # pieces are cut by the entries of the given rows, not of all rows: at
+    # most PIECE_ENTRIES each unless a single row, about 2 * total / PIECE
+    # of them, contiguous, ascending and together the input
+    g = build_graph(60, random_edges(rng, 60, density=0.2))
+    ptr = g.neighbor_union().ptr
+    rows = np.flatnonzero(rng.random(60) < 0.5)
+    rows = rows[rows < 25]  # concentrated in low ids
+    total = int((ptr[rows + 1] - ptr[rows]).sum())
+    for threads in (1, 2):
+        pool = _Pool(threads)
+        try:
+            for piece in (1, 7, 16, 50, total // 3, total, 2**14):
+                monkeypatch.setattr(detector, "PIECE_ENTRIES", piece)
+                seen = _pieces_of(g, pool, rows)
+                assert len(seen) <= 2 * total // piece + 1
+                np.testing.assert_array_equal(
+                    np.concatenate([p for _, _, p in seen]), rows)
+                for lo, hi, p in seen:
+                    assert (lo, hi) == (p[0], p[-1] + 1)
+                    assert p.size == 1 or int(
+                        (ptr[p + 1] - ptr[p]).sum()) <= piece
+                assert _pieces_of(g, pool, np.empty(0, dtype=np.int64)) == []
+        finally:
+            pool.close()
 
 
 def test_map_rows_runs_small_frontiers_as_one_piece(rng, monkeypatch):
+    # one piece while the rows hold at most PIECE_ENTRIES / 2 entries, at
+    # any thread count; twice that many entries make two pieces
     g = build_graph(60, random_edges(rng, 60, density=0.2))
     rows = np.arange(60)
     entries = int(g.neighbor_union().ptr[-1])
-    pool = _Pool(2)
+    for threads in (1, 2):
+        pool = _Pool(threads)
+        try:
+            for piece, pieces in ((2 * entries, 1), (entries, 2)):
+                monkeypatch.setattr(detector, "PIECE_ENTRIES", piece)
+                assert len(_pieces_of(g, pool, rows)) == pieces
+        finally:
+            pool.close()
+
+
+def test_map_rows_plan_bits_do_not_depend_on_the_piece_size(monkeypatch):
+    # the plan of random rows under random labels, on random graphs (a
+    # third unit-weight), has the same bytes for any piece size and thread
+    # count
+    rng = np.random.default_rng(23)
+    pools = {t: _Pool(t) for t in (1, 2)}
     try:
-        for least, pieces in ((entries // 2 + 1, 1), (entries // 2, 2)):
-            monkeypatch.setattr(detector, "MIN_PIECE_ENTRIES", least)
-            seen = []
-            out = _map_rows(g, pool, lambda lo, hi, p: seen.append(p) or p,
-                            rows)
-            np.testing.assert_array_equal(out, rows)
-            assert len(seen) == pieces
+        for t in range(24):
+            n = int(rng.integers(2, 80))
+            edges = random_edges(rng, n, density=float(rng.uniform(0.03, 0.4)),
+                                 self_loops=t % 2 == 1)
+            if t % 3 == 0:
+                edges = [(i, j, 1.0) for i, j, _ in edges]
+            g = build_graph(n, edges)
+            st = strengths(g)
+            k = int(rng.integers(1, n + 1))
+            labels = rng.integers(0, k, n)
+            agg = CommunityAggregates.from_labels(st, labels, k)
+            rows = (np.flatnonzero(rng.random(n) < 0.7) if t % 4
+                    else np.arange(n))
+            got = set()
+            for piece in (1, 7, 2**14):
+                monkeypatch.setattr(detector, "PIECE_ENTRIES", piece)
+                for pool in pools.values():
+                    got.add(_map_rows(g, pool, lambda lo, hi, r: (
+                        detector._best_targets(g, st, labels, agg, lo, hi, r)),
+                        rows).tobytes())
+            assert len(got) == 1
     finally:
-        pool.close()
+        for pool in pools.values():
+            pool.close()
 
 
 def _random_pointers(rng, g, two_cycles):

@@ -158,6 +158,7 @@ def test_bulk_path_matches_line_parser(tmp_path_factory, data):
     "0 1 1.7976931348623157e308\n",
     "",
     "# only a comment\n# nodes 4\n",
+    "# caf\u00e9, non-ASCII in a comment\n0 1 2.5\n",
 ])
 def test_bulk_path_reads_the_common_shapes(tmp_path, text):
     _assert_paths_agree(tmp_path, text, bulk=True)

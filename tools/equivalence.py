@@ -98,15 +98,20 @@ def largest_gap(f, keys, old, new):
     return f"; max |diff| {max(gaps):.3g}" if gaps else ""
 
 
+def extract_src(rev, tmp):
+    """``src/`` of this repository at ``rev``, extracted under ``tmp``."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                         check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", tmp], input=tar, check=True)
+    return Path(tmp) / "src"
+
+
 def main(rev):
     with tempfile.TemporaryDirectory() as tmp:
-        tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
-                             check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=tar, check=True)
         procs = [subprocess.Popen(
             [sys.executable, __file__, "--dump"], stdout=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": str(src)})
-            for src in (Path(tmp) / "src", ROOT / "src")]
+            for src in (extract_src(rev, tmp), ROOT / "src")]
         outs = [p.communicate()[0] for p in procs]
     if any(p.returncode for p in procs):
         sys.exit("a corpus run failed")
