@@ -263,21 +263,21 @@ def find_assignment(graph, st, pool=None):
 def positive_correction(graph, st, forest, stats=None, memo=None):
     """Split every community that still contains a member with negative
     local gain, as long as some single cut strictly improves the score.
-    Returns (forest, splits, unresolved, gains, left): the forest of the
-    cut pointers, the gain of each applied cut, the count of negative-gain
-    members no cut could repair, and a mask of the nodes of the pieces
-    holding them.  Only the local gains of nodes changed since the level's
+    Returns (forest, unresolved, gains, left): the forest of the cut
+    pointers, the count of negative-gain members no cut could repair, the
+    gain of each applied cut, and a mask of the nodes of the pieces holding
+    them.  Only the local gains of nodes changed since the level's
     ``memo`` last saw them are recomputed; a ``stats`` turns on the
     comparison with a full recompute.
 
     One stack of pieces, seeded with the bad communities so that the
     smallest label is popped first, is bisected until no piece holds a
-    negative local gain that a cut repairs; each piece carries its members
-    and its cycle nodes, both ascending.  Pieces are labels of the scratch
-    labeling ``labels``, and ``agg`` holds their aggregates, with room for
-    a label per node.  A cut moves the detached nodes to the next label of
-    the counter ``fresh``, so it is a maximal-correction commit to an
-    empty community: ``local_gains`` tests a piece, ``gain_switch(...,
+    negative local gain that a cut repairs; each piece carries its members,
+    ascending, and the flags ``cycle`` mark every piece's cycle nodes.
+    Pieces are labels of the scratch labeling ``labels``, and ``agg`` holds
+    their aggregates, with room for a label per node.  A cut moves the
+    detached nodes to the next label of the counter ``fresh``, so it is a
+    maximal-correction commit to an empty community: ``local_gains`` tests a piece, ``gain_switch(...,
     to=None)`` prices a cut and ``agg.move_nodes`` applies it, each linear
     in the piece's rows.  Only the bad communities' nodes change in ``a``,
     ``labels`` and ``agg``.
@@ -309,8 +309,10 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
 
     The returned forest takes no second extraction: its components are the
     pieces, and since a cut only self-assigns its cut nodes, each cut node
-    becomes a 1-cycle and no node leaves a cycle, so the cycle nodes are
-    the old ones plus every self-assigned node."""
+    becomes a 1-cycle and no node leaves a cycle.  A branch cut's node
+    becomes the detached piece's cycle, and a 2-cycle cut splits the cycle
+    between the two pieces, so ``cycle`` flags the old cycle nodes plus the
+    last node of every cut, the detached piece's root."""
     if memo is None:
         memo = _Frontier(graph.n)
     comm = forest.comm
@@ -326,34 +328,34 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
     left = np.zeros(graph.n, dtype=bool)
     bad = np.unique(comm[lg < 0.0])
     if bad.size == 0:
-        return forest, 0, 0, [], left
+        return forest, 0, [], left
     order = np.argsort(comm, kind="stable")
     lo, hi = np.searchsorted(comm[order], [bad, bad + 1]).tolist()
-    stack = []  # (label, members, cycle nodes) of the pieces left to split
-    for c, i, j in zip(bad.tolist(), lo, hi):
-        mem = order[i:j]
-        stack.append((c, mem, tuple(mem[forest.on_cycle[mem]].tolist())))
+    # (label, members) of the pieces left to split
+    stack = [(c, order[i:j]) for c, i, j in zip(bad.tolist(), lo, hi)]
     stack.reverse()
     rptr, rkids = reverse_assignment(forest.a)
     a = forest.a.copy()
     labels = comm.copy()
+    cycle = forest.on_cycle.copy()
     seen = np.zeros(graph.n, dtype=bool)
     fresh = itertools.count(forest.n_comms)
     gains = []
     unresolved = 0
     while stack:
-        c, mem, cyc = stack.pop()
+        c, mem = stack.pop()
         if mem.size <= 1:
             continue
         g = local_gains(graph, st, labels, agg, mem)
         if not (g < 0.0).any():
             continue
-        cuts = [(x,) for x in mem.tolist() if x not in cyc]
-        if len(cyc) == 2:
-            cuts.append(cyc)  # tried only when no branch cut improves
+        cyc = mem[cycle[mem]]
+        cuts = [(x,) for x in mem[~cycle[mem]].tolist()]
+        if cyc.size == 2:
+            cuts.append(tuple(cyc.tolist()))  # only if no branch cut improves
         best_gain = 0.0
         best = None  # (detached nodes, pointer sources to self-assign)
-        seen[list(cyc)] = True
+        seen[cyc] = True
         for cut in cuts:
             if len(cut) == 2 and best is not None:
                 break
@@ -363,7 +365,7 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
             if gsp > best_gain:
                 best_gain = gsp
                 best = (b_nodes, cut)
-        seen[list(cyc)] = False
+        seen[cyc] = False
         if best is None:
             unresolved += int((g < 0.0).sum())
             left[mem] = True
@@ -371,18 +373,16 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
         b_nodes, cut = best
         for x in cut:
             a[x] = x
+        cycle[cut[-1]] = True
         gains.append(best_gain)
         b = next(fresh)
         labels[b_nodes] = b
         agg.move_nodes(st, b_nodes, c, b)
-        # the detached piece's cycle is its self-assigned root cut[-1]
-        stack.append((c, mem[labels[mem] == c],
-                      tuple(x for x in cyc if x != cut[-1])))
-        stack.append((b, b_nodes, (cut[-1],)))
+        stack.append((c, mem[labels[mem] == c]))
+        stack.append((b, b_nodes))
     if gains:
-        forest = AssignmentForest.from_labels(
-            a, labels, forest.on_cycle | (a == np.arange(graph.n)))
-    return forest, len(gains), unresolved, gains, left
+        forest = AssignmentForest.from_labels(a, labels, cycle)
+    return forest, unresolved, gains, left
 
 
 # -------------------------------------------------------- maximal correction
@@ -397,8 +397,10 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows):
     entry order (pairwise beyond 8 terms, so the sum is fixed by the row's
     own entries), and returns the groups sorted by community with their
     row pointer, so ``_first_max`` breaks ties to the lowest community
-    label.  ``[lo, hi)`` spans ``rows``; it is not read here, and stays so
-    that ``perfbench/spans.py`` can count the entries a call covers."""
+    label.  It also returns each group's row ``g_pos``, the position of
+    the group's node in ``rows``, which picks the group's per-row values.
+    ``[lo, hi)`` spans ``rows``; it is not read here, and stays so that
+    ``perfbench/spans.py`` can count the entries a call covers."""
     m = st.m_w
     pos, nbr, wsum = graph.neighbor_union().gather(rows)
     cstar = labels[rows]
@@ -409,9 +411,8 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows):
     si_r = st.s_in[rows]
     t_stay = join_gain(m, 0.0, so_r, si_r, agg.s_out[cstar] - so_r,
                        agg.s_in[cstar] - si_r)
-    gptr, g_comm, gsum = _merge_pairs(rows.size, agg.n_comms, pos,
-                                      labels[nbr], wsum)
-    g_pos = np.repeat(np.arange(rows.size), np.diff(gptr))
+    gptr, g_pos, g_comm, gsum = _merge_pairs(rows.size, agg.n_comms, pos,
+                                             labels[nbr], wsum)
     own = g_comm == cstar[g_pos]
     so_i = so_r[g_pos]
     si_i = si_r[g_pos]
@@ -778,10 +779,10 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
 
     def positive(forest):
         clock["t"] = time.perf_counter()
-        forest, splits, unresolved, gains, left = positive_correction(
+        forest, unresolved, gains, left = positive_correction(
             g, st, forest, debug, memo)
         tick("positive")
-        stats.accepted_splits += splits
+        stats.accepted_splits += len(gains)
         stats.unresolved_negative += unresolved
         record(gains)
         if config.debug_checks:

@@ -1,8 +1,8 @@
-"""Directed weighted graphs in compressed sparse row form.
+"""Directed weighted graphs as sorted edge rows.
 
 A graph is immutable once built. Its forward (out-neighbor) adjacency is one
-canonical edge multiset: parallel edges merged, neighbor lists sorted by id,
-weights finite positive doubles.
+canonical edge multiset: parallel edges merged, edges sorted by source, then
+destination, weights finite positive doubles.
 Self-loops are legal. Because the form is canonical, graph equality is plain
 array equality, which the determinism suite relies on.
 """
@@ -74,17 +74,21 @@ class NeighborUnion:
 
 
 class Graph:
-    """Immutable directed weighted graph; dense 0-based node ids."""
+    """Immutable directed weighted graph; dense 0-based node ids.
 
-    def __init__(self, n, out_ptr, out_dst, out_w):
+    Edge e runs from ``out_src[e]`` to ``out_dst[e]`` with weight
+    ``out_w[e]``; the rows are read-only and sorted by (source,
+    destination), each pair once.  Every kernel reads the edges in this
+    form; the per-node view is the cached ``neighbor_union``."""
+
+    def __init__(self, n, out_src, out_dst, out_w):
         self.n = int(n)
-        self.out_ptr = out_ptr
+        self.out_src = out_src
         self.out_dst = out_dst
         self.out_w = out_w
-        for arr in (out_ptr, out_dst, out_w):
+        for arr in (out_src, out_dst, out_w):
             arr.setflags(write=False)
         self._union: NeighborUnion | None = None
-        self._rows: np.ndarray | None = None
 
     @property
     def edge_count(self) -> int:
@@ -111,20 +115,11 @@ class Graph:
             if not np.isfinite(w).all() or (w <= 0).any():
                 raise ValueError("edge weights must be finite and positive")
         with np.errstate(over="ignore"):  # an inf total is rejected below
-            ptr, dst, w = _merge_pairs(n, n, src, dst, w)
+            _, src, dst, w = _merge_pairs(n, n, src, dst, w)
             total = w.sum()
         if not np.isfinite(total):
             raise ValueError("edge weights must sum to a finite total")
-        return cls(n, ptr, dst, w)
-
-    def edge_rows(self) -> np.ndarray:
-        """Source node per forward edge (cached)."""
-        if self._rows is None:
-            rows = np.repeat(np.arange(self.n, dtype=np.int64),
-                             np.diff(self.out_ptr))
-            rows.setflags(write=False)
-            self._rows = rows
-        return self._rows
+        return cls(n, src, dst, w)
 
     def neighbor_union(self) -> NeighborUnion:
         if self._union is None:
@@ -136,17 +131,20 @@ class Graph:
             return NotImplemented
         return self.n == other.n and all(
             np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("out_ptr", "out_dst", "out_w"))
+            for name in ("out_src", "out_dst", "out_w"))
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
 def _merge_pairs(n, ncols, row, nbr, w):
-    """CSR form (ptr, nbr, w) of the (row, nbr, w) triples, 0 <= row < n and
-    0 <= nbr < ncols: sorted by row, then neighbor, with the weights of
-    equal pairs summed.  This is the one sort-and-merge kernel: the graph,
-    its union and the plan's per-row community sums are all built here.
+    """(ptr, row, nbr, w) of the (row, nbr, w) triples, 0 <= row < n and
+    0 <= nbr < ncols, merged: one triple per distinct (row, nbr) pair,
+    sorted by row, then neighbor, with the weights of equal pairs summed,
+    and ``ptr`` the CSR pointer of the merged rows (row i's triples are
+    ``ptr[i]:ptr[i + 1]``).  This is the one sort-and-merge kernel: the
+    graph, its union and the plan's per-row community sums are all built
+    here.
 
     Pairs are grouped by a stable sort of the key row * ncols + nbr, which
     orders them as (row, nbr) does and keeps input order inside each group.
@@ -170,19 +168,19 @@ def _merge_pairs(n, ncols, row, nbr, w):
     starts = np.flatnonzero(starts)
     w = np.add.reduceat(w[order], starts)
     order = order[starts]
-    ptr = np.r_[0, np.cumsum(np.bincount(row[order], minlength=n))]
-    return ptr, nbr[order], w
+    row = row[order]
+    ptr = np.r_[0, np.cumsum(np.bincount(row, minlength=n))]
+    return ptr, row, nbr[order], w
 
 
 def _build_union(g: Graph) -> NeighborUnion:
     # edge i -> j enters as (i, j) and as (j, i); as the edges are merged, a
     # (row, nbr) group holds at most one of each, and sums W(i, j) + W(j, i)
-    rows = g.edge_rows()
-    keep = g.out_dst != rows
-    src, dst, w = rows[keep], g.out_dst[keep], g.out_w[keep]
-    ptr, nbr, wsum = _merge_pairs(g.n, g.n, np.concatenate([src, dst]),
-                                  np.concatenate([dst, src]),
-                                  np.concatenate([w, w]))
+    keep = g.out_dst != g.out_src
+    src, dst, w = g.out_src[keep], g.out_dst[keep], g.out_w[keep]
+    ptr, _, nbr, wsum = _merge_pairs(g.n, g.n, np.concatenate([src, dst]),
+                                     np.concatenate([dst, src]),
+                                     np.concatenate([w, w]))
     for arr in (ptr, nbr, wsum):
         arr.setflags(write=False)
     return NeighborUnion(ptr, nbr, wsum)
@@ -195,13 +193,12 @@ def _unit_scaled(g: Graph) -> Graph:
     gain are ratios of weights to m_w and do not change.  Multiplying by a
     power of two is exact while the product stays normal, so inputs that
     differ only by such a factor give the same copy, bit for bit.  The copy
-    shares the structure, the edge rows and the union's ``ptr`` and ``nbr``;
-    the union is built on ``g``, where it stays cached."""
+    shares ``out_src``, ``out_dst`` and the union's ``ptr`` and ``nbr``; the
+    union is built on ``g``, where it stays cached."""
     # ldexp, because the factor 2**-e alone overflows when m_w is subnormal
     shift = -math.frexp(float(g.out_w.sum()))[1]
     u = g.neighbor_union()
-    out = Graph(g.n, g.out_ptr, g.out_dst, np.ldexp(g.out_w, shift))
-    out._rows = g.edge_rows()
+    out = Graph(g.n, g.out_src, g.out_dst, np.ldexp(g.out_w, shift))
     w = np.ldexp(u.w, shift)
     w.setflags(write=False)
     out._union = NeighborUnion(u.ptr, u.nbr, w)
@@ -235,7 +232,6 @@ _ROW_CHARS = b"0123456789+-.eE \t\n"
 _EDGE_ROWS = (np.dtype([("src", np.int64), ("dst", np.int64),
                         ("w", np.float64)]),
               np.dtype([("src", np.int64), ("dst", np.int64)]))
-_PARTITION_ROWS = (np.dtype([("node", np.int64), ("comm", np.int64)]),)
 _WRITE_BLOCK = 2**14  # rows per write of dump_edge_list
 
 
@@ -245,13 +241,13 @@ def _text_lines(raw):
     return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
 
 
-def _bulk_rows(raw, dtypes):
-    """The rows of the file contents ``raw`` as one structured array,
-    parsed by one ``np.loadtxt`` call, and its comment lines, decoded and
-    stripped.
+def _bulk_rows(raw):
+    """The rows of the edge-list contents ``raw`` as one structured array
+    of an ``_EDGE_ROWS`` dtype, parsed by one ``np.loadtxt`` call, and its
+    comment lines, decoded and stripped.
 
     This is the one place that decides whether a file's format lets it skip
-    its line parser.  It returns None, and the caller re-parses ``raw`` line
+    the line parser.  It returns None, and the caller re-parses ``raw`` line
     by line, unless the line parser would read the same rows with the same
     values:
 
@@ -264,7 +260,8 @@ def _bulk_rows(raw, dtypes):
       field takes what ``int`` takes or fails, and a float64 field converts
       as ``float`` does (loadtxt calls the same ``PyOS_string_to_double``);
     - every row has as many tokens as the fields of one dtype of
-      ``dtypes``, tried in order; loadtxt raises on a row that does not;
+      ``_EDGE_ROWS``, tried in order; loadtxt raises on a row that does
+      not;
     - loadtxt warns about nothing: numpy before 2.0 parses `1.0` into an
       int64 field with a DeprecationWarning, where ``int`` fails.
 
@@ -295,7 +292,7 @@ def _bulk_rows(raw, dtypes):
     lines = b"".join(lines)
     if raw.translate(None, _ROW_CHARS) != lines.translate(None, _ROW_CHARS):
         return None
-    for dtype in dtypes:
+    for dtype in _EDGE_ROWS:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -308,7 +305,7 @@ def _bulk_rows(raw, dtypes):
     # outside the comment lines
     if (len(raw.translate(None, b" \t\n"))
             == len(lines.translate(None, b" \t\n"))):
-        return np.empty(0, dtypes[0]), comments
+        return np.empty(0, _EDGE_ROWS[0]), comments
     return None
 
 
@@ -328,7 +325,7 @@ def _node_count(comment):
 def _bulk_edges(raw):
     """(n, src, dst, w) of an edge list by the bulk path, or None where
     the line parser must read it."""
-    parsed = _bulk_rows(raw, _EDGE_ROWS)
+    parsed = _bulk_rows(raw)
     if parsed is None:
         return None
     rows, comments = parsed
@@ -409,19 +406,19 @@ def _parse_edge_lines(lines):
 
 def dump_edge_list(graph: Graph, path: str, header_lines=()) -> None:
     """Write the canonical edge list: `# nodes N`, then `src dst %.17g` rows."""
-    rows, dst, w = graph.edge_rows(), graph.out_dst, graph.out_w
+    src, dst, w = graph.out_src, graph.out_dst, graph.out_w
     with open(path, "w", encoding="utf-8") as handle:
         handle.writelines(f"# {h}\n" for h in header_lines)
         handle.write(f"# nodes {graph.n}\n")
         # formats plain values, a block at a time to bound the text held
-        for lo in range(0, rows.size, _WRITE_BLOCK):
+        for lo in range(0, src.size, _WRITE_BLOCK):
             part = slice(lo, lo + _WRITE_BLOCK)
             handle.write("".join(map("%d %d %.17g\n".__mod__, zip(
-                rows[part].tolist(), dst[part].tolist(), w[part].tolist()))))
+                src[part].tolist(), dst[part].tolist(), w[part].tolist()))))
 
 
 def strengths(graph: Graph) -> Strengths:
-    s_out = np.bincount(graph.edge_rows(), weights=graph.out_w, minlength=graph.n)
+    s_out = np.bincount(graph.out_src, weights=graph.out_w, minlength=graph.n)
     s_in = np.bincount(graph.out_dst, weights=graph.out_w, minlength=graph.n)
     m_w = float(graph.out_w.sum())
     s_out.setflags(write=False)
@@ -442,7 +439,7 @@ def aggregate(graph: Graph, labels) -> Graph:
     c = int(labels.max()) + 1
     if labels.min() < 0 or np.bincount(labels, minlength=c).min() == 0:
         raise ValueError("labels must be a dense relabeling 0..c-1")
-    return Graph.from_edges(c, labels[graph.edge_rows()], labels[graph.out_dst],
+    return Graph.from_edges(c, labels[graph.out_src], labels[graph.out_dst],
                             graph.out_w)
 
 
@@ -473,27 +470,11 @@ def write_partition(labels, path: str) -> None:
 
 
 def read_partition(path: str) -> np.ndarray:
-    """Labels from `node community` lines, each node 0..n-1 exactly once;
-    parsed in bulk where ``_bulk_rows`` allows, else line by line."""
-    raw = Path(path).read_bytes()
-    labels = _bulk_partition(raw)
-    if labels is None:
-        labels = _parse_partition_lines(_text_lines(raw))
-    return labels
-
-
-def _bulk_partition(raw):
-    parsed = _bulk_rows(raw, _PARTITION_ROWS)
-    if parsed is None:
-        return None
-    nodes, comms = parsed[0]["node"], parsed[0]["comm"]
-    n = nodes.size
-    if n and (comms.min() < 0 or nodes.min() < 0 or nodes.max() >= n
-              or np.bincount(nodes, minlength=n).max() > 1):
-        return None
-    labels = np.empty(n, dtype=np.int64)
-    labels[nodes] = comms
-    return labels
+    """Labels from `node community` lines, each node 0..n-1 exactly once,
+    read line by line: no benchmark workload times this read, so it has no
+    bulk path beside the parser that reports the errors."""
+    with open(path, encoding="utf-8") as handle:
+        return _parse_partition_lines(handle)
 
 
 def _parse_partition_lines(lines):

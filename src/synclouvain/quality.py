@@ -129,8 +129,8 @@ def score(graph: Graph, st: Strengths, labels) -> float:
     if st.m_w == 0.0:
         return 0.0
     m = st.m_w
-    rows = graph.edge_rows()
-    intra = float(graph.out_w[labels[rows] == labels[graph.out_dst]].sum())
+    intra = float(graph.out_w[labels[graph.out_src]
+                              == labels[graph.out_dst]].sum())
     agg = CommunityAggregates.from_labels(st, labels)
     null = float((agg.s_out * agg.s_in / m).sum())
     return (intra - null) / m

@@ -151,9 +151,9 @@ def test_positive_correction_detaches_external_heavy_pendant():
     forest = extract_components(a)
     agg = CommunityAggregates.from_labels(st, forest.comm, forest.n_comms)
     assert local_gains(g, st, forest.comm, agg)[3] < 0
-    forest2, splits, unresolved, gains, left = positive_correction(
+    forest2, unresolved, gains, left = positive_correction(
         g, st, forest, None)
-    assert splits == 1 and unresolved == 0 and not left.any()
+    assert len(gains) == 1 and unresolved == 0 and not left.any()
     assert gains[0] > 0
     # pendant is its own community now
     np.testing.assert_array_equal(forest2.comm, [0, 0, 0, 1, 2])
@@ -193,9 +193,9 @@ def test_positive_correction_cuts_two_cycle_when_no_branch_cut_improves():
         lab[part] = lab.max() + 1
         cuts[tuple(part)] = oracle_score(7, edges, lab) - before
     assert all(cuts[(x,)] <= 0 for x in (1, 2, 4, 5)) and cuts[(3, 4, 5)] > 0
-    forest2, splits, unresolved, gains, left = positive_correction(
+    forest2, unresolved, gains, left = positive_correction(
         g, st, forest, None)
-    assert splits == 1 and unresolved == 0 and not left.any()
+    assert len(gains) == 1 and unresolved == 0 and not left.any()
     assert gains[0] == pytest.approx(max(cuts.values()), abs=1e-12)
     np.testing.assert_array_equal(forest2.comm, [0, 0, 0, 1, 1, 1, 2])
     np.testing.assert_array_equal(forest2.a, [0, 0, 0, 3, 3, 3, 6])
@@ -210,9 +210,9 @@ def test_positive_correction_cuts_again_above_an_earlier_cut():
     edges = pairs + [(j, i, w) for i, j, w in pairs]
     g = build_graph(9, edges)
     forest = extract_components(np.array([0, 0, 1, 2, 3, 5, 5, 5, 5]))
-    forest2, splits, unresolved, gains, left = positive_correction(
+    forest2, unresolved, gains, left = positive_correction(
         g, strengths(g), forest, None)
-    assert splits == 2 and unresolved == 0 and not left.any()
+    assert len(gains) == 2 and unresolved == 0 and not left.any()
     steps = [forest.comm, [0, 0, 0, 1, 1, 2, 2, 2, 2], forest2.comm]
     for gain, before, after in zip(gains, steps, steps[1:]):
         assert gain == pytest.approx(oracle_score(9, edges, after)
@@ -260,9 +260,9 @@ def test_positive_correction_gains_are_oracle_differences_on_random_forests(
         forest = extract_components(a)
         moves.clear()
         aggs.clear()
-        forest2, splits, unresolved, gains, left = positive_correction(
+        forest2, unresolved, gains, left = positive_correction(
             g, st, forest, None)
-        assert splits == len(gains) == len(moves)
+        assert len(gains) == len(moves)
         labels = forest.comm.copy()
         before = oracle_score(n, edges, labels)
         start = before
@@ -743,9 +743,9 @@ def test_positive_correction_noop_when_all_gains_nonnegative():
     g = build_graph(n, edges)
     st = strengths(g)
     forest = extract_components(np.array([1, 2, 0, 4, 5, 3]))
-    forest2, splits, unresolved, gains, left = positive_correction(
+    forest2, unresolved, gains, left = positive_correction(
         g, st, forest, None)
-    assert splits == 0 and gains == [] and forest2 is forest
+    assert gains == [] and forest2 is forest
 
 
 def test_maximal_merges_weak_pair_into_strong_pair_at_p1():

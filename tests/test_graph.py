@@ -8,10 +8,9 @@ from synclouvain.graph import (
     Graph,
     GraphFormatError,
     _bulk_edges,
-    _bulk_partition,
     _merge_pairs,
     _parse_edge_lines,
-    _parse_partition_lines,
+    _unit_scaled,
     aggregate,
     canonicalize_labels,
     compose_labels,
@@ -83,11 +82,6 @@ def _outcome(parse, path):
 def _line_parsed_graph(path):
     with open(path, encoding="utf-8") as handle:
         return Graph.from_edges(*_parse_edge_lines(handle))
-
-
-def _line_parsed_partition(path):
-    with open(path, encoding="utf-8") as handle:
-        return _parse_partition_lines(handle)
 
 
 def _assert_paths_agree(tmp_path, text, bulk=None):
@@ -215,9 +209,46 @@ def test_parallel_edges_merge_and_sorted_rows(tmp_path):
     path.write_text("0 2 1.0\n0 1 1.0\n0 2 2.0\n")
     g = load_edge_list(str(path))
     assert g.edge_count == 2
-    lo, hi = g.out_ptr[0], g.out_ptr[1]
-    assert list(g.out_dst[lo:hi]) == [1, 2]
-    assert list(g.out_w[lo:hi]) == [1.0, 3.0]
+    assert list(g.out_src) == [0, 0]
+    assert list(g.out_dst) == [1, 2]
+    assert list(g.out_w) == [1.0, 3.0]
+
+
+def _assert_canonical_rows(g):
+    """Sources never decrease and (source, destination) pairs strictly
+    increase: sorted, each pair once; the rows are read-only."""
+    assert (np.diff(g.out_src) >= 0).all()
+    key = g.out_src * g.n + g.out_dst
+    assert (np.diff(key) > 0).all()
+    assert g.out_src.size == g.out_dst.size == g.out_w.size == g.edge_count
+    assert not any(a.flags.writeable for a in (g.out_src, g.out_dst, g.out_w))
+
+
+def test_rows_are_canonical(rng):
+    for n in (1, 4, 13, 30):
+        edges = random_edges(rng, n, density=0.4, self_loops=True)
+        edges += edges[::2]  # parallel edges, self-loops among them
+        src, dst, w = map(np.array, zip(*edges))
+        order = rng.permutation(src.size)
+        g = Graph.from_edges(n, src[order], dst[order], w[order])
+        _assert_canonical_rows(g)
+        assert g.edge_count == len(set(zip(src.tolist(), dst.tolist())))
+        labels = canonicalize_labels(rng.integers(0, max(1, n // 3), n))
+        agg = aggregate(g, labels)
+        _assert_canonical_rows(agg)
+        want = {(int(labels[i]), int(labels[j])) for i, j, _ in edges}
+        assert set(zip(agg.out_src.tolist(), agg.out_dst.tolist())) == want
+
+
+def test_unit_scaled_shares_the_structure(rng):
+    g = build_graph(12, random_edges(rng, 12, density=0.4, self_loops=True)
+                    + [(0, 1, 3e40)])  # a total far from [0.5, 1)
+    out = _unit_scaled(g)
+    assert 0.5 <= out.out_w.sum() < 1.0
+    assert np.shares_memory(out.out_src, g.out_src)
+    assert np.shares_memory(out.out_dst, g.out_dst)
+    u, v = g.neighbor_union(), out.neighbor_union()
+    assert np.shares_memory(v.ptr, u.ptr) and np.shares_memory(v.nbr, u.nbr)
 
 
 def _lexsort_merge(n, row, nbr, w):
@@ -231,7 +262,7 @@ def _lexsort_merge(n, row, nbr, w):
         w = np.add.reduceat(w, starts)
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
-    return ptr, nbr, w
+    return ptr, row, nbr, w
 
 
 def test_merge_pairs_matches_lexsort_reference(rng):
@@ -260,9 +291,10 @@ def test_pair_key_overflow_is_rejected():
         _merge_pairs(2**40, 2**23 + 1, np.zeros(1, np.int64),
                      np.zeros(1, np.int64), np.ones(1))
     # n * ncols == 2**63: the largest key, 2**63 - 1, still fits
-    ptr, nbr, w = _merge_pairs(2, 2**62, np.array([1]), np.array([2**62 - 1]),
-                               np.ones(1))
-    assert ptr.tolist() == [0, 0, 1] and nbr.tolist() == [2**62 - 1]
+    ptr, row, nbr, w = _merge_pairs(2, 2**62, np.array([1]),
+                                    np.array([2**62 - 1]), np.ones(1))
+    assert ptr.tolist() == [0, 0, 1] and row.tolist() == [1]
+    assert nbr.tolist() == [2**62 - 1]
 
 
 def test_union_rows_match_dense_weights(rng):
@@ -296,7 +328,7 @@ def test_writers_match_per_value_formatting(tmp_path, rng):
     g = build_graph(15, random_edges(rng, 15, density=0.3, self_loops=True))
     dump_edge_list(g, str(tmp_path / "g.txt"), header_lines=("h",))
     want = ["# h", f"# nodes {g.n}"] + [
-        "%d %d %.17g" % e for e in zip(g.edge_rows(), g.out_dst, g.out_w)]
+        "%d %d %.17g" % e for e in zip(g.out_src, g.out_dst, g.out_w)]
     assert (tmp_path / "g.txt").read_text() == "\n".join(want + [""])
     labels = rng.integers(0, 2**62, 40)
     write_partition(labels, str(tmp_path / "p.txt"))
@@ -405,30 +437,29 @@ def test_read_partition_label_past_int64_is_a_format_error(tmp_path):
         read_partition(str(path))
 
 
-@pytest.mark.parametrize("text, bulk", [
-    ("2 1\n0 0\n1 1\n", True),
-    ("# truth\n0 3\r\n  1\t3\n\n", True),
-    ("", True),
-    ("0 0\n0 5\n", False),
-    ("0 0\n2 1\n", False),
-    ("0 -1\n1 0\n", False),
-    ("0 0 # note\n", False),
-    ("0 1.0\n", False),
-    ("0 0\n1 1 1\n", False),
-    ("0 99999999999999999999\n", False),
+@pytest.mark.parametrize("text, want", [
+    ("2 1\n0 0\n1 1\n", [0, 1, 1]),
+    ("# truth\n0 3\r\n  1\t3\n\n", [3, 3]),
+    ("", []),
+    ("0 0\n0 5\n", "exactly once \\(offending node 0\\)"),
+    ("0 0\n2 1\n", "exactly once \\(offending node 2\\)"),
+    ("0 -1\n1 0\n", "line 1: community labels must be non-negative"),
+    ("0 0 # note\n", "line 1: expected 'node community'"),
+    ("0 1.0\n", "line 1: bad integer"),
+    ("0 0\n1 1 1\n", "line 2: expected 'node community'"),
+    ("0 99999999999999999999\n", "line 1: community labels must fit in int64"),
 ], ids=["shuffled", "comment-crlf-tab", "empty", "duplicate", "gap",
         "negative", "trailing-comment", "float-label", "three-tokens",
         "label-past-int64"])
-def test_read_partition_bulk_path_matches_line_parser(tmp_path, text, bulk):
+def test_read_partition_reads_or_rejects_each_shape(tmp_path, text, want):
     path = tmp_path / "p.txt"
     path.write_bytes(text.encode("utf-8"))
-    got = _outcome(read_partition, path)
-    want = _outcome(_line_parsed_partition, path)
-    if isinstance(want, np.ndarray):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    if isinstance(want, str):
+        with pytest.raises(GraphFormatError, match=want):
+            read_partition(str(path))
     else:
-        assert got == want
-    assert (_bulk_partition(path.read_bytes()) is not None) == bulk
+        got = read_partition(str(path))
+        assert got.dtype == np.int64 and got.tolist() == want
 
 
 def test_union_adjacency_merges_directions(rng):
