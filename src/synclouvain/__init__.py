@@ -16,7 +16,7 @@ from .detector import (
     positive_correction,
     run,
 )
-from .forest import AssignmentForest, extract_components, reverse_assignment
+from .forest import AssignmentForest, extract_components
 from .graph import (
     Graph,
     GraphFormatError,
@@ -84,7 +84,6 @@ __all__ = [
     "nmi",
     "positive_correction",
     "read_partition",
-    "reverse_assignment",
     "run",
     "score",
     "strengths",

@@ -44,8 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .forest import (AssignmentForest, extract_components,
-                     reverse_assignment)
+from .forest import AssignmentForest, extract_components, subtrees
 from .graph import (Graph, _merge_pairs, _unit_scaled, aggregate,
                     compose_labels, strengths)
 from .quality import (CommunityAggregates, gain_switch, join_gain, local_gains,
@@ -282,14 +281,16 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
     in the piece's rows.  Only the bad communities' nodes change in ``a``,
     ``labels`` and ``agg``.
 
-    ``rptr``/``rkids`` is ``reverse_assignment`` of ``a`` before any cut.
-    The nodes a cut detaches are the ``_tail`` of its node in that reverse
-    map, walked with the piece's cycle nodes marked ``seen``, restricted to
-    the piece.  That is the node's subtree in the current ``a``, because a
-    cut only self-assigns the cut node and everything below that node in
-    the piece leaves with it: inside a piece the reverse map and ``a`` have
-    the same edges, and a walk that leaves a piece through a cut node never
-    comes back into it.
+    ``subtrees`` lays the bad communities out once, before any cut, with
+    each community's smallest cycle node as its root.  The nodes a cut
+    detaches are the slice of its last node, filtered by the piece's label
+    and sorted.  For a branch cut that is the node's original subtree; for
+    a 2-cycle cut (c0, c1), c0 < c1 is the root, so c1's slice is the tree
+    hanging from c1.  The filtered slice is the node's subtree in the
+    current ``a``, because a cut only self-assigns its cut node: every
+    node below it in the original tree either still reaches it, and is in
+    the piece, or was detached by an earlier cut below it, together with
+    its whole current subtree, and carries another label.
 
     A cut is one tree edge (a branch cut: the subtree below a non-cycle
     node leaves) or, when no branch cut improves, both edges of a 2-cycle
@@ -329,16 +330,16 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
     bad = np.unique(comm[lg < 0.0])
     if bad.size == 0:
         return forest, 0, [], left
-    order = np.argsort(comm, kind="stable")
-    lo, hi = np.searchsorted(comm[order], [bad, bad + 1]).tolist()
-    # (label, members) of the pieces left to split
-    stack = [(c, order[i:j]) for c, i, j in zip(bad.tolist(), lo, hi)]
+    nodes = np.flatnonzero(np.isin(comm, bad))
+    order, start, size, root = subtrees(forest, nodes)
+    # (label, members) of the pieces left to split: the bad communities'
+    # slices, which tile ``order`` in label order
+    parts = np.split(order, np.unique(start[root[nodes]])[1:])
+    stack = [(c, np.sort(p)) for c, p in zip(bad.tolist(), parts)]
     stack.reverse()
-    rptr, rkids = reverse_assignment(forest.a)
     a = forest.a.copy()
     labels = comm.copy()
     cycle = forest.on_cycle.copy()
-    seen = np.zeros(graph.n, dtype=bool)
     fresh = itertools.count(forest.n_comms)
     gains = []
     unresolved = 0
@@ -355,17 +356,16 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
             cuts.append(tuple(cyc.tolist()))  # only if no branch cut improves
         best_gain = 0.0
         best = None  # (detached nodes, pointer sources to self-assign)
-        seen[cyc] = True
         for cut in cuts:
             if len(cut) == 2 and best is not None:
                 break
-            moved = _tail(rptr, rkids, cut[-1], seen)
+            x = cut[-1]
+            moved = order[start[x]:start[x] + size[x]]
             b_nodes = np.sort(moved[labels[moved] == c])
             gsp = gain_switch(graph, st, labels, agg, b_nodes, c, None)
             if gsp > best_gain:
                 best_gain = gsp
                 best = (b_nodes, cut)
-        seen[cyc] = False
         if best is None:
             unresolved += int((g < 0.0).sum())
             left[mem] = True
@@ -427,26 +427,6 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows):
     return cstar
 
 
-def _tail(rptr, rkids, i, seen):
-    """Node i plus everything whose pointer path runs through i, without
-    entering a node ``seen`` already marks.  The guard matters when i sits
-    on a cycle: cycle edges appear in the child lists too, so the walk
-    would otherwise loop."""
-    out = [i]
-    seen[i] = True
-    qi = 0
-    while qi < len(out):
-        x = out[qi]
-        qi += 1
-        for k in rkids[rptr[x]:rptr[x + 1]].tolist():
-            if not seen[k]:
-                seen[k] = True
-                out.append(k)
-    moved = np.asarray(out, dtype=np.int64)
-    seen[moved] = False
-    return moved
-
-
 def _attach_target(graph, st, labels, i, to):
     """Best neighbor of i inside community ``to`` by pairwise gain; -1 if i
     has no neighbor there."""
@@ -463,32 +443,35 @@ def _attach_target(graph, st, labels, i, to):
 
 
 class _MovePrices:
-    """Prices of moving each node of ``roots`` with its pointer tail
-    (``_tail``) to its planned community ``cstar[root]``, taken in one
-    numpy pass at the current ``labels``/``agg``.
+    """Prices of moving each node of ``roots`` with its pointer tail to its
+    planned community ``cstar[root]``, taken in one numpy pass at the
+    current ``labels``/``agg``.
 
-    The tails' sums come from one ``set_sums`` call, the kernel of
-    ``gain_switch``, so each ``gain`` has ``gain_switch``'s bits.
+    ``tree`` is ``subtrees`` of ``forest`` over the roots' communities.  A
+    root's tail is its slice, or its community's slice (its ``root``'s)
+    when it lies on its cycle.  One ``np.repeat`` lays the slices end to
+    end, and one sort of the (set, node) keys puts every tail's nodes in
+    ascending order.  The tails' sums come from one ``set_sums`` call, the
+    kernel of ``gain_switch``, so each ``gain`` has ``gain_switch``'s
+    bits.
     ``attach`` is ``_attach_target``'s pick, the first maximum of the
     root's pairwise gains over its entries in ``to``, or -1.  A move
     applies iff ``gain > 0`` and ``attach >= 0``."""
 
-    def __init__(self, graph, st, labels, agg, rptr, rkids, roots, cstar):
+    def __init__(self, graph, st, labels, agg, forest, tree, roots, cstar):
         u = graph.neighbor_union()
         k = roots.size
         self.m = m = st.m_w
         self.to = to = cstar[roots]
         self.frm = frm = labels[roots]
-        seen = np.zeros(graph.n, dtype=bool)
-        # a root without children is its own tail: walk the others only
-        walk = np.flatnonzero(rptr[roots + 1] > rptr[roots])
-        rest = [_tail(rptr, rkids, i, seen)[1:] for i in roots[walk].tolist()]
-        size = np.array([t.size for t in rest], dtype=np.int64)
-        key = np.concatenate([np.arange(k), np.repeat(walk, size)]) * graph.n
-        key += np.concatenate([roots, *rest])
+        order, start, size, root = tree
+        top = np.where(forest.on_cycle[roots], root[roots], roots)
+        self.tptr = np.concatenate(([0], np.cumsum(size[top])))
+        seg = np.repeat(np.arange(k), size[top])
+        key = seg * graph.n + order[np.arange(seg.size) + np.repeat(
+            start[top] - self.tptr[:-1], size[top])]
         key.sort()
-        seg, self.nodes = np.divmod(key, graph.n)
-        self.tptr = np.searchsorted(seg, np.arange(k + 1))
+        self.nodes = key - seg * graph.n
         sums, (eseg, self.nbr, self.w) = set_sums(graph, st, labels, seg,
                                                   self.nodes, frm, to, k)
         w_to, self.w_from, self.so_b, self.si_b = sums
@@ -541,21 +524,22 @@ class _PriceRounds:
     community, are disjoint.  Every candidate priced is one the commit
     reaches with its source untouched, except at most one per community
     that a commit touches first, so the tails priced in a sweep sum to at
-    most those the commit reaches plus n.
+    most those the commit reaches plus n.  Every round slices its tails
+    from the one ``tree`` of the sweep (see ``_MovePrices``), exact while
+    the source is untouched.
 
     ``touched[c]`` is the index of the last commit that touched community
     c, -1 for none; ``commit`` records one."""
 
-    def __init__(self, graph, st, labels, agg, rptr, rkids, roots, cstar,
-                 n_comms):
-        self.kernel = (graph, st, labels, agg, rptr, rkids)
+    def __init__(self, graph, st, labels, agg, forest, tree, roots, cstar):
+        self.kernel = (graph, st, labels, agg, forest, tree)
         self.roots = roots
         self.frm = labels[roots]
         self.cstar = cstar
         self.batch = np.full(roots.size, -1)
         self.slot = np.zeros(roots.size, dtype=np.int64)
         self.rounds = []  # (prices, commits made before they were taken)
-        self.touched = np.full(n_comms, -1)
+        self.touched = np.full(forest.n_comms, -1)
         self.commits = 0
 
     def price(self, k):
@@ -606,10 +590,14 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     ``agg[frm]`` are unchanged, hence the tail and W(T, frm minus T) too,
     and while the target is untouched its members and ``agg[to]`` are.  A
     touched target is re-priced from the candidate's stored entries
-    (``_MovePrices.reprice``).  Every sum is a ``segment_sums`` in one
-    order, so the batch price, the re-price and ``gain_switch`` agree bit
-    for bit; under ``debug_checks`` every applied move is checked against
-    ``gain_switch`` and ``_attach_target``.
+    (``_MovePrices.reprice``).  The tails are slices of one ``subtrees``
+    preorder of the snapshot pointers, built once per sweep over the
+    candidates' source communities and shared by the commit's rounds and
+    the idle ones below: an untouched source has its snapshot pointers.
+    Every sum is a ``segment_sums`` in one order, so the batch price, the
+    re-price and ``gain_switch`` agree bit for bit; under ``debug_checks``
+    every applied move is checked against ``gain_switch`` and
+    ``_attach_target``.
 
     ``improved`` is False, ending the level, unless a move applied or a
     candidate the coin rejected would apply at the snapshot.  That is
@@ -658,9 +646,9 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     if cand.size == 0:
         return forest, False, 0, []
     accept = uniform01(config.seed, (level, sweep), cand) < config.accept_prob
-    rptr, rkids = reverse_assignment(forest.a)
-    book = _PriceRounds(graph, st, labels, agg, rptr, rkids, cand[accept],
-                        cstar, forest.n_comms)
+    tree = subtrees(forest, np.flatnonzero(np.isin(labels, labels[cand])))
+    book = _PriceRounds(graph, st, labels, agg, forest, tree, cand[accept],
+                        cstar)
     a = forest.a.copy()
     gains = []
     for k, (i, frm) in enumerate(zip(book.roots.tolist(),
@@ -693,8 +681,8 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
         return forest, True, len(gains), gains
     # nothing applied, so nothing is touched and labels and agg are the
     # snapshot; the rejected candidates are priced until one applies
-    idle = _PriceRounds(graph, st, labels, agg, rptr, rkids, cand[~accept],
-                        cstar, forest.n_comms)
+    idle = _PriceRounds(graph, st, labels, agg, forest, tree, cand[~accept],
+                        cstar)
     improved = any(g > 0.0 and j >= 0 for _, _, g, j in map(
         idle.price, range(idle.roots.size)))
     return forest, improved, 0, gains
@@ -708,7 +696,10 @@ def _debug_validate(graph, st, forest, phase, stats, unresolved):
     reported as left unrepaired, and any negative local gain outside it is
     a failure; None skips the gain check.  The comparison with a fresh
     ``extract_components`` is the one check that the forests the
-    corrections derive from their labels match their pointers."""
+    corrections derive from their labels match their pointers.  Returns
+    that fresh extraction for the run to go on from: ``subtrees`` needs a
+    forest whose labels match its pointers, so a forest broken by a faulty
+    commit is reported here and reaches no later phase."""
     a = forest.a
     ptd = np.flatnonzero(a != np.arange(graph.n))
     pos, nbr, _ = graph.neighbor_union().gather(ptd)
@@ -732,6 +723,7 @@ def _debug_validate(graph, st, forest, phase, stats, unresolved):
             stats.debug_failures.append(
                 f"{phase}: negative local gain {lg[i]:.3e} left behind "
                 f"at node {i}")
+    return fresh
 
 
 def _debug_stop(graph, st, forest, config, level, stats):
@@ -786,7 +778,8 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
         stats.unresolved_negative += unresolved
         record(gains)
         if config.debug_checks:
-            _debug_validate(g, st, forest, f"positive@{level}", stats, left)
+            forest = _debug_validate(g, st, forest, f"positive@{level}",
+                                     stats, left)
         return forest
 
     try:
@@ -811,8 +804,8 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
                 stats.accepted_moves += applied
                 record(gains)
                 if config.debug_checks:
-                    _debug_validate(g, st, forest, f"maximal@{level}", stats,
-                                    None)
+                    forest = _debug_validate(g, st, forest,
+                                             f"maximal@{level}", stats, None)
                 if not improved:
                     if config.debug_checks:
                         _debug_stop(g, st, forest, config, level, stats)

@@ -7,6 +7,9 @@ working communities; the cycle flags drive the split and move rules.
 
 Component labels and cycle flags are computed by pointer doubling (log n
 rounds of numpy gathers), so no Python-level walk touches every node.
+``subtrees`` lays the communities of chosen nodes out in preorder, so that
+every pointer tail is one slice; it list-ranks an Euler tour by the same
+pointer doubling, in O(m log m) for m nodes.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .graph import canonicalize_labels
 
-__all__ = ["AssignmentForest", "extract_components", "reverse_assignment"]
+__all__ = ["AssignmentForest", "extract_components", "subtrees"]
 
 
 @dataclass
@@ -68,14 +71,51 @@ def extract_components(a) -> AssignmentForest:
     return AssignmentForest.from_labels(a, minv, on_cycle)
 
 
-def reverse_assignment(a) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of assignment children: nodes j != i with a[j] == i, ascending."""
-    a = np.asarray(a, dtype=np.int64)
-    n = a.size
-    mask = a != np.arange(n, dtype=np.int64)
-    targets = a[mask]
-    sources = np.flatnonzero(mask)
-    kids = sources[np.argsort(targets, kind="stable")]
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(targets, minlength=n), out=ptr[1:])
-    return ptr, kids
+def subtrees(forest, nodes):
+    """Preorder of the pointer trees of the ascending ``nodes``, the members
+    of whole communities of ``forest``.  Returns ``(order, start, size,
+    root)``: ``root[x]`` is the smallest cycle node of x's community, whose
+    pointer is cut so that the community is one tree rooted there, and
+    x's subtree in it is ``order[start[x]:start[x] + size[x]]``.  So the
+    root's slice is the community, an off-cycle node's slice is its pointer
+    tail, and the other node of a 2-cycle gets the tree hanging from it.
+    The communities follow each other in ascending label order.  ``start``,
+    ``size`` and ``root`` are indexed by node id and hold values only at
+    ``nodes``.
+
+    Each community's Euler tour enters and leaves every node once (entries
+    x and m + x for the node at position x of ``nodes``, children in
+    ascending order).  Pointer doubling counts the nodes each entry is
+    still to enter, over the live entries only, so the rounds grow with the
+    log of the largest community, not with the depth of its tree."""
+    n, m = forest.a.size, nodes.size
+    loc = np.empty(n, dtype=np.int64)
+    loc[nodes] = np.arange(m)  # below, nodes go by position in nodes
+    cyc = np.flatnonzero(forest.on_cycle[nodes])
+    comms, first = np.unique(forest.comm[nodes[cyc]], return_index=True)
+    c = np.searchsorted(comms, forest.comm[nodes])  # community rank
+    rt = cyc[first][c]
+    # each node's parent, m for a root, whose leaving ends the tour at 2m
+    par = np.where(rt == np.arange(m), m, loc[forest.a[nodes]])
+    # entering a node goes on to leave it, and leaving it to leave its
+    # parent, unless entering goes into a first child and leaving a child
+    # into its next sibling
+    nxt = np.concatenate((np.arange(m, 2 * m), m + par, [2 * m]))
+    kids = np.argsort(par, kind="stable")[:m - comms.size]
+    head = np.diff(par[kids], prepend=-1) != 0
+    nxt[np.where(head, par[kids], m + np.roll(kids, 1))] = kids
+    # the nodes entered from each entry to the end, itself included
+    ahead = np.repeat(np.array([1, 0]), [m, m + 1])
+    live = np.arange(2 * m)
+    while live.size:
+        hop = nxt[live]
+        ahead[live] += ahead[hop]
+        nxt[live] = hop = nxt[hop]
+        live = live[hop < 2 * m]
+    start, size, root = (np.empty(n, dtype=np.int64) for _ in range(3))
+    start[nodes] = np.cumsum(ahead[cyc[first]])[c] - ahead[:m]
+    size[nodes] = ahead[:m] - ahead[m:2 * m]
+    root[nodes] = nodes[rt]
+    order = np.empty(m, dtype=np.int64)
+    order[start[nodes]] = nodes
+    return order, start, size, root

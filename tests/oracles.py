@@ -112,6 +112,24 @@ def oracle_components(assignment):
     return np.array([find(i) for i in range(n)])
 
 
+def oracle_tail(assignment, i, stop=()):
+    """Pointer tail of node i: i plus every node whose path x -> a[x] -> ...
+    reaches i without passing a node of ``stop``, ascending.  A walk over
+    the child lists, never entering a node twice, so a cycle node's tail is
+    its whole component."""
+    kids = [[] for _ in assignment]
+    for x, y in enumerate(assignment):
+        if x != y:
+            kids[y].append(x)
+    out, todo = {i}, [i]
+    while todo:
+        for k in kids[todo.pop()]:
+            if k not in out and k not in stop:
+                out.add(k)
+                todo.append(k)
+    return sorted(out)
+
+
 def random_edges(rng, n, density=0.3, dyadic=False, self_loops=False):
     """Random directed weighted edge list; weights positive, optionally dyadic."""
     edges = []

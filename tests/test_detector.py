@@ -19,20 +19,19 @@ from synclouvain.detector import (
     _debug_validate,
     _first_max,
     _map_rows,
-    _tail,
     find_assignment,
     maximal_correction,
     positive_correction,
     run,
 )
-from synclouvain.forest import extract_components, reverse_assignment
+from synclouvain.forest import extract_components, subtrees
 from synclouvain.graph import (_unit_scaled, canonicalize_labels,
                                compose_labels, strengths)
 from synclouvain.quality import (CommunityAggregates, gain_switch, join_gain,
                                  local_gains, score)
 
 from conftest import build_graph, two_triangles
-from oracles import dense_weights, oracle_score, random_edges
+from oracles import dense_weights, oracle_score, oracle_tail, random_edges
 
 
 def test_config_validation():
@@ -538,10 +537,8 @@ def test_price_rounds_are_exact_and_bounded(seed, scale, unit, loops, chain):
     agg = CommunityAggregates.from_labels(st, labels, forest.n_comms)
     roots = np.flatnonzero(rng.random(n) < 0.8)
     cstar = (labels + rng.integers(1, forest.n_comms, size=n)) % forest.n_comms
-    rptr, rkids = reverse_assignment(a)
-    book = _PriceRounds(g, st, labels, agg, rptr, rkids, roots, cstar,
-                        forest.n_comms)
-    seen = np.zeros(n, dtype=bool)
+    tree = subtrees(forest, np.arange(n))
+    book = _PriceRounds(g, st, labels, agg, forest, tree, roots, cstar)
     reached = 0
     for k, i in enumerate(roots.tolist()):
         frm = int(labels[i])
@@ -551,8 +548,7 @@ def test_price_rounds_are_exact_and_bounded(seed, scale, unit, loops, chain):
         to = int(cstar[i])
         moved = mp.tail(s)
         reached += moved.size
-        np.testing.assert_array_equal(moved,
-                                      np.sort(_tail(rptr, rkids, i, seen)))
+        np.testing.assert_array_equal(moved, oracle_tail(a, i))
         assert j == _attach_target(g, st, labels, i, to)
         if j >= 0:
             want = gain_switch(g, st, labels, agg, moved, frm, to)

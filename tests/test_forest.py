@@ -1,8 +1,9 @@
 import numpy as np
+from hypothesis import given, settings, strategies
 
-from synclouvain.forest import AssignmentForest, extract_components, reverse_assignment
+from synclouvain.forest import AssignmentForest, extract_components, subtrees
 
-from oracles import oracle_components, oracle_cycle_nodes
+from oracles import oracle_components, oracle_cycle_nodes, oracle_tail
 
 
 def test_chain_single_cycle():
@@ -56,9 +57,52 @@ def test_random_functional_graphs_match_oracles():
             assert seen == set(cyc.tolist())
 
 
-def test_reverse_assignment():
-    a = np.array([1, 1, 1, 2])
-    ptr, kids = reverse_assignment(a)
-    assert kids[ptr[1]:ptr[2]].tolist() == [0, 2]  # nodes assigned to 1 (1 itself excluded)
-    assert kids[ptr[2]:ptr[3]].tolist() == [3]
-    assert ptr[0] == ptr[1]  # nothing assigned to 0
+def _pointers(rng, n, shape):
+    """Pointers of n nodes.  "cycles" and "chains" place disjoint 1- to
+    4-cycles first and point every later node at an earlier one: a random
+    one, or for "chains" mostly the one just before, so trees are deep."""
+    if shape == "self-loops":
+        return np.arange(n)
+    if shape == "random":
+        return rng.integers(0, n, size=n)
+    perm = rng.permutation(n)
+    a = np.empty(n, dtype=np.int64)
+    placed = 0
+    while placed < n and (placed == 0 or rng.random() < 0.4):
+        cyc = perm[placed:placed + int(rng.integers(1, 5))]
+        a[cyc] = np.roll(cyc, -1)
+        placed += cyc.size
+    for p in range(placed, n):
+        deep = shape == "chains" and rng.random() < 0.9
+        a[perm[p]] = perm[p - 1 if deep else int(rng.integers(0, p))]
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=strategies.integers(0, 2**31),
+       shape=strategies.sampled_from(("random", "cycles", "chains",
+                                      "self-loops")),
+       share=strategies.sampled_from((0.0, 0.5, 1.0)))
+def test_subtrees_slices_are_pointer_tails(seed, shape, share):
+    # every slice of the preorder, as a set, against the naive tail walk:
+    # an off-cycle node's tail, the tree hanging from the larger node of a
+    # 2-cycle, and the community at its root, the smallest cycle node; the
+    # nodes cover all, some or none of the communities
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    a = _pointers(rng, n, shape)
+    forest = extract_components(a)
+    nodes = np.flatnonzero((rng.random(forest.n_comms) < share)[forest.comm])
+    order, start, size, root = subtrees(forest, nodes)
+    assert sorted(order.tolist()) == nodes.tolist()
+    for x in nodes.tolist():
+        got = set(order[start[x]:start[x] + size[x]].tolist())
+        members = np.flatnonzero(forest.comm == forest.comm[x])
+        cyc = members[forest.on_cycle[members]]
+        assert root[x] == cyc.min()
+        if x == root[x]:
+            assert got == set(members.tolist())
+        elif not forest.on_cycle[x]:
+            assert got == set(oracle_tail(a, x))
+        elif cyc.size == 2:
+            assert got == set(oracle_tail(a, x, stop={int(root[x])}))

@@ -60,6 +60,20 @@ def corpus():
     yield "path-chords", Graph.from_edges(
         300, np.concatenate([path, src]), np.concatenate([path + 1, dst]),
         np.ones(339))
+    # deep and wide tails: a 2,000-node unit path, a star of 200 unit
+    # spokes, a 300-node unit directed cycle, and 20 unit 5-cliques
+    # chained by single edges
+    path = np.arange(1999)
+    yield "path-2000", Graph.from_edges(2000, path, path + 1, np.ones(1999))
+    spokes = np.arange(1, 201)
+    yield "star", Graph.from_edges(201, 0 * spokes, spokes, np.ones(200))
+    ring = np.arange(300)
+    yield "cycle", Graph.from_edges(300, ring, (ring + 1) % 300, np.ones(300))
+    i, j = np.nonzero(~np.eye(5, dtype=bool))
+    base = 5 * np.arange(20)[:, None]
+    src = np.concatenate([(base + i).ravel(), base[1:, 0] - 1])
+    dst = np.concatenate([(base + j).ravel(), base[1:, 0]])
+    yield "cliques", Graph.from_edges(100, src, dst, np.ones(src.size))
 
 
 def bits(x):
