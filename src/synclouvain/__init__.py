@@ -16,7 +16,7 @@ from .detector import (
     positive_correction,
     run,
 )
-from .forest import AssignmentForest, extract_components
+from .forest import AssignmentForest, InvariantError, extract_components
 from .graph import (
     Graph,
     GraphFormatError,
@@ -57,6 +57,7 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "Hierarchy",
+    "InvariantError",
     "PlantedGraph",
     "RunConfig",
     "RunRecord",

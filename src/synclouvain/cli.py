@@ -12,6 +12,7 @@ import numpy as np
 
 from .bench import BenchSpec, generate, write_benchmark
 from .detector import RunConfig, run
+from .forest import InvariantError
 from .graph import load_edge_list, write_partition
 from .perf import DeterminismError, amdahl, emit_plot_data, measure
 
@@ -177,6 +178,9 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"invariant breach: floating-point fault: {exc}",
               file=sys.stderr)
+        return 3
+    except InvariantError as exc:
+        print(f"invariant breach: {exc}", file=sys.stderr)
         return 3
     except (argparse.ArgumentTypeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

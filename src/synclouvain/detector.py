@@ -19,16 +19,17 @@ current partition, then applies them in a fixed serial order.  Planning is
 row-local: ``_best_targets`` is the one row kernel (the assignment is its
 plan on singletons), and ``_map_rows`` the one place that splits rows,
 into contiguous pieces of the planned rows of at most ``PIECE_ENTRIES``
-union entries, which the threads share round-robin.  Within a level only
-rows touching a changed community are planned again (``_Frontier``); the first
-sweep plans every row through that same path.  The commit applies the
-moves the coin accepted in ascending node order, skipping a move whose
-source an earlier move touched.  It prices them in rounds of one numpy
-pass each (``_PriceRounds``, ``_MovePrices``): a round prices the next
-candidate of every untouched source community at once, and a price is
-taken again only for a target community a move touched since.  Every sum
-over a node set is one ``segment_sums`` order, so a set has the same
-price, bit for bit, in a round, in a re-price and in ``gain_switch``.
+union entries, which the threads share round-robin.  A piece whose rows
+are a node range reads its entries as one slice of the union.  Within a
+level only rows touching a changed community are planned again
+(``_Frontier``); the first sweep plans every row through that same path.
+The commit applies the moves the coin accepted in ascending node order,
+skipping a move whose source an earlier move touched.  It prices them in
+rounds of one numpy pass each (``_PriceRounds``, ``_MovePrices``): a round
+prices the next candidate of every untouched source community at once, and
+a price is taken again only for a target community a move touched since.
+Every sum over a node set is one ``segment_sums`` order, so a set has the
+same price, bit for bit, in a round, in a re-price and in ``gain_switch``.
 Results depend only on (graph, seed, accept_prob), never on the thread
 count.  Every run records its score trace, checked against ``score`` at
 each level's end.
@@ -45,8 +46,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .forest import AssignmentForest, extract_components, subtrees
-from .graph import (Graph, _merge_pairs, _unit_scaled, aggregate,
-                    compose_labels, strengths)
+from .graph import (Graph, _merge_pairs, _run_starts, _unit_scaled,
+                    aggregate, compose_labels, strengths)
 from .quality import (CommunityAggregates, gain_switch, join_gain, local_gains,
                       score, segment_total, set_sums, switch_gain)
 from .rng import uniform01
@@ -223,20 +224,23 @@ class _Frontier:
         self.lg = np.zeros(n)
 
 
-def _first_max(ptr, val, floor):
-    """Per row of the CSR pointer ``ptr`` over ``val`` (as ``_merge_pairs``
-    returns it): the index of the first entry holding the row's maximum of
-    ``val`` when that maximum is above ``floor`` (a scalar or one value per
-    row), else -1.  Entries are in neighbor order, so ties go to the lowest
-    neighbor."""
-    size = np.diff(ptr)
-    has = np.flatnonzero(size)
-    first = np.full(size.size, -1, dtype=np.int64)
-    mx = np.full(size.size, -np.inf)
-    mx[has] = np.maximum.reduceat(val, ptr[has])
-    idx = np.where(val == np.repeat(mx, size), np.arange(val.size), val.size)
-    beat = (mx > floor)[has]
-    first[has[beat]] = np.minimum.reduceat(idx, ptr[has])[beat]
+def _first_max(k, row, val, floor):
+    """Per row r < k: the index of the first entry of ``val`` in row r,
+    ``row`` holding the ascending row of each entry, that holds the row's
+    maximum, when that maximum is above ``floor`` (a scalar or one value
+    per row); else -1.  A row's entries are in neighbor or community
+    order, so ties go to the lowest one.  Only the entries above their
+    row's floor can hold such a maximum, and the first of them holding it
+    is the row's first, so the maxima are taken over those entries
+    alone."""
+    first = np.full(k, -1, dtype=np.int64)
+    up = np.flatnonzero(val > (floor[row] if np.ndim(floor) else floor))
+    row, val = row[up], val[up]
+    head = _run_starts(row)
+    mx = np.maximum.reduceat(val, head)
+    hit = np.flatnonzero(val == np.repeat(mx, np.diff(head, append=up.size)))
+    lead = hit[_run_starts(row[hit])]
+    first[row[lead]] = up[lead]
     return first
 
 
@@ -392,38 +396,56 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows):
     the highest switch score for moving the node alone, or its own
     community when no alternative strictly beats staying.  Pure snapshot
     computation; a row's result depends only on its own entries, so any
-    split of the rows gives the same bits per row.  ``_merge_pairs`` sums
-    each row's union weights per neighboring community, over its terms in
-    entry order (pairwise beyond 8 terms, so the sum is fixed by the row's
-    own entries), and returns the groups sorted by community with their
-    row pointer, so ``_first_max`` breaks ties to the lowest community
-    label.  It also returns each group's row ``g_pos``, the position of
-    the group's node in ``rows``, which picks the group's per-row values.
-    ``[lo, hi)`` spans ``rows``; it is not read here, and stays so that
-    ``perfbench/spans.py`` can count the entries a call covers."""
-    m = st.m_w
-    pos, nbr, wsum = graph.neighbor_union().gather(rows)
+    split of the rows gives the same bits per row.
+
+    ``[lo, hi)`` spans ``rows``; when it holds no other node the piece's
+    entries are one slice of the union, else they are gathered row by row.
+    ``_merge_pairs`` sums each row's union weights per neighboring
+    community, over its terms in entry order (pairwise beyond 8 terms, so
+    the sum is fixed by the row's own entries), and returns the groups
+    sorted by row, then community, each with its row's position in
+    ``rows``; so ``_first_max`` breaks ties to the lowest community label.
+    A node's own group gives its staying score.
+
+    Only the groups whose ``gsum / m`` beats their row's staying score are
+    priced, each against its whole community.  A gain is that quotient
+    less (so_i * si_c + si_i * so_c) / (m * m), whose factors are strengths
+    or sums of them (``agg`` as ``CommunityAggregates.from_labels`` builds
+    it), so not negative.  Rounding is monotone, so a rounded gain is at
+    most its quotient, and a group that fails the test cannot strictly
+    beat staying; and the own group, priced with the node still counted in
+    its community, gets products at least as large as in its staying
+    score, so it cannot either.  Every other group is priced by
+    ``join_gain`` as it would be alone, so the pick is the same, bit for
+    bit."""
+    u = graph.neighbor_union()
+    if hi - lo == rows.size:
+        span = u.ptr[lo:hi + 1]
+        pos = np.repeat(np.arange(rows.size), np.diff(span))
+        nbr, wsum = u.nbr[span[0]:span[-1]], u.w[span[0]:span[-1]]
+    else:
+        pos, nbr, wsum = u.gather(rows)
     cstar = labels[rows]
     # before t_stay, so that an edgeless graph (m_w 0) never divides 0 by 0
     if pos.size == 0:
         return cstar
+    m = st.m_w
     so_r = st.s_out[rows]
     si_r = st.s_in[rows]
-    t_stay = join_gain(m, 0.0, so_r, si_r, agg.s_out[cstar] - so_r,
+    g_pos, g_comm, gsum = _merge_pairs(rows.size, agg.n_comms, pos,
+                                       labels[nbr], wsum)
+    own = np.flatnonzero(g_comm == cstar[g_pos])
+    w_own = np.zeros(rows.size)
+    w_own[g_pos[own]] = gsum[own]
+    t_stay = join_gain(m, w_own, so_r, si_r, agg.s_out[cstar] - so_r,
                        agg.s_in[cstar] - si_r)
-    gptr, g_pos, g_comm, gsum = _merge_pairs(rows.size, agg.n_comms, pos,
-                                             labels[nbr], wsum)
-    own = g_comm == cstar[g_pos]
-    so_i = so_r[g_pos]
-    si_i = si_r[g_pos]
-    t = join_gain(m, gsum, so_i, si_i,
-                  agg.s_out[g_comm] - np.where(own, so_i, 0.0),
-                  agg.s_in[g_comm] - np.where(own, si_i, 0.0))
-    t_stay[g_pos[own]] = t[own]
-    t[own] = -np.inf
-    first = _first_max(gptr, t, t_stay)
+    up = np.flatnonzero(gsum / m > t_stay[g_pos])
+    row, comm = g_pos[up], g_comm[up]
+    t = join_gain(m, gsum[up], so_r[row], si_r[row], agg.s_out[comm],
+                  agg.s_in[comm])
+    first = _first_max(rows.size, row, t, t_stay)
     ok = first >= 0
-    cstar[ok] = g_comm[first[ok]]
+    cstar[ok] = comm[first[ok]]
     return cstar
 
 
@@ -484,7 +506,7 @@ class _MovePrices:
         self.pg = join_gain(m, rw, st.s_out[roots][rpos],
                             st.s_in[roots][rpos], st.s_out[self.rnbr],
                             st.s_in[self.rnbr])
-        first = _first_max(self.rptr, np.where(
+        first = _first_max(k, rpos, np.where(
             labels[self.rnbr] == to[rpos], self.pg, -np.inf), -np.inf)
         ok = first >= 0
         self.attach = np.full(k, -1, dtype=np.int64)
@@ -632,7 +654,8 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     if not changed.all():
         # the union is symmetric: the rows with a changed neighbor are the
         # neighbors of the changed rows
-        changed[graph.neighbor_union().gather(np.flatnonzero(changed))[1]] = True
+        u = graph.neighbor_union()
+        changed[u.nbr[np.repeat(changed, np.diff(u.ptr))]] = True
     cstar = labels[memo.target_rep]
     cstar[changed] = plan(np.flatnonzero(changed))
     if stats is not None and not np.array_equal(
@@ -699,7 +722,9 @@ def _debug_validate(graph, st, forest, phase, stats, unresolved):
     corrections derive from their labels match their pointers.  Returns
     that fresh extraction for the run to go on from: ``subtrees`` needs a
     forest whose labels match its pointers, so a forest broken by a faulty
-    commit is reported here and reaches no later phase."""
+    commit is reported here and reaches no later phase (without
+    ``debug_checks``, a ``subtrees`` over its broken communities raises
+    InvariantError)."""
     a = forest.a
     ptd = np.flatnonzero(a != np.arange(graph.n))
     pos, nbr, _ = graph.neighbor_union().gather(ptd)

@@ -20,7 +20,14 @@ import numpy as np
 
 from .graph import canonicalize_labels
 
-__all__ = ["AssignmentForest", "extract_components", "subtrees"]
+__all__ = ["AssignmentForest", "InvariantError", "extract_components",
+           "subtrees"]
+
+
+class InvariantError(RuntimeError):
+    """A structure the detector built contradicts itself, such as a forest
+    whose labels do not match its pointers: a fault of the program, not of
+    its input."""
 
 
 @dataclass
@@ -87,16 +94,26 @@ def subtrees(forest, nodes):
     x and m + x for the node at position x of ``nodes``, children in
     ascending order).  Pointer doubling counts the nodes each entry is
     still to enter, over the live entries only, so the rounds grow with the
-    log of the largest community, not with the depth of its tree."""
+    log of the largest community, not with the depth of its tree.
+
+    A forest whose labels contradict its pointers raises InvariantError: a
+    pointer that leaves its community, a community without a cycle node,
+    or a pointer cycle other than the root's, whose tour never ends and so
+    outlasts the ceil(log2(2m + 1)) rounds in which every entry of a true
+    tour reaches the end."""
     n, m = forest.a.size, nodes.size
     loc = np.empty(n, dtype=np.int64)
     loc[nodes] = np.arange(m)  # below, nodes go by position in nodes
+    comm, up = forest.comm[nodes], forest.a[nodes]
     cyc = np.flatnonzero(forest.on_cycle[nodes])
-    comms, first = np.unique(forest.comm[nodes[cyc]], return_index=True)
-    c = np.searchsorted(comms, forest.comm[nodes])  # community rank
+    comms, first = np.unique(comm[cyc], return_index=True)
+    c = np.searchsorted(comms, comm)  # community rank
+    if ((forest.comm[up] != comm) | (np.append(comms, -1)[c] != comm)).any():
+        raise InvariantError("subtrees: a pointer leaves its community, or "
+                             "a community has no cycle node")
     rt = cyc[first][c]
     # each node's parent, m for a root, whose leaving ends the tour at 2m
-    par = np.where(rt == np.arange(m), m, loc[forest.a[nodes]])
+    par = np.where(rt == np.arange(m), m, loc[up])
     # entering a node goes on to leave it, and leaving it to leave its
     # parent, unless entering goes into a first child and leaving a child
     # into its next sibling
@@ -107,11 +124,15 @@ def subtrees(forest, nodes):
     # the nodes entered from each entry to the end, itself included
     ahead = np.repeat(np.array([1, 0]), [m, m + 1])
     live = np.arange(2 * m)
-    while live.size:
+    for _ in range((2 * m).bit_length() + 1):
         hop = nxt[live]
         ahead[live] += ahead[hop]
         nxt[live] = hop = nxt[hop]
         live = live[hop < 2 * m]
+        if not live.size:
+            break
+    else:
+        raise InvariantError("subtrees: a pointer cycle is not cut")
     start, size, root = (np.empty(n, dtype=np.int64) for _ in range(3))
     start[nodes] = np.cumsum(ahead[cyc[first]])[c] - ahead[:m]
     size[nodes] = ahead[:m] - ahead[m:2 * m]

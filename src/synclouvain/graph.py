@@ -115,7 +115,7 @@ class Graph:
             if not np.isfinite(w).all() or (w <= 0).any():
                 raise ValueError("edge weights must be finite and positive")
         with np.errstate(over="ignore"):  # an inf total is rejected below
-            _, src, dst, w = _merge_pairs(n, n, src, dst, w)
+            src, dst, w = _merge_pairs(n, n, src, dst, w)
             total = w.sum()
         if not np.isfinite(total):
             raise ValueError("edge weights must sum to a finite total")
@@ -137,14 +137,21 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
+def _run_starts(a):
+    """Indices where the sorted ``a`` starts a run of equal values: 0, and
+    every index whose value differs from the one before it."""
+    head = np.empty(a.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(a[1:], a[:-1], out=head[1:])
+    return np.flatnonzero(head)
+
+
 def _merge_pairs(n, ncols, row, nbr, w):
-    """(ptr, row, nbr, w) of the (row, nbr, w) triples, 0 <= row < n and
+    """(row, nbr, w) of the (row, nbr, w) triples, 0 <= row < n and
     0 <= nbr < ncols, merged: one triple per distinct (row, nbr) pair,
-    sorted by row, then neighbor, with the weights of equal pairs summed,
-    and ``ptr`` the CSR pointer of the merged rows (row i's triples are
-    ``ptr[i]:ptr[i + 1]``).  This is the one sort-and-merge kernel: the
-    graph, its union and the plan's per-row community sums are all built
-    here.
+    sorted by row, then neighbor, with the weights of equal pairs summed.
+    This is the one sort-and-merge kernel: the graph, its union and the
+    plan's per-row community sums are all built here.
 
     Pairs are grouped by a stable sort of the key row * ncols + nbr, which
     orders them as (row, nbr) does and keeps input order inside each group.
@@ -161,16 +168,10 @@ def _merge_pairs(n, ncols, row, nbr, w):
     key = row * np.int64(ncols) + nbr
     order = np.argsort(key, kind="stable")
     key = key[order]
-    # a group starts where the sorted key changes, and at the first pair
-    starts = np.empty(key.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(key[1:], key[:-1], out=starts[1:])
-    starts = np.flatnonzero(starts)
+    starts = _run_starts(key)
     w = np.add.reduceat(w[order], starts)
     order = order[starts]
-    row = row[order]
-    ptr = np.r_[0, np.cumsum(np.bincount(row, minlength=n))]
-    return ptr, row, nbr[order], w
+    return row[order], nbr[order], w
 
 
 def _build_union(g: Graph) -> NeighborUnion:
@@ -178,9 +179,10 @@ def _build_union(g: Graph) -> NeighborUnion:
     # (row, nbr) group holds at most one of each, and sums W(i, j) + W(j, i)
     keep = g.out_dst != g.out_src
     src, dst, w = g.out_src[keep], g.out_dst[keep], g.out_w[keep]
-    ptr, _, nbr, wsum = _merge_pairs(g.n, g.n, np.concatenate([src, dst]),
-                                     np.concatenate([dst, src]),
-                                     np.concatenate([w, w]))
+    row, nbr, wsum = _merge_pairs(g.n, g.n, np.concatenate([src, dst]),
+                                  np.concatenate([dst, src]),
+                                  np.concatenate([w, w]))
+    ptr = np.r_[0, np.cumsum(np.bincount(row, minlength=g.n))]
     for arr in (ptr, nbr, wsum):
         arr.setflags(write=False)
     return NeighborUnion(ptr, nbr, wsum)

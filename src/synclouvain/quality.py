@@ -95,8 +95,14 @@ def join_gain(m, wsum, so_i, si_i, so_c, si_c):
     (so_c, si_c) that does not count i, wsum being the weight between them
     in both directions; elementwise.  Symmetric bit for bit under swapping
     the two sides, since the weight is one operand and both products
-    commute."""
-    return wsum / m - (so_i * si_c + si_i * so_c) / (m * m)
+    commute.  The expression is wsum / m - (so_i * si_c + si_i * so_c) /
+    (m * m), its steps taken in place on its own temporaries."""
+    cross = so_i * si_c
+    cross += si_i * so_c
+    cross /= m * m
+    gain = wsum / m
+    gain -= cross
+    return gain
 
 
 def switch_gain(m, w_to, w_from, so_b, si_b, so_f, si_f, so_t=0.0, si_t=0.0):

@@ -130,6 +130,60 @@ def oracle_tail(assignment, i, stop=()):
     return sorted(out)
 
 
+def oracle_best_targets(ptr, nbr, w, s_out, s_in, m, labels, c_out, c_in,
+                        rows):
+    """The plan kernel written out in full: per node of the ascending
+    ``rows`` of the union (``ptr``, ``nbr``, ``w``), the community its
+    highest join gain leads to, or its own community when none strictly
+    beats staying, with ``c_out``/``c_in`` the community strength sums.
+    Every group (row, neighboring community) is priced; the groups come
+    from a stable key sort with ``np.add.reduceat`` sums, and each row's
+    first maximum from a CSR row pointer and two reductions, so ties go to
+    the lowest community."""
+    def join_gain(wsum, so_i, si_i, so_c, si_c):
+        return wsum / m - (so_i * si_c + si_i * so_c) / (m * m)
+
+    start = ptr[rows]
+    size = ptr[rows + 1] - start
+    pos = np.repeat(np.arange(rows.size), size)
+    ent = (start - (np.cumsum(size) - size))[pos] + np.arange(pos.size)
+    nb, wsum = nbr[ent], w[ent]
+    cstar = labels[rows]
+    if pos.size == 0:
+        return cstar
+    so_r = s_out[rows]
+    si_r = s_in[rows]
+    t_stay = join_gain(0.0, so_r, si_r, c_out[cstar] - so_r,
+                       c_in[cstar] - si_r)
+    lab = labels[nb]
+    key = pos * np.int64(c_out.size) + lab
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    gsum = np.add.reduceat(wsum[order], starts)
+    order = order[starts]
+    g_pos, g_comm = pos[order], lab[order]
+    gptr = np.r_[0, np.cumsum(np.bincount(g_pos, minlength=rows.size))]
+    own = g_comm == cstar[g_pos]
+    so_i = so_r[g_pos]
+    si_i = si_r[g_pos]
+    t = join_gain(gsum, so_i, si_i, c_out[g_comm] - np.where(own, so_i, 0.0),
+                  c_in[g_comm] - np.where(own, si_i, 0.0))
+    t_stay[g_pos[own]] = t[own]
+    t[own] = -np.inf
+    gsize = np.diff(gptr)
+    has = np.flatnonzero(gsize)
+    first = np.full(rows.size, -1, dtype=np.int64)
+    mx = np.full(rows.size, -np.inf)
+    mx[has] = np.maximum.reduceat(t, gptr[has])
+    idx = np.where(t == np.repeat(mx, gsize), np.arange(t.size), t.size)
+    beat = (mx > t_stay)[has]
+    first[has[beat]] = np.minimum.reduceat(idx, gptr[has])[beat]
+    ok = first >= 0
+    cstar[ok] = g_comm[first[ok]]
+    return cstar
+
+
 def random_edges(rng, n, density=0.3, dyadic=False, self_loops=False):
     """Random directed weighted edge list; weights positive, optionally dyadic."""
     edges = []

@@ -8,6 +8,7 @@ import pytest
 
 from synclouvain import cli
 from synclouvain.cli import main
+from synclouvain.forest import AssignmentForest, subtrees
 from synclouvain.graph import read_partition
 
 TRIANGLES = """0 1 1.0
@@ -120,6 +121,21 @@ def test_detect_infinite_weight_total_exits_2(tmp_path, capsys, threads,
     assert rc == 2
     assert "finite total" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_detect_invariant_error_exits_3(tri_file, tmp_path, capsys,
+                                       monkeypatch):
+    # a forest whose labels contradict its pointers stops the run, and main
+    # maps the error to exit 3
+    def contradicted(graph, config):
+        forest = AssignmentForest(np.array([1, 0]), np.array([0, 1]), 2,
+                                  np.ones(2, dtype=bool))
+        return subtrees(forest, np.arange(2))
+
+    monkeypatch.setattr(cli, "run", contradicted)
+    rc = main(["detect", str(tri_file), "--out-dir", str(tmp_path / "o")])
+    assert rc == 3
+    assert "invariant breach: subtrees:" in capsys.readouterr().err
 
 
 def test_detect_debug_floating_point_fault_exits_3(tri_file, tmp_path,

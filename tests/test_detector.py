@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from synclouvain import detector
+from synclouvain import BenchSpec, Graph, detector, generate
 from synclouvain.detector import (
     Hierarchy,
     RunConfig,
@@ -31,7 +31,8 @@ from synclouvain.quality import (CommunityAggregates, gain_switch, join_gain,
                                  local_gains, score)
 
 from conftest import build_graph, two_triangles
-from oracles import dense_weights, oracle_score, oracle_tail, random_edges
+from oracles import (dense_weights, oracle_best_targets, oracle_score,
+                     oracle_tail, random_edges)
 
 
 def test_config_validation():
@@ -138,6 +139,52 @@ def test_best_targets_matches_brute_force_pick(threads):
             np.testing.assert_array_equal(got, want)
     finally:
         pool.close()
+
+
+@pytest.mark.parametrize("shape", [(400, 16, 32, 0.2, 0.1),
+                                   (400, 16, 32, 0.5, 0.4),
+                                   (500, 4, 8, 0.3, 0.2)])
+def test_best_targets_bits_match_the_oracle_on_run_pieces(shape, monkeypatch):
+    # every piece two runs plan, against the plain kernel of oracles.py, bit
+    # for bit, on a planted graph of each benchmark shape; planted weights
+    # are not dyadic, so equal bits need the same sums in the same order.
+    # Two isolated nodes give degree-0 rows, a separate triangle rows whose
+    # neighbors all share their community, and the second run's pieces of
+    # 16 entries rows larger than a piece
+    n, k, kmax, mu_t, mu_w = shape
+    g = generate(BenchSpec(N=n, k=k, kmax=kmax, mu_t=mu_t, mu_w=mu_w,
+                           seed=7)).graph
+    tri = n + 2 + np.arange(3)
+    g = Graph.from_edges(n + 5, np.r_[g.out_src, tri],
+                         np.r_[g.out_dst, np.roll(tri, 1)],
+                         np.r_[g.out_w, 0.3, 0.7, 1.1])
+    real = detector._best_targets
+    seen = set()
+
+    def checked(graph, st, labels, agg, lo, hi, rows):
+        got = real(graph, st, labels, agg, lo, hi, rows)
+        u = graph.neighbor_union()
+        want = oracle_best_targets(u.ptr, u.nbr, u.w, st.s_out, st.s_in,
+                                   st.m_w, labels, agg.s_out, agg.s_in, rows)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        pos, nbr, _ = u.gather(rows)
+        deg = np.bincount(pos, minlength=rows.size)
+        away = np.bincount(pos[labels[nbr] != labels[rows][pos]],
+                           minlength=rows.size)
+        seen.add("slice" if hi - lo == rows.size else "gather")
+        if (deg == 0).any():
+            seen.add("degree 0")
+        if ((deg > 0) & (away == 0)).any():
+            seen.add("own only")
+        if rows.size == 1 and deg[0] > detector.PIECE_ENTRIES:
+            seen.add("large row")
+        return got
+
+    monkeypatch.setattr(detector, "_best_targets", checked)
+    run(g, RunConfig(seed=3))
+    monkeypatch.setattr(detector, "PIECE_ENTRIES", 16)
+    run(g, RunConfig(seed=3))
+    assert seen == {"slice", "gather", "degree 0", "own only", "large row"}
 
 
 def test_positive_correction_detaches_external_heavy_pendant():
@@ -616,18 +663,24 @@ def test_debug_flags_a_move_priced_against_a_stale_target(monkeypatch):
 
 
 def test_first_max_picks_first_row_maximum_above_floor():
-    ptr = np.array([0, 3, 3, 5, 6])  # entry rows 0, 0, 0, 2, 2, 3
-    val = np.array([1.0, 3.0, 3.0, 0.5, 0.25, 2.0])
+    row = np.array([0, 0, 0, 2, 2, 3, 4])
+    val = np.array([1.0, 3.0, 3.0, 0.5, 0.25, 2.0, -np.inf])
     # row 0 ties at entries 1 and 2; row 1 has no entries; row 2's maximum
-    # 0.5 does not beat its floor 0.5; row 3's 2.0 beats its floor 1.0
+    # 0.5 does not beat its floor 0.5; row 3's 2.0 beats its floor 1.0;
+    # row 4's only value is -inf, which beats no floor
     np.testing.assert_array_equal(
-        _first_max(ptr, val, np.array([0.0, 0.0, 0.5, 1.0])), [1, -1, -1, 5])
-    np.testing.assert_array_equal(_first_max(ptr, val, 0.0), [1, -1, 3, 5])
-    np.testing.assert_array_equal(_first_max(ptr, val, 3.0), [-1, -1, -1, -1])
-    empty = _first_max(np.zeros(1, np.int64), np.empty(0), 0.0)
+        _first_max(5, row, val, np.array([0.0, 0.0, 0.5, 1.0, -np.inf])),
+        [1, -1, -1, 5, -1])
+    np.testing.assert_array_equal(_first_max(5, row, val, 0.0),
+                                  [1, -1, 3, 5, -1])
+    np.testing.assert_array_equal(_first_max(5, row, val, -np.inf),
+                                  [1, -1, 3, 5, -1])
+    np.testing.assert_array_equal(_first_max(5, row, val, 3.0),
+                                  [-1, -1, -1, -1, -1])
+    empty = _first_max(0, np.empty(0, np.int64), np.empty(0), 0.0)
     assert empty.size == 0 and empty.dtype == np.int64
     np.testing.assert_array_equal(
-        _first_max(np.zeros(3, np.int64), np.empty(0), 0.0), [-1, -1])
+        _first_max(2, np.empty(0, np.int64), np.empty(0), 0.0), [-1, -1])
 
 
 def test_run_stops_level_at_sweep_cap(rng, monkeypatch):

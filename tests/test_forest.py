@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies
 
-from synclouvain.forest import AssignmentForest, extract_components, subtrees
+from synclouvain.forest import (AssignmentForest, InvariantError,
+                                extract_components, subtrees)
 
 from oracles import oracle_components, oracle_cycle_nodes, oracle_tail
 
@@ -106,3 +108,21 @@ def test_subtrees_slices_are_pointer_tails(seed, shape, share):
             assert got == set(oracle_tail(a, x))
         elif cyc.size == 2:
             assert got == set(oracle_tail(a, x, stop={int(root[x])}))
+
+
+@pytest.mark.parametrize("a, comm, on_cycle, why", [
+    # node 3 points into community 0
+    ([1, 0, 3, 0], [0, 0, 1, 1], [1, 1, 1, 0], "leaves its community"),
+    # community 1, the last, flags no cycle node
+    ([1, 0, 3, 2], [0, 0, 1, 1], [1, 1, 0, 0], "leaves its community"),
+    # one label over two 2-cycles: the root cuts one, the other stays closed
+    ([1, 0, 3, 2], [0, 0, 0, 0], [1, 1, 1, 1], "is not cut"),
+    # the flag sits on tree node 0, so the cycle 1 <-> 2 is never cut
+    ([1, 2, 1], [0, 0, 0], [1, 0, 0], "is not cut"),
+], ids=["pointer-leaves", "no-cycle-node", "two-cycles", "flag-off-cycle"])
+def test_subtrees_rejects_labels_that_contradict_pointers(a, comm, on_cycle,
+                                                          why):
+    forest = AssignmentForest(np.array(a), np.array(comm), max(comm) + 1,
+                              np.array(on_cycle, dtype=bool))
+    with pytest.raises(InvariantError, match=why):
+        subtrees(forest, np.arange(len(a)))

@@ -251,7 +251,7 @@ def test_unit_scaled_shares_the_structure(rng):
     assert np.shares_memory(v.ptr, u.ptr) and np.shares_memory(v.nbr, u.nbr)
 
 
-def _lexsort_merge(n, row, nbr, w):
+def _lexsort_merge(row, nbr, w):
     """The pair merge as a lexsort over (row, nbr), for reference."""
     order = np.lexsort((nbr, row))
     row, nbr, w = row[order], nbr[order], w[order]
@@ -260,9 +260,7 @@ def _lexsort_merge(n, row, nbr, w):
         starts = np.flatnonzero(new)
         row, nbr = row[starts], nbr[starts]
         w = np.add.reduceat(w, starts)
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
-    return ptr, row, nbr, w
+    return row, nbr, w
 
 
 def test_merge_pairs_matches_lexsort_reference(rng):
@@ -278,8 +276,8 @@ def test_merge_pairs_matches_lexsort_reference(rng):
         nbr = rng.integers(0, min(ncols, 4), size)
         w = rng.uniform(0.1, 3.0, size)
         got = _merge_pairs(n, ncols, row, nbr, w)
-        want = _lexsort_merge(n, row, nbr, w)
-        for a, b in zip(got, want):
+        want = _lexsort_merge(row, nbr, w)
+        for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
 
@@ -291,10 +289,9 @@ def test_pair_key_overflow_is_rejected():
         _merge_pairs(2**40, 2**23 + 1, np.zeros(1, np.int64),
                      np.zeros(1, np.int64), np.ones(1))
     # n * ncols == 2**63: the largest key, 2**63 - 1, still fits
-    ptr, row, nbr, w = _merge_pairs(2, 2**62, np.array([1]),
-                                    np.array([2**62 - 1]), np.ones(1))
-    assert ptr.tolist() == [0, 0, 1] and row.tolist() == [1]
-    assert nbr.tolist() == [2**62 - 1]
+    row, nbr, w = _merge_pairs(2, 2**62, np.array([1]),
+                               np.array([2**62 - 1]), np.ones(1))
+    assert row.tolist() == [1] and nbr.tolist() == [2**62 - 1]
 
 
 def test_union_rows_match_dense_weights(rng):

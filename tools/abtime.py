@@ -15,15 +15,22 @@ machine.  A worker generates the graph and builds its neighbor union (the
 benchmark's setup), then times one ``run`` at ``--threads`` and counts the
 process's minor page faults during it (``resource.getrusage``
 ``ru_minflt``).  Each worker first detects one graph untimed, to warm up.
+Each worker also wraps its tree's plan kernel, ``detector._best_targets``,
+and adds up the seconds spent inside it and the union entries of the rows
+it planned (the assignment's plan included).
 
 Per workload it prints each tree's median seconds per run, the median of
 the per-graph time ratios this checkout / REV with their quartiles, the
 graphs this checkout ran faster on out of all pairs, each tree's median
 minor faults per run, and the number of graphs whose flat partitions differ
-between the trees (0 for a change that keeps the bits).
+between the trees (0 for a change that keeps the bits).  A second line
+gives each tree's median plan microseconds per planned entry, the median
+of their per-graph ratios this checkout / REV with its quartiles, and the
+graphs whose plan ran faster per entry.
 """
 
-import argparse, json, os, resource, subprocess, sys, tempfile, time, zlib
+import argparse, json, os, resource, subprocess, sys, tempfile, threading
+import time, zlib
 from statistics import median
 
 import numpy as np
@@ -38,22 +45,47 @@ def graph_of(shape, seed):
                               seed=seed)).graph
 
 
+def timed_plan(detector):
+    """Wrap ``detector._best_targets`` so that it adds its seconds and the
+    union entries of its rows to the returned dict."""
+    plan = {"plan_s": 0.0, "plan_entries": 0}
+    inner = detector._best_targets
+    lock = threading.Lock()
+
+    def timed(graph, st, labels, agg, lo, hi, rows):
+        t0 = time.perf_counter()
+        out = inner(graph, st, labels, agg, lo, hi, rows)
+        secs = time.perf_counter() - t0
+        ptr = graph.neighbor_union().ptr
+        with lock:
+            plan["plan_s"] += secs
+            plan["plan_entries"] += int(ptr[rows + 1].sum() - ptr[rows].sum())
+        return out
+
+    detector._best_targets = timed
+    return plan
+
+
 def work():
     """Worker loop: one JSON request per stdin line, one JSON reply per
     stdout line."""
-    from synclouvain import RunConfig, run
+    from synclouvain import RunConfig, detector, run
+    plan = timed_plan(detector)
     for line in sys.stdin:
         req = json.loads(line)
         graph = graph_of(req["shape"], req["seed"])
         graph.neighbor_union()  # setup, as in the benchmark, not detect
         cfg = RunConfig(threads=req["threads"])
+        plan.update(plan_s=0.0, plan_entries=0)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         res = run(graph, cfg)
         secs = time.perf_counter() - t0
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         print(json.dumps({"s": secs, "faults": faults,
-                          "flat": zlib.crc32(res.hierarchy.flat.tobytes())}),
+                          "flat": zlib.crc32(res.hierarchy.flat.tobytes()),
+                          "plan_us": 1e6 * plan["plan_s"]
+                          / max(plan["plan_entries"], 1)}),
               flush=True)
 
 
@@ -78,6 +110,14 @@ def main():
                   f"{sum(r < 1.0 for r in ratio)}/{len(pairs)} graphs; minor "
                   f"faults per run {faults[0]:.0f} -> {faults[1]:.0f}; flats "
                   f"differ on {sum(a['flat'] != b['flat'] for a, b in pairs)}",
+                  flush=True)
+            per = [median(r["plan_us"] for r in side) for side in zip(*pairs)]
+            ratio = [new["plan_us"] / old["plan_us"] for old, new in pairs]
+            q1, q3 = np.percentile(ratio, [25, 75])
+            print(f"{shape}: plan us per planned entry {per[0]:.4f} -> "
+                  f"{per[1]:.4f}; this/{args.rev} median {median(ratio):.3f} "
+                  f"(quartiles {q1:.3f}, {q3:.3f}), faster on "
+                  f"{sum(r < 1.0 for r in ratio)}/{len(pairs)} graphs",
                   flush=True)
 
 
