@@ -23,6 +23,10 @@ union entries, which the threads share round-robin.  A piece whose rows
 are a node range reads its entries as one slice of the union.  Within a
 level only rows touching a changed community are planned again
 (``_Frontier``); the first sweep plans every row through that same path.
+Of those, a row whose node and union neighbors have not moved since its
+last plan keeps its community, with no gather or merge, when its cached
+largest weight to another community, over m, cannot beat staying
+(``_Frontier.settled``; the cache is exact, and so is the test).
 The commit applies the moves the coin accepted in ascending node order,
 skipping a move whose source an earlier move touched.  It prices them in
 rounds of one numpy pass each (``_PriceRounds``, ``_MovePrices``): a round
@@ -215,13 +219,60 @@ class _Frontier:
       neighbor communities, so its groups, their order and their sums are
       identical, and so is an unchanged node's own-community sum.
 
-    Under ``debug_checks`` both are compared with a full recompute."""
+    Of the frontier, ``settled`` keeps in its community, with no gather or
+    merge, every row whose cache is fresh and that cannot beat staying.
+    Each planned row caches ``w_own``, its own group's sum, and ``x_max``,
+    its largest group sum to another community (-inf for none), and is
+    then fresh (``stale`` False) until its node or a union neighbor moves:
+    the commit flags each applied tail and positive correction each cut's
+    nodes in the mask ``moved``, and the next ``settled`` marks those nodes
+    and their union neighbors stale, in O(n + their entries).  A mask, not
+    a list of the moved arrays, so that no commit's arrays outlive it.
+    Both are exact, bit for bit:
+
+    - the cache is exact: only moves change which nodes share a community,
+      and canonical relabeling renames the communities of unmoved nodes one
+      to one, so a fresh row's neighbors fall into the same groups, with
+      the same entries in the same order, and every group sum, ``w_own``
+      and ``x_max`` keep their bits;
+    - the settle test is exact: a fresh row stays when not ``x_max / m >
+      t_stay``, ``t_stay`` being ``join_gain`` of the cached ``w_own`` with
+      the kernel's operands.  Every other group sum is at most ``x_max``,
+      and division by m > 0 rounds monotonically, so every other group
+      fails the kernel's ``gsum / m > t_stay``; the own group cannot beat
+      staying by the kernel's proof (``_best_targets``); so the kernel
+      would return the own community.  No rounding margin is needed.
+
+    Under ``debug_checks`` the plan, the local gains and so the cache are
+    compared with a full recompute."""
 
     def __init__(self, n):
         self.plan_comm = None
         self.target_rep = np.arange(n)
         self.lg_comm = None
         self.lg = np.zeros(n)
+        self.stale = np.ones(n, dtype=bool)
+        self.w_own = np.zeros(n)
+        self.x_max = np.full(n, -np.inf)
+        self.moved = np.zeros(n, dtype=bool)  # since the last ``settled``
+
+    def settled(self, graph, st, labels, agg, rows):
+        """Mask of the ascending frontier ``rows`` that keep their community
+        at ``labels`` by the cache alone; the test needs m > 0."""
+        moved = np.flatnonzero(self.moved)
+        if moved.size:
+            self.moved[moved] = False
+            self.stale[moved] = True
+            self.stale[graph.neighbor_union().gather(moved)[1]] = True
+        keep = ~self.stale[rows]
+        if not st.m_w > 0.0:
+            return np.zeros(rows.size, dtype=bool)
+        r = rows[keep]
+        so, si, c = st.s_out[r], st.s_in[r], labels[r]
+        t_stay = join_gain(st.m_w, self.w_own[r], so, si, agg.s_out[c] - so,
+                           agg.s_in[c] - si)
+        keep[keep] = ~(self.x_max[r] / st.m_w > t_stay)
+        return keep
 
 
 def _first_max(k, row, val, floor):
@@ -381,6 +432,7 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
         gains.append(best_gain)
         b = next(fresh)
         labels[b_nodes] = b
+        memo.moved[b_nodes] = True
         agg.move_nodes(st, b_nodes, c, b)
         stack.append((c, mem[labels[mem] == c]))
         stack.append((b, b_nodes))
@@ -391,19 +443,25 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
 
 # -------------------------------------------------------- maximal correction
 
-def _best_targets(graph, st, labels, agg, lo, hi, rows):
+def _best_targets(graph, st, labels, agg, lo, hi, rows, memo=None):
     """Per node of the ascending ``rows``: the neighboring community with
     the highest switch score for moving the node alone, or its own
     community when no alternative strictly beats staying.  Pure snapshot
     computation; a row's result depends only on its own entries, so any
-    split of the rows gives the same bits per row.
+    split of the rows gives the same bits per row.  Given a ``memo``
+    (``_Frontier``), it also caches each row's own group sum ``w_own`` and
+    its largest group sum to another community ``x_max`` (the maximum of
+    the group sums with the own group masked to -inf), and marks the rows
+    fresh; a piece writes only its own rows, so the threads' writes are
+    disjoint.  A piece whose rows have no entry returns before the cache,
+    which then stays stale there.
 
     ``[lo, hi)`` spans ``rows``; when it holds no other node the piece's
     entries are one slice of the union, else they are gathered row by row.
     ``_merge_pairs`` sums each row's union weights per neighboring
-    community, over its terms in entry order (pairwise beyond 8 terms, so
-    the sum is fixed by the row's own entries), and returns the groups
-    sorted by row, then community, each with its row's position in
+    community, over its terms in entry order (in ``np.add.reduceat``'s
+    order, so the sum is fixed by the row's own entries), and returns the
+    groups sorted by row, then community, each with its row's position in
     ``rows``; so ``_first_max`` breaks ties to the lowest community label.
     A node's own group gives its staying score.
 
@@ -417,7 +475,8 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows):
     its community, gets products at least as large as in its staying
     score, so it cannot either.  Every other group is priced by
     ``join_gain`` as it would be alone, so the pick is the same, bit for
-    bit."""
+    bit.  So a row whose ``x_max / m`` does not beat its staying score
+    keeps its community: the settle test of ``_Frontier.settled``."""
     u = graph.neighbor_union()
     if hi - lo == rows.size:
         span = u.ptr[lo:hi + 1]
@@ -437,6 +496,14 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows):
     own = np.flatnonzero(g_comm == cstar[g_pos])
     w_own = np.zeros(rows.size)
     w_own[g_pos[own]] = gsum[own]
+    if memo is not None:
+        away = gsum.copy()
+        away[own] = -np.inf
+        head = _run_starts(g_pos)
+        memo.x_max[rows] = -np.inf
+        memo.x_max[rows[g_pos[head]]] = np.maximum.reduceat(away, head)
+        memo.w_own[rows] = w_own
+        memo.stale[rows] = False
     t_stay = join_gain(m, w_own, so_r, si_r, agg.s_out[cstar] - so_r,
                        agg.s_in[cstar] - si_r)
     up = np.flatnonzero(gsum / m > t_stay[g_pos])
@@ -646,9 +713,9 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     labels = forest.comm.copy()
     agg = CommunityAggregates.from_labels(st, labels, forest.n_comms)
 
-    def plan(rows):
+    def plan(rows, memo=None):
         return _map_rows(graph, pool, lambda lo, hi, r: _best_targets(
-            graph, st, labels, agg, lo, hi, r), rows)
+            graph, st, labels, agg, lo, hi, r, memo), rows)
 
     changed = _changed_nodes(memo.plan_comm, labels)
     if not changed.all():
@@ -657,7 +724,10 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
         u = graph.neighbor_union()
         changed[u.nbr[np.repeat(changed, np.diff(u.ptr))]] = True
     cstar = labels[memo.target_rep]
-    cstar[changed] = plan(np.flatnonzero(changed))
+    rows = np.flatnonzero(changed)
+    cstar[rows] = labels[rows]
+    rows = rows[~memo.settled(graph, st, labels, agg, rows)]
+    cstar[rows] = plan(rows, memo)
     if stats is not None and not np.array_equal(
             cstar, plan(np.arange(graph.n))):
         stats.debug_failures.append(
@@ -692,6 +762,7 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
                     f"{(g, j)}, fresh {fresh}")
         a[i] = j
         labels[moved] = to
+        memo.moved[moved] = True
         agg.move(frm, to, mp.so_b[s], mp.si_b[s], moved.size)
         book.commit(frm, to)
         gains.append(g)

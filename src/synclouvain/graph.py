@@ -155,13 +155,12 @@ def _merge_pairs(n, ncols, row, nbr, w):
 
     Pairs are grouped by a stable sort of the key row * ncols + nbr, which
     orders them as (row, nbr) does and keeps input order inside each group.
-    ``np.add.reduceat`` sums a group pairwise beyond 8 terms, as
-    ``ndarray.sum`` does, not one term at a time, so its bits can differ
-    from a sequential ``np.bincount``; but a group's sum depends only on
-    its own terms in that fixed order, so every merged sum is
-    deterministic.  The largest key, n * ncols - 1, must fit in int64, so
-    n * ncols > 2**63 raises ValueError before anything of size n is
-    allocated."""
+    ``np.add.reduceat`` adds a group in an order of its own, so from three
+    terms on its bits can differ from a sequential ``np.bincount`` and from
+    ``ndarray.sum``; but a group's sum depends only on its own terms in
+    that fixed order, so every merged sum is deterministic.  The largest
+    key, n * ncols - 1, must fit in int64, so n * ncols > 2**63 raises
+    ValueError before anything of size n is allocated."""
     if n * ncols > 2**63:
         raise ValueError(f"{n} rows x {ncols} columns overflow the int64 "
                          "pair key")
@@ -196,11 +195,18 @@ def _unit_scaled(g: Graph) -> Graph:
     power of two is exact while the product stays normal, so inputs that
     differ only by such a factor give the same copy, bit for bit.  The copy
     shares ``out_src``, ``out_dst`` and the union's ``ptr`` and ``nbr``; the
-    union is built on ``g``, where it stays cached."""
+    union is built on ``g``, where it stays cached.  An edge below about
+    2**-1075 of the total underflows to 0, and a graph's weights must be
+    positive (``aggregate`` would reject it), so such edges are dropped and
+    that copy builds its own union."""
     # ldexp, because the factor 2**-e alone overflows when m_w is subnormal
     shift = -math.frexp(float(g.out_w.sum()))[1]
+    w = np.ldexp(g.out_w, shift)
+    if not w.all():
+        keep = w > 0.0
+        return Graph(g.n, g.out_src[keep], g.out_dst[keep], w[keep])
     u = g.neighbor_union()
-    out = Graph(g.n, g.out_src, g.out_dst, np.ldexp(g.out_w, shift))
+    out = Graph(g.n, g.out_src, g.out_dst, w)
     w = np.ldexp(u.w, shift)
     w.setflags(write=False)
     out._union = NeighborUnion(u.ptr, u.nbr, w)
@@ -446,10 +452,22 @@ def aggregate(graph: Graph, labels) -> Graph:
 
 
 def canonicalize_labels(labels) -> np.ndarray:
-    """Dense labels 0..c-1 ordered by each community's smallest member."""
+    """Dense labels 0..c-1 ordered by each community's smallest member.
+    Labels in [0, n), as the detector's forests have, take O(n): a node is
+    its community's smallest member iff ``np.minimum.at`` put it first
+    under its label, and the count of such nodes up to it is its rank.
+    Other labels (partition files, the public API) go through
+    ``np.unique``."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
+    n = labels.size
+    if n == 0:
         return labels.copy()
+    if labels.min() >= 0 and labels.max() < n:
+        first = np.full(n, n)
+        np.minimum.at(first, labels, np.arange(n))
+        head = first[labels]
+        rank = np.cumsum(head == np.arange(n)) - 1
+        return rank[head]
     uniq, first = np.unique(labels, return_index=True)
     remap = np.empty(uniq.size, dtype=np.int64)
     remap[np.argsort(first, kind="stable")] = np.arange(uniq.size)

@@ -184,6 +184,24 @@ def oracle_best_targets(ptr, nbr, w, s_out, s_in, m, labels, c_out, c_in,
     return cstar
 
 
+def oracle_row_cache(ptr, nbr, w, labels, rows):
+    """Per node of ``rows``, row by row: (w_own, x_max), its union weight to
+    its own community and its largest union weight to another community
+    (-inf for none), each community's terms summed in entry order by
+    ``np.add.reduceat``, as the plan kernel sums a group."""
+    w_own = np.zeros(rows.size)
+    x_max = np.full(rows.size, -np.inf)
+    for r, i in enumerate(rows.tolist()):
+        lab, wr = labels[nbr[ptr[i]:ptr[i + 1]]], w[ptr[i]:ptr[i + 1]]
+        for c in np.unique(lab).tolist():
+            s = np.add.reduceat(wr[lab == c], [0])[0]
+            if c == labels[i]:
+                w_own[r] = s
+            else:
+                x_max[r] = max(x_max[r], s)
+    return w_own, x_max
+
+
 def random_edges(rng, n, density=0.3, dyadic=False, self_loops=False):
     """Random directed weighted edge list; weights positive, optionally dyadic."""
     edges = []

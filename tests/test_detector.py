@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from synclouvain.detector import (
     RunStats,
     _MovePrices,
     _Pool,
+    _Frontier,
     _PriceRounds,
     _attach_target,
     _changed_nodes,
@@ -31,8 +33,8 @@ from synclouvain.quality import (CommunityAggregates, gain_switch, join_gain,
                                  local_gains, score)
 
 from conftest import build_graph, two_triangles
-from oracles import (dense_weights, oracle_best_targets, oracle_score,
-                     oracle_tail, random_edges)
+from oracles import (dense_weights, oracle_best_targets, oracle_row_cache,
+                     oracle_score, oracle_tail, random_edges)
 
 
 def test_config_validation():
@@ -161,8 +163,8 @@ def test_best_targets_bits_match_the_oracle_on_run_pieces(shape, monkeypatch):
     real = detector._best_targets
     seen = set()
 
-    def checked(graph, st, labels, agg, lo, hi, rows):
-        got = real(graph, st, labels, agg, lo, hi, rows)
+    def checked(graph, st, labels, agg, lo, hi, rows, memo=None):
+        got = real(graph, st, labels, agg, lo, hi, rows, memo)
         u = graph.neighbor_union()
         want = oracle_best_targets(u.ptr, u.nbr, u.w, st.s_out, st.s_in,
                                    st.m_w, labels, agg.s_out, agg.s_in, rows)
@@ -185,6 +187,87 @@ def test_best_targets_bits_match_the_oracle_on_run_pieces(shape, monkeypatch):
     monkeypatch.setattr(detector, "PIECE_ENTRIES", 16)
     run(g, RunConfig(seed=3))
     assert seen == {"slice", "gather", "degree 0", "own only", "large row"}
+
+
+def _cache_shapes():
+    """(name, graph) of the row-cache checks: a planted graph of each
+    benchmark shape, a unit-weight path and an equal-weight clique."""
+    for n, k, kmax, mu_t, mu_w in [(400, 16, 32, 0.2, 0.1),
+                                   (400, 16, 32, 0.5, 0.4),
+                                   (500, 4, 8, 0.3, 0.2)]:
+        yield f"planted-{mu_t}", generate(BenchSpec(
+            N=n, k=k, kmax=kmax, mu_t=mu_t, mu_w=mu_w, seed=7)).graph
+    path = np.arange(299)
+    yield "path", Graph.from_edges(300, path, path + 1, np.ones(299))
+    i, j = np.nonzero(~np.eye(30, dtype=bool))
+    yield "clique", Graph.from_edges(30, i, j, np.ones(i.size))
+
+
+def test_row_cache_and_settled_rows_match_the_oracles(monkeypatch):
+    # at every maximal sweep, once the moved rows are marked stale: every
+    # fresh row's cached w_own and x_max have the bits of a row-by-row
+    # recompute at the current labels, and every row the settle test keeps
+    # is kept in its community by the full plan kernel of oracles.py.  The
+    # second run of each graph writes the cache from 3 threads (more than
+    # the cores), in pieces of at most 64 entries, switching threads often
+    real = _Frontier.settled
+    seen = {"fresh": 0, "settled": 0}
+
+    def checked(self, graph, st, labels, agg, rows):
+        keep = real(self, graph, st, labels, agg, rows)
+        u = graph.neighbor_union()
+        fresh = np.flatnonzero(~self.stale)
+        w_own, x_max = oracle_row_cache(u.ptr, u.nbr, u.w, labels, fresh)
+        assert self.w_own[fresh].tobytes() == w_own.tobytes()
+        assert self.x_max[fresh].tobytes() == x_max.tobytes()
+        kept = rows[keep]
+        want = oracle_best_targets(u.ptr, u.nbr, u.w, st.s_out, st.s_in,
+                                   st.m_w, labels, agg.s_out, agg.s_in, kept)
+        np.testing.assert_array_equal(want, labels[kept])
+        seen["fresh"] += fresh.size
+        seen["settled"] += kept.size
+        return keep
+
+    monkeypatch.setattr(_Frontier, "settled", checked)
+    switch = sys.getswitchinterval()
+    try:
+        for name, g in _cache_shapes():
+            for seed, threads in ((1, 1), (2, 3)):
+                monkeypatch.setattr(detector, "PIECE_ENTRIES",
+                                    64 if threads > 1 else 2**15)
+                sys.setswitchinterval(1e-5 if threads > 1 else switch)
+                res = run(g, RunConfig(threads=threads, seed=seed,
+                                       debug_checks=True))
+                assert res.stats.debug_failures == [], name
+    finally:
+        sys.setswitchinterval(switch)
+    assert seen["settled"] > 0 and seen["fresh"] > seen["settled"]
+
+
+def test_debug_flags_a_row_settled_from_a_corrupt_cache():
+    # a cached x_max lowered to -inf settles a row whose plan moves it; the
+    # debug comparison plans every row without the cache, so it sees that
+    g = generate(BenchSpec(N=300, k=8, kmax=16, mu_t=0.3, mu_w=0.2,
+                           seed=4)).graph
+    st = strengths(g)
+    forest = extract_components(np.arange(g.n))
+    labels = forest.comm
+    agg = CommunityAggregates.from_labels(st, labels, forest.n_comms)
+    failures = {}
+    for corrupt in (False, True):
+        memo = _Frontier(g.n)
+        plan = _map_rows(g, None, lambda lo, hi, r: detector._best_targets(
+            g, st, labels, agg, lo, hi, r, memo), np.arange(g.n))
+        assert not memo.stale.any()
+        if corrupt:
+            memo.x_max[np.flatnonzero(plan != labels)[0]] = -np.inf
+        stats = RunStats()
+        maximal_correction(g, st, forest, RunConfig(seed=1), 0, 0, None,
+                           stats, memo)
+        failures[corrupt] = [m for m in stats.debug_failures
+                             if "frontier plan differs" in m]
+    assert failures == {False: [], True: [
+        "frontier plan differs from the full plan at level 0 sweep 0"]}
 
 
 def test_positive_correction_detaches_external_heavy_pendant():

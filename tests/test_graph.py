@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -390,6 +391,42 @@ def test_canonicalize_labels_orders_by_smallest_member():
     raw = np.array([7, 3, 7, 3, 9])
     out = canonicalize_labels(raw)
     np.testing.assert_array_equal(out, [0, 1, 0, 1, 2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 40), k=st.integers(1, 60),
+       big=st.sampled_from((0, 1, 2**40, 2**62)), seed=st.integers(0, 2**31))
+def test_canonicalize_labels_matches_the_unique_reference(n, k, big, seed):
+    # labels with gaps (k up to 1.5 n), large ids (offset ``big``, beyond n
+    # for any offset but 0), and empty input, against the np.unique path
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, k, n) + big
+    uniq, first = np.unique(raw, return_index=True)
+    remap = np.empty(uniq.size, dtype=np.int64)
+    remap[np.argsort(first, kind="stable")] = np.arange(uniq.size)
+    want = remap[np.searchsorted(uniq, raw)]
+    got = canonicalize_labels(raw)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+
+
+def test_unit_scaled_drops_edges_that_underflow():
+    # weights spread over 1e-300 to 1e300: the smallest fall below 2**-1075
+    # of the total, become 0 when scaled, and are dropped, so the copy
+    # still has only positive weights and its own union
+    rng = np.random.default_rng(5)
+    n = 60
+    src, dst = np.nonzero(rng.random((n, n)) < 0.15)
+    w = 10.0 ** rng.uniform(-300, 300, src.size)
+    g = Graph.from_edges(n, src, dst, w)
+    out = _unit_scaled(g)
+    keep = np.ldexp(w, -math.frexp(float(w.sum()))[1]) > 0.0
+    assert 0 < keep.sum() < w.size
+    assert (out.out_w > 0.0).all()
+    np.testing.assert_array_equal(out.out_src, src[keep])
+    np.testing.assert_array_equal(out.out_dst, dst[keep])
+    u = out.neighbor_union()
+    assert (u.w > 0.0).all() and u.nbr.size < g.neighbor_union().nbr.size
 
 
 def test_compose_labels():

@@ -17,16 +17,23 @@ process's minor page faults during it (``resource.getrusage``
 ``ru_minflt``).  Each worker first detects one graph untimed, to warm up.
 Each worker also wraps its tree's plan kernel, ``detector._best_targets``,
 and adds up the seconds spent inside it and the union entries of the rows
-it planned (the assignment's plan included).
+it planned (the assignment's plan included); on a tree whose frontier has
+a settle test (``detector._Frontier.settled``), it adds that test's seconds
+to the plan's and counts the frontier rows it was given and those it
+settled.
 
 Per workload it prints each tree's median seconds per run, the median of
 the per-graph time ratios this checkout / REV with their quartiles, the
 graphs this checkout ran faster on out of all pairs, each tree's median
 minor faults per run, and the number of graphs whose flat partitions differ
 between the trees (0 for a change that keeps the bits).  A second line
-gives each tree's median plan microseconds per planned entry, the median
-of their per-graph ratios this checkout / REV with its quartiles, and the
-graphs whose plan ran faster per entry.
+gives each tree's median plan seconds per run, the median of their
+per-graph ratios this checkout / REV with its quartiles and the graphs
+whose plan ran faster; then the same for plan microseconds per planned
+entry, and each tree's share of the frontier rows settled without a plan.
+Plan seconds per run is the figure to read: settled rows leave the plan,
+and they are its cheapest, so the cost per planned entry rises when the
+settle test saves time.
 """
 
 import argparse, json, os, resource, subprocess, sys, tempfile, threading
@@ -45,16 +52,21 @@ def graph_of(shape, seed):
                               seed=seed)).graph
 
 
+PLAN_ZERO = {"plan_s": 0.0, "plan_entries": 0, "frontier": 0, "settled": 0}
+
+
 def timed_plan(detector):
     """Wrap ``detector._best_targets`` so that it adds its seconds and the
-    union entries of its rows to the returned dict."""
-    plan = {"plan_s": 0.0, "plan_entries": 0}
+    union entries of its rows to the returned dict, and the settle test
+    ``detector._Frontier.settled``, where the tree has one, so that it adds
+    its seconds, its frontier rows and the rows it settled."""
+    plan = dict(PLAN_ZERO)
     inner = detector._best_targets
     lock = threading.Lock()
 
-    def timed(graph, st, labels, agg, lo, hi, rows):
+    def timed(graph, st, labels, agg, lo, hi, rows, *memo):
         t0 = time.perf_counter()
-        out = inner(graph, st, labels, agg, lo, hi, rows)
+        out = inner(graph, st, labels, agg, lo, hi, rows, *memo)
         secs = time.perf_counter() - t0
         ptr = graph.neighbor_union().ptr
         with lock:
@@ -63,6 +75,20 @@ def timed_plan(detector):
         return out
 
     detector._best_targets = timed
+    frontier = getattr(detector, "_Frontier", None)
+    settle = getattr(frontier, "settled", None)
+    if settle is not None:
+        def timed_settle(self, graph, st, labels, agg, rows):
+            t0 = time.perf_counter()
+            keep = settle(self, graph, st, labels, agg, rows)
+            secs = time.perf_counter() - t0
+            with lock:
+                plan["plan_s"] += secs
+                plan["frontier"] += rows.size
+                plan["settled"] += int(keep.sum())
+            return keep
+
+        frontier.settled = timed_settle
     return plan
 
 
@@ -76,7 +102,7 @@ def work():
         graph = graph_of(req["shape"], req["seed"])
         graph.neighbor_union()  # setup, as in the benchmark, not detect
         cfg = RunConfig(threads=req["threads"])
-        plan.update(plan_s=0.0, plan_entries=0)
+        plan.update(PLAN_ZERO)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         res = run(graph, cfg)
@@ -84,8 +110,11 @@ def work():
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         print(json.dumps({"s": secs, "faults": faults,
                           "flat": zlib.crc32(res.hierarchy.flat.tobytes()),
+                          "plan_s": plan["plan_s"],
                           "plan_us": 1e6 * plan["plan_s"]
-                          / max(plan["plan_entries"], 1)}),
+                          / max(plan["plan_entries"], 1),
+                          "settled": plan["settled"]
+                          / max(plan["frontier"], 1)}),
               flush=True)
 
 
@@ -111,14 +140,22 @@ def main():
                   f"faults per run {faults[0]:.0f} -> {faults[1]:.0f}; flats "
                   f"differ on {sum(a['flat'] != b['flat'] for a, b in pairs)}",
                   flush=True)
-            per = [median(r["plan_us"] for r in side) for side in zip(*pairs)]
-            ratio = [new["plan_us"] / old["plan_us"] for old, new in pairs]
-            q1, q3 = np.percentile(ratio, [25, 75])
-            print(f"{shape}: plan us per planned entry {per[0]:.4f} -> "
-                  f"{per[1]:.4f}; this/{args.rev} median {median(ratio):.3f} "
-                  f"(quartiles {q1:.3f}, {q3:.3f}), faster on "
-                  f"{sum(r < 1.0 for r in ratio)}/{len(pairs)} graphs",
-                  flush=True)
+            line = []
+            for f, unit in (("plan_s", "plan s per run"),
+                            ("plan_us", "plan us per planned entry")):
+                per = [median(r[f] for r in side) for side in zip(*pairs)]
+                ratio = [new[f] / old[f] for old, new in pairs]
+                q1, q3 = np.percentile(ratio, [25, 75])
+                line.append(
+                    f"{unit} {per[0]:.4f} -> {per[1]:.4f}, this/"
+                    f"{args.rev} median {median(ratio):.3f} (quartiles "
+                    f"{q1:.3f}, {q3:.3f}), faster on "
+                    f"{sum(r < 1.0 for r in ratio)}/{len(pairs)} graphs")
+            share = [median(r["settled"] for r in side)
+                     for side in zip(*pairs)]
+            line.append(f"frontier rows settled {share[0]:.1%} -> "
+                        f"{share[1]:.1%}")
+            print(f"{shape}: " + "; ".join(line), flush=True)
 
 
 def compare(shape, args, srcs):

@@ -8,8 +8,11 @@ with ``debug_checks`` on (and ``record_scores``, on a tree whose
 ``RunConfig`` still has that switch).  Prints every field that
 differs, with the number of runs it differs on, one of them and, for a
 float field, the largest absolute difference between the two trees; then
-the fields that are identical on every run.  Exits 1 on any difference or
-any debug failure, else 0.
+the fields that are identical on every run.  A run that raises is recorded
+in the field ``error``, with every other field None, and printed; a run
+that raised on either tree is compared by that field alone.  Exits 1 on
+any difference, any debug failure or any run of this checkout that
+raised, else 0.
 """
 
 import os, pickle, subprocess, sys, tempfile, zlib
@@ -24,7 +27,8 @@ SHAPES = {"planted-file": (6000, 16, 32, 0.2, 0.1),
           "planted-sparse": (8000, 4, 8, 0.3, 0.2)}
 FIELDS = ("flat levels final_score "
           "score_trace trace_level_starts drift_checks sweeps_per_level warnings "
-          "accepted_moves accepted_splits unresolved_negative debug_failures").split()
+          "accepted_moves accepted_splits unresolved_negative debug_failures "
+          "error").split()
 FLOATS = ("final_score", "score_trace", "drift_checks")
 
 
@@ -74,6 +78,15 @@ def corpus():
     src = np.concatenate([(base + i).ravel(), base[1:, 0] - 1])
     dst = np.concatenate([(base + j).ravel(), base[1:, 0]])
     yield "cliques", Graph.from_edges(100, src, dst, np.ones(src.size))
+    # all ties and extreme scales: a 30-node clique of equal weights, and 80
+    # random nodes whose weights spread log-uniformly over 1e-300 to 1e300
+    i, j = np.nonzero(~np.eye(30, dtype=bool))
+    yield "clique", Graph.from_edges(30, i, j, np.ones(i.size))
+    adj = rng.random((80, 80)) < 0.1
+    adj[np.diag_indices(80)] = False
+    src, dst = np.nonzero(adj)
+    yield "wide-weights", Graph.from_edges(
+        80, src, dst, 10.0 ** rng.uniform(-300, 300, src.size))
 
 
 def bits(x):
@@ -93,12 +106,19 @@ def dump():
     out = {}
     for name, graph in corpus():
         for threads in (1, 2):
-            res = run(graph, RunConfig(threads=threads,
-                                       seed=zlib.crc32(name.encode()) % 97,
-                                       debug_checks=True, **record))
+            key = f"{name} threads={threads}"
+            try:
+                res = run(graph, RunConfig(threads=threads,
+                                           seed=zlib.crc32(name.encode()) % 97,
+                                           debug_checks=True, **record))
+            except Exception as exc:  # recorded per run; main exits 1 on it
+                out[key] = {**dict.fromkeys(FIELDS),
+                            "error": f"{type(exc).__name__}: {exc}"}
+                continue
             got = {**vars(res.stats), "flat": res.hierarchy.flat,
-                   "levels": res.hierarchy.levels, "final_score": res.final_score}
-            out[f"{name} threads={threads}"] = {f: got[f] for f in FIELDS}
+                   "levels": res.hierarchy.levels,
+                   "final_score": res.final_score, "error": None}
+            out[key] = {f: got[f] for f in FIELDS}
     sys.stdout.buffer.write(pickle.dumps(out))
 
 
@@ -130,17 +150,26 @@ def main(rev):
     if any(p.returncode for p in procs):
         sys.exit("a corpus run failed")
     old, new = map(pickle.loads, outs)
-    differ = {f: [key for key in new
+    for key in new:
+        for tree, out in ((rev, old), ("this checkout", new)):
+            if out[key]["error"]:
+                print(f"{key} raised at {tree}: {out[key]['error']}")
+    # a run that raised has only its error to compare
+    ran = [key for key in new if not (old[key]["error"] or new[key]["error"])]
+    differ = {f: [key for key in (new if f == "error" else ran)
                   if bits(new[key][f]) != bits(old[key][f])] for f in FIELDS}
     for f, keys in differ.items():
         if keys:
             print(f"{f} differs from {rev} on {len(keys)} of {len(new)} "
                   f"runs, e.g. {keys[0]}{largest_gap(f, keys, old, new)}")
     same = [f for f, keys in differ.items() if not keys]
-    failures = sum(len(fields["debug_failures"]) for fields in new.values())
-    print(f"{len(new)} runs; bit-identical to {rev}: {' '.join(same)}; "
-          f"{failures} debug failures")
-    return 1 if failures or len(same) < len(FIELDS) else 0
+    failures = sum(len(fields["debug_failures"] or ())
+                   for fields in new.values())
+    raised = sum(bool(fields["error"]) for fields in new.values())
+    print(f"{len(new)} runs, {len(ran)} finished on both trees; "
+          f"bit-identical to {rev}: {' '.join(same)}; {failures} debug "
+          f"failures; {raised} runs of this checkout raised")
+    return 1 if failures or raised or len(same) < len(FIELDS) else 0
 
 
 if __name__ == "__main__":
