@@ -118,49 +118,60 @@ def generate(spec: BenchSpec) -> PlantedGraph:
     inside its community with probability 1 - mu_t; intra edges weigh
     1 - mu_w and inter edges mu_w * (1 - mu_t) / mu_t, so both the edge
     fraction and the strength fraction leaving a community match the two
-    mixing knobs in expectation."""
+    mixing knobs in expectation.
+
+    The graph is a function of the seed's stream, drawn in a fixed order:
+    community sizes, degrees, intra stub counts, then per node in id order
+    one ``rng.choice`` of its distinct intra targets (stubs beyond the
+    rest of its block spill to inter) followed by the ``rng.integers``
+    batches that place its distinct inter targets outside its block.  The
+    loop makes only these draws; a node's intra draw x in [0, size - 1)
+    is the block's x-th node after skipping the node itself.  No (src,
+    dst) pair repeats, so the order in which edges reach
+    ``Graph.from_edges`` does not change its arrays."""
     rng = np.random.default_rng(spec.seed)
     sizes = _draw_sizes(rng, spec.N, spec.cmin, spec.cmax, spec.mu_t > 0.0)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     truth = np.repeat(np.arange(len(sizes)), sizes)
     deg = _draw_degrees(rng, spec.N, spec.k, spec.kmax)
     n_intra = rng.binomial(deg, 1.0 - spec.mu_t)
-    w_intra = 1.0 - spec.mu_w
+    lo = bounds[truth]
+    hi = bounds[truth + 1]
+    room = hi - lo - 1
+    ni = np.minimum(n_intra, room)  # overflow spills to inter
+    ne = deg - ni
+    if spec.mu_t == 0.0 and ne.any():
+        i = int(np.argmax(ne > 0))
+        raise ValueError(
+            f"community of size {hi[i] - lo[i]} cannot absorb "
+            f"{deg[i]} intra stubs with mu_t=0")
+    picks, outsiders = [np.empty(0, np.int64)], []
+    for lo_i, hi_i, room_i, ni_i, ne_i in zip(
+            lo.tolist(), hi.tolist(), room.tolist(), ni.tolist(),
+            ne.tolist()):
+        if ni_i:
+            picks.append(rng.choice(room_i, size=ni_i, replace=False))
+        if ne_i:
+            outsiders += _draw_outsiders(rng, spec.N, lo_i, hi_i, ne_i)
+    nodes = np.arange(spec.N)
+    intra_src = np.repeat(nodes, ni)
+    intra_dst = lo[intra_src] + np.concatenate(picks)
+    intra_dst += intra_dst >= intra_src
+    inter_dst = np.array(outsiders, dtype=np.int64)
     w_inter = (spec.mu_w * (1.0 - spec.mu_t) / spec.mu_t
                if spec.mu_t > 0.0 else 0.0)
-    srcs, dsts, wgts = [], [], []
-    for c in range(len(sizes)):
-        lo, hi = int(bounds[c]), int(bounds[c + 1])
-        for i in range(lo, hi):
-            room = hi - lo - 1
-            ni = min(int(n_intra[i]), room)  # overflow spills to inter
-            ne = int(deg[i]) - ni
-            if ni:
-                others = np.concatenate(
-                    [np.arange(lo, i), np.arange(i + 1, hi)])
-                tgt = rng.choice(others, size=ni, replace=False)
-                srcs.append(np.full(ni, i, dtype=np.int64))
-                dsts.append(tgt.astype(np.int64))
-                wgts.append(np.full(ni, w_intra))
-            if ne:
-                if spec.mu_t == 0.0:
-                    raise ValueError(
-                        f"community of size {hi - lo} cannot absorb "
-                        f"{int(deg[i])} intra stubs with mu_t=0")
-                tgt = _draw_outsiders(rng, spec.N, lo, hi, ne)
-                srcs.append(np.full(ne, i, dtype=np.int64))
-                dsts.append(np.asarray(tgt, dtype=np.int64))
-                wgts.append(np.full(ne, w_inter))
-    src = np.concatenate(srcs) if srcs else np.empty(0, np.int64)
-    dst = np.concatenate(dsts) if dsts else np.empty(0, np.int64)
-    w = np.concatenate(wgts) if wgts else np.empty(0)
-    graph = Graph.from_edges(spec.N, src, dst, w)
+    w = np.repeat([1.0 - spec.mu_w, w_inter], [intra_dst.size, inter_dst.size])
+    graph = Graph.from_edges(
+        spec.N, np.concatenate([intra_src, np.repeat(nodes, ne)]),
+        np.concatenate([intra_dst, inter_dst]), w)
     return PlantedGraph(graph=graph, truth=truth, spec=spec)
 
 
 def nmi(labels_a, labels_b) -> float:
     """Normalized mutual information with arithmetic-mean normalization:
-    2 I(A;B) / (H(A) + H(B)); defined as 1.0 when both entropies vanish."""
+    2 I(A;B) / (H(A) + H(B)); defined as 1.0 when both entropies vanish.
+    Only the label pairs that occur are counted, in ascending pair code,
+    so memory is O(n) whatever the label counts."""
     a = np.asarray(labels_a)
     b = np.asarray(labels_b)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
@@ -168,14 +179,13 @@ def nmi(labels_a, labels_b) -> float:
     n = a.size
     ai = np.unique(a, return_inverse=True)[1]
     bi = np.unique(b, return_inverse=True)[1]
-    na = int(ai.max()) + 1
     nb = int(bi.max()) + 1
-    joint = np.bincount(ai * nb + bi, minlength=na * nb) / n
+    code, count = np.unique(ai * nb + bi, return_counts=True)
+    joint = count / n
     pa = np.bincount(ai) / n
     pb = np.bincount(bi) / n
-    outer = (pa[:, None] * pb[None, :]).ravel()
-    nz = joint > 0
-    info = float((joint[nz] * np.log(joint[nz] / outer[nz])).sum())
+    outer = pa[code // nb] * pb[code % nb]
+    info = float((joint * np.log(joint / outer)).sum())
     h_a = -float((pa * np.log(pa)).sum())
     h_b = -float((pb * np.log(pb)).sum())
     if h_a + h_b == 0.0:

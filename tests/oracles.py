@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: dense matrices, double loops,
 exhaustive enumeration. Nothing imports the package under test, so a bug in
-the package cannot hide inside its own oracle.
+the package cannot hide inside its own oracle; the one exception,
+``oracle_generate``, borrows the community-size and degree draws and writes
+out the rest.
 """
 
 from __future__ import annotations
@@ -218,3 +220,90 @@ def random_edges(rng, n, density=0.3, dyadic=False, self_loops=False):
     if not edges:  # keep graphs non-degenerate
         edges.append((0, (1 % n) if n > 1 else 0, 1.0))
     return edges
+
+
+def _oracle_outsiders(rng, n_total, lo, hi, want):
+    """Distinct uniform targets outside the block [lo, hi), kept in first-
+    draw order so results depend only on the stream."""
+    out = []
+    seen = set()
+    for _ in range(200):
+        batch = rng.integers(0, n_total, size=max(8, 2 * (want - len(out))))
+        for j in batch.tolist():
+            if lo <= j < hi or j in seen:
+                continue
+            seen.add(j)
+            out.append(j)
+            if len(out) == want:
+                return out
+    raise ValueError(
+        f"cannot place {want} inter-community edges from a block of size "
+        f"{hi - lo} in a graph of {n_total} nodes")
+
+
+def oracle_generate(spec):
+    """(src, dst, w, truth) of the planted graph of ``spec``, edges in draw
+    order and unmerged, by the generator's original per-node loop: each
+    node's intra targets drawn from an array of the rest of its block,
+    then its outsiders.  Shares only the community-size and degree draws
+    with the package."""
+    from synclouvain.bench import _draw_degrees, _draw_sizes
+    rng = np.random.default_rng(spec.seed)
+    sizes = _draw_sizes(rng, spec.N, spec.cmin, spec.cmax, spec.mu_t > 0.0)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    truth = np.repeat(np.arange(len(sizes)), sizes)
+    deg = _draw_degrees(rng, spec.N, spec.k, spec.kmax)
+    n_intra = rng.binomial(deg, 1.0 - spec.mu_t)
+    w_intra = 1.0 - spec.mu_w
+    w_inter = (spec.mu_w * (1.0 - spec.mu_t) / spec.mu_t
+               if spec.mu_t > 0.0 else 0.0)
+    srcs, dsts, wgts = [], [], []
+    for c in range(len(sizes)):
+        lo, hi = int(bounds[c]), int(bounds[c + 1])
+        for i in range(lo, hi):
+            room = hi - lo - 1
+            ni = min(int(n_intra[i]), room)  # overflow spills to inter
+            ne = int(deg[i]) - ni
+            if ni:
+                others = np.concatenate(
+                    [np.arange(lo, i), np.arange(i + 1, hi)])
+                tgt = rng.choice(others, size=ni, replace=False)
+                srcs.append(np.full(ni, i, dtype=np.int64))
+                dsts.append(tgt.astype(np.int64))
+                wgts.append(np.full(ni, w_intra))
+            if ne:
+                if spec.mu_t == 0.0:
+                    raise ValueError(
+                        f"community of size {hi - lo} cannot absorb "
+                        f"{int(deg[i])} intra stubs with mu_t=0")
+                tgt = _oracle_outsiders(rng, spec.N, lo, hi, ne)
+                srcs.append(np.full(ne, i, dtype=np.int64))
+                dsts.append(np.asarray(tgt, dtype=np.int64))
+                wgts.append(np.full(ne, w_inter))
+    src = np.concatenate(srcs) if srcs else np.empty(0, np.int64)
+    dst = np.concatenate(dsts) if dsts else np.empty(0, np.int64)
+    w = np.concatenate(wgts) if wgts else np.empty(0)
+    return src, dst, w, truth
+
+
+def oracle_nmi(labels_a, labels_b):
+    """NMI 2 I(A;B) / (H(A) + H(B)) from the dense na x nb joint table,
+    1.0 when both entropies vanish."""
+    a = np.asarray(labels_a)
+    b = np.asarray(labels_b)
+    n = a.size
+    ai = np.unique(a, return_inverse=True)[1]
+    bi = np.unique(b, return_inverse=True)[1]
+    na = int(ai.max()) + 1
+    nb = int(bi.max()) + 1
+    joint = np.bincount(ai * nb + bi, minlength=na * nb) / n
+    pa = np.bincount(ai) / n
+    pb = np.bincount(bi) / n
+    outer = (pa[:, None] * pb[None, :]).ravel()
+    nz = joint > 0
+    info = float((joint[nz] * np.log(joint[nz] / outer[nz])).sum())
+    h_a = -float((pa * np.log(pa)).sum())
+    h_b = -float((pb * np.log(pb)).sum())
+    if h_a + h_b == 0.0:
+        return 1.0
+    return 2.0 * info / (h_a + h_b)

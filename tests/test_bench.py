@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from synclouvain.bench import BenchSpec, PlantedGraph, generate, nmi, write_benchmark
 from synclouvain.detector import RunConfig, run
-from synclouvain.graph import load_edge_list, read_partition
+from synclouvain.graph import Graph, load_edge_list, read_partition
+
+from oracles import oracle_generate, oracle_nmi
 
 
 def spec_1k(**kw):
@@ -110,6 +113,65 @@ def test_weights_take_two_levels_aligned_with_truth():
     np.testing.assert_allclose(g.out_w[cross], w_inter)
 
 
+def spec_of(kw):
+    """``BenchSpec(**kw)``, which warns when mu_t == mu_w."""
+    if kw["mu_t"] != kw["mu_w"]:
+        return BenchSpec(**kw)
+    with pytest.warns(UserWarning):
+        return BenchSpec(**kw)
+
+
+# (k, kmax, mu_t, mu_w) of the benchmark's three workload shapes
+BENCH_SHAPES = ((16, 32, 0.2, 0.1), (16, 32, 0.5, 0.4), (4, 8, 0.3, 0.2))
+
+
+def generator_grid():
+    for k, kmax, mu_t, mu_w in BENCH_SHAPES:
+        for seed in (1, 2):
+            yield dict(N=1000, k=k, kmax=kmax, mu_t=mu_t, mu_w=mu_w,
+                       seed=seed)
+    # intra stubs spill beyond small communities; high mixing; no mixing
+    yield dict(N=1000, k=50, kmax=100, mu_t=0.2, mu_w=0.1, cmin=10, seed=3)
+    yield dict(N=1000, k=16, kmax=32, mu_t=0.9, mu_w=0.8, cmin=30, cmax=60,
+               seed=4)
+    yield dict(N=1000, k=8, kmax=16, mu_t=0.0, mu_w=0.0, cmin=40, cmax=100,
+               seed=5)
+
+
+@pytest.mark.parametrize("kw", list(generator_grid()), ids=lambda kw: "-".join(
+    f"{key}{value}" for key, value in kw.items()))
+def test_generate_matches_per_node_oracle_bit_for_bit(kw):
+    # the oracle's edges come unmerged in draw order; ``from_edges`` sorts
+    # them, so equal arrays mean the same edges, weights and truth
+    spec = spec_of(kw)
+    pg = generate(spec)
+    src, dst, w, truth = oracle_generate(spec)
+    ref = Graph.from_edges(spec.N, src, dst, w)
+    for name in ("out_src", "out_dst", "out_w"):
+        got, want = getattr(pg.graph, name), getattr(ref, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), name
+    assert pg.truth.tobytes() == truth.tobytes()
+
+
+@pytest.mark.parametrize("kw, match", [
+    # mu_t = 0: degrees up to 40 overflow communities of at most 15
+    (dict(N=100, k=20, kmax=40, mu_t=0.0, mu_w=0.0, cmin=10, cmax=15,
+          seed=1), "cannot absorb"),
+    # two communities of 12: a node with more than 12 inter stubs cannot
+    # place them, and gives up after 200 rounds of draws
+    (dict(N=24, k=12, kmax=20, mu_t=0.6, mu_w=0.5, cmin=12, cmax=12,
+          seed=1), "cannot place"),
+], ids=("absorb", "outsiders"))
+def test_generate_raises_as_the_oracle(kw, match):
+    spec = spec_of(kw)
+    with pytest.raises(ValueError, match=match) as want:
+        oracle_generate(spec)
+    with pytest.raises(ValueError) as got:
+        generate(spec)
+    assert str(got.value) == str(want.value)
+
+
 def test_nmi_frozen_values():
     assert nmi(np.array([0, 0, 1, 1]), np.array([0, 0, 1, 1])) == 1.0
     assert nmi(np.array([0, 0, 1, 1]), np.array([1, 1, 0, 0])) == 1.0
@@ -127,6 +189,31 @@ def test_nmi_relabel_invariant(rng):
     b = rng.integers(0, 4, size=60)
     perm = rng.permutation(5)
     assert nmi(a, b) == pytest.approx(nmi(perm[a], b), abs=1e-12)
+
+
+def test_nmi_matches_dense_table_bit_for_bit(rng):
+    for trial in range(60):
+        n = int(rng.integers(1, 400))
+        a = rng.integers(0, int(rng.integers(1, 50)), size=n)
+        b = rng.integers(0, int(rng.integers(1, 50)), size=n)
+        if trial % 3 == 0:
+            b = np.where(rng.random(n) < 0.8, a, b)  # mostly agreeing
+        assert nmi(a, b).hex() == oracle_nmi(a, b).hex()
+
+
+def test_nmi_memory_stays_linear():
+    # a dense 200,000 x 2,000 joint table would take 3.2 GB
+    a = np.arange(200_000)
+    b = np.arange(200_000) % 2_000
+    tracemalloc.start()
+    try:
+        got = nmi(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    h_a, h_b = math.log(200_000), math.log(2_000)
+    assert got == pytest.approx(2 * h_b / (h_a + h_b), rel=1e-12)
 
 
 def test_recovery_easier_when_mixing_is_low():

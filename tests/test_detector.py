@@ -1074,3 +1074,52 @@ def test_small_graph_reaches_good_optimum():
     best_q, _ = oracle_best_partition(6, edges)
     res = run(g, RunConfig(accept_prob=1.0, seed=1))
     assert res.final_score >= 0.95 * best_q - 1e-12
+
+
+def adversarial_shapes():
+    """Named accepted shapes that stress the corrections: deep pointer
+    tails (paths, a cycle), one wide tail (a star), all-tie gains (an
+    equal-weight clique and a chain of cliques) and weights at both ends
+    of the double range."""
+    rng = np.random.default_rng(7)
+    path = np.arange(299)
+    ring = np.arange(300)
+    spokes = np.arange(1, 201)
+    i, j = np.nonzero(~np.eye(5, dtype=bool))
+    base = 5 * np.arange(20)[:, None]
+    chain_src = np.concatenate([(base + i).ravel(), base[1:, 0] - 1])
+    chain_dst = np.concatenate([(base + j).ravel(), base[1:, 0]])
+    ci, cj = np.nonzero(~np.eye(30, dtype=bool))
+    adj = rng.random((80, 80)) < 0.1
+    adj[np.diag_indices(80)] = False
+    wi, wj = np.nonzero(adj)
+    return {
+        "path": Graph.from_edges(300, path, path + 1, np.ones(299)),
+        "path-weighted": Graph.from_edges(300, path, path + 1,
+                                          rng.uniform(0.1, 3.0, 299)),
+        "cycle": Graph.from_edges(300, ring, (ring + 1) % 300, np.ones(300)),
+        "star": Graph.from_edges(201, 0 * spokes, spokes, np.ones(200)),
+        "clique": Graph.from_edges(30, ci, cj, np.ones(ci.size)),
+        "clique-chain": Graph.from_edges(100, chain_src, chain_dst,
+                                         np.ones(chain_src.size)),
+        "wide-weights": Graph.from_edges(
+            80, wi, wj, 10.0 ** rng.uniform(-300, 300, wi.size)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(adversarial_shapes()))
+def test_adversarial_shapes_clean_and_thread_invariant(name):
+    g = adversarial_shapes()[name]
+    res = [run(g, RunConfig(threads=t, seed=3, debug_checks=True))
+           for t in (1, 2)]
+    for r in res:
+        assert r.stats.debug_failures == []
+    one, two = res
+    np.testing.assert_array_equal(one.hierarchy.flat, two.hierarchy.flat)
+    assert len(one.hierarchy.levels) == len(two.hierarchy.levels)
+    for la, lb in zip(one.hierarchy.levels, two.hierarchy.levels):
+        np.testing.assert_array_equal(la, lb)
+    scaled = _unit_scaled(g)
+    for r in res:
+        assert r.final_score == score(scaled, strengths(scaled),
+                                      r.hierarchy.flat)

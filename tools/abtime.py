@@ -11,10 +11,12 @@ workload per process, because the heap a process keeps from earlier runs
 changes how often it faults.  Both workers get ``--graphs`` planted graphs,
 seeds 1000 * seed + i, alternately, the first to go alternating from graph
 to graph, so that both trees see the same slow and fast minutes of a shared
-machine.  A worker generates the graph and builds its neighbor union (the
-benchmark's setup), then times one ``run`` at ``--threads`` and counts the
-process's minor page faults during it (``resource.getrusage``
-``ru_minflt``).  Each worker first detects one graph untimed, to warm up.
+machine.  A worker times generating the graph and building its neighbor
+union (the benchmark's in-memory setup; on planted-file the benchmark
+times the loader instead), checksums the graph's arrays, then times one
+``run`` at ``--threads`` and counts the process's minor page faults during
+it (``resource.getrusage`` ``ru_minflt``).  Each worker first detects one
+graph untimed, to warm up.
 Each worker also wraps its tree's plan kernel, ``detector._best_targets``,
 and adds up the seconds spent inside it and the union entries of the rows
 it planned (the assignment's plan included); on a tree whose frontier has
@@ -22,7 +24,11 @@ a settle test (``detector._Frontier.settled``), it adds that test's seconds
 to the plan's and counts the frontier rows it was given and those it
 settled.
 
-Per workload it prints each tree's median seconds per run, the median of
+Per workload it first prints each tree's median setup seconds per graph,
+the median of the per-graph setup ratios this checkout / REV with their
+quartiles, the graphs whose setup ran faster, and the number of graphs
+whose arrays differ between the trees (0 for a generator that keeps the
+bits).  Then it prints each tree's median seconds per run, the median of
 the per-graph time ratios this checkout / REV with their quartiles, the
 graphs this checkout ran faster on out of all pairs, each tree's median
 minor faults per run, and the number of graphs whose flat partitions differ
@@ -99,8 +105,13 @@ def work():
     plan = timed_plan(detector)
     for line in sys.stdin:
         req = json.loads(line)
+        t0 = time.perf_counter()
         graph = graph_of(req["shape"], req["seed"])
         graph.neighbor_union()  # setup, as in the benchmark, not detect
+        setup = time.perf_counter() - t0
+        crc = 0
+        for arr in (graph.out_src, graph.out_dst, graph.out_w):
+            crc = zlib.crc32(arr.tobytes(), crc)
         cfg = RunConfig(threads=req["threads"])
         plan.update(PLAN_ZERO)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -108,7 +119,8 @@ def work():
         res = run(graph, cfg)
         secs = time.perf_counter() - t0
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        print(json.dumps({"s": secs, "faults": faults,
+        print(json.dumps({"setup_s": setup, "graph": crc,
+                          "s": secs, "faults": faults,
                           "flat": zlib.crc32(res.hierarchy.flat.tobytes()),
                           "plan_s": plan["plan_s"],
                           "plan_us": 1e6 * plan["plan_s"]
@@ -129,6 +141,15 @@ def main():
         srcs = [extract_src(args.rev, tmp), ROOT / "src"]
         for shape in SHAPES:
             pairs = compare(shape, args, srcs)
+            per = [median(r["setup_s"] for r in side) for side in zip(*pairs)]
+            ratio = [new["setup_s"] / old["setup_s"] for old, new in pairs]
+            q1, q3 = np.percentile(ratio, [25, 75])
+            differ = sum(old["graph"] != new["graph"] for old, new in pairs)
+            print(f"{shape}: setup s per graph {per[0]:.4f} -> {per[1]:.4f}, "
+                  f"this/{args.rev} median {median(ratio):.3f} (quartiles "
+                  f"{q1:.3f}, {q3:.3f}), faster on "
+                  f"{sum(r < 1.0 for r in ratio)}/{len(pairs)} graphs; graphs "
+                  f"differ on {differ}", flush=True)
             ratio = [new["s"] / old["s"] for old, new in pairs]
             q1, q3 = np.percentile(ratio, [25, 75])
             secs, faults = ([median(r[f] for r in side)
