@@ -21,12 +21,11 @@ plan on singletons), and ``_map_rows`` the one place that splits rows,
 into contiguous pieces of the planned rows of at most ``PIECE_ENTRIES``
 union entries, which the threads share round-robin.  A piece whose rows
 are a node range reads its entries as one slice of the union.  Within a
-level only rows touching a changed community are planned again
-(``_Frontier``); the first sweep plans every row through that same path.
-Of those, a row whose node and union neighbors have not moved since its
-last plan keeps its community, with no gather or merge, when its cached
-largest weight to another community, over m, cannot beat staying
-(``_Frontier.settled``; the cache is exact, and so is the test).
+level a row whose node and union neighbors have not moved since its last
+plan keeps its community, with no gather or merge, when its cached largest
+weight to another community, over m, cannot beat staying
+(``_Frontier.settled``; the cache is exact, and so is the test); every
+other row is planned, so the first sweep of a level plans them all.
 The commit applies the moves the coin accepted in ascending node order,
 skipping a move whose source an earlier move touched.  It prices them in
 rounds of one numpy pass each (``_PriceRounds``, ``_MovePrices``): a round
@@ -174,13 +173,6 @@ def _map_rows(graph, pool, fn, rows):
         lambda p: fn(int(p[0]), int(p[-1]) + 1, p), np.split(rows, cuts)))
 
 
-def _smallest_members(labels):
-    """Smallest member of each community of a canonical labeling, in label
-    order: the nodes where the running label maximum grows."""
-    top = np.maximum.accumulate(labels)
-    return np.flatnonzero(np.diff(top, prepend=-1))
-
-
 def _changed_nodes(old, new):
     """Mask of the nodes whose ``new`` community is not, member for member,
     a community of ``old``; both are canonical labelings of the same nodes,
@@ -190,7 +182,9 @@ def _changed_nodes(old, new):
     merges, splits and vanished communities all count as changes."""
     if old is None:
         return np.ones(new.size, dtype=bool)
-    rep = _smallest_members(new)
+    # the smallest member of each new community, in label order: the nodes
+    # where the running label maximum grows
+    rep = np.flatnonzero(np.diff(np.maximum.accumulate(new), prepend=-1))
     was = old[rep]
     strayed = old != was[new]
     size_new = np.bincount(new, minlength=rep.size)
@@ -200,34 +194,28 @@ def _changed_nodes(old, new):
 
 
 class _Frontier:
-    """One level's memo of the labeling its last maximal plan and its last
-    local gains were computed on, so later sweeps redo only what changed.
-    A fresh memo has computed nothing, so its first use marks every node
-    changed and plans or computes them all.
+    """One level's memo of what its maximal plans and its local gains last
+    computed, so later sweeps redo only what changed.  A fresh memo has
+    computed nothing, so its first use plans or computes every node.
 
-    The plan keeps each node's target as the smallest member of the target
-    community, a node id that survives relabeling.  A sweep re-plans only
-    the changed nodes (``_changed_nodes``) and the rows with a changed
-    neighbor; positive correction recomputes only the changed nodes' local
-    gains.  This is exact, bit for bit:
+    Positive correction recomputes only the local gains of the nodes whose
+    community changed, member for member, since the labeling ``lg_comm``
+    the last ones were computed on (``_changed_nodes``).  This is exact,
+    bit for bit: an unchanged node's community has the same member set, so
+    the bincounts of ``CommunityAggregates.from_labels`` give it the same
+    bits, and the node's weight to it sums the same entries in the same
+    order.
 
-    - an unchanged community has the same member set, so the bincounts of
-      ``CommunityAggregates.from_labels`` give it the same bits;
-    - it keeps its smallest member, so canonical order among unchanged
-      communities is preserved and lowest-label ties pick the same one;
-    - a row outside the frontier has the same entries with the same
-      neighbor communities, so its groups, their order and their sums are
-      identical, and so is an unchanged node's own-community sum.
-
-    Of the frontier, ``settled`` keeps in its community, with no gather or
-    merge, every row whose cache is fresh and that cannot beat staying.
-    Each planned row caches ``w_own``, its own group's sum, and ``x_max``,
-    its largest group sum to another community (-inf for none), and is
-    then fresh (``stale`` False) until its node or a union neighbor moves:
-    the commit flags each applied tail and positive correction each cut's
-    nodes in the mask ``moved``, and the next ``settled`` marks those nodes
-    and their union neighbors stale, in O(n + their entries).  A mask, not
-    a list of the moved arrays, so that no commit's arrays outlive it.
+    A maximal sweep plans every row but those ``settled`` keeps in their
+    community, with no gather or merge: the rows whose cache is fresh and
+    that cannot beat staying.  Each planned row caches ``w_own``, its own
+    group's sum, and ``x_max``, its largest group sum to another community
+    (-inf for none), and is then fresh (``stale`` False) until its node or
+    a union neighbor moves: the commit flags each applied tail and positive
+    correction each cut's nodes in the mask ``moved``, and the next
+    ``settled`` marks those nodes and their union neighbors stale, in
+    O(n + their entries).  A mask, not a list of the moved arrays, so that
+    no commit's arrays outlive it.
     Both are exact, bit for bit:
 
     - the cache is exact: only moves change which nodes share a community,
@@ -247,8 +235,6 @@ class _Frontier:
     compared with a full recompute."""
 
     def __init__(self, n):
-        self.plan_comm = None
-        self.target_rep = np.arange(n)
         self.lg_comm = None
         self.lg = np.zeros(n)
         self.stale = np.ones(n, dtype=bool)
@@ -256,18 +242,19 @@ class _Frontier:
         self.x_max = np.full(n, -np.inf)
         self.moved = np.zeros(n, dtype=bool)  # since the last ``settled``
 
-    def settled(self, graph, st, labels, agg, rows):
-        """Mask of the ascending frontier ``rows`` that keep their community
-        at ``labels`` by the cache alone; the test needs m > 0."""
+    def settled(self, graph, st, labels, agg):
+        """Mask of the nodes that keep their community at ``labels`` by the
+        cache alone, after marking stale the nodes moved since the last
+        call and their union neighbors; the test needs m > 0."""
         moved = np.flatnonzero(self.moved)
         if moved.size:
             self.moved[moved] = False
             self.stale[moved] = True
             self.stale[graph.neighbor_union().gather(moved)[1]] = True
-        keep = ~self.stale[rows]
+        keep = ~self.stale
         if not st.m_w > 0.0:
-            return np.zeros(rows.size, dtype=bool)
-        r = rows[keep]
+            return np.zeros(keep.size, dtype=bool)
+        r = np.flatnonzero(keep)
         so, si, c = st.s_out[r], st.s_in[r], labels[r]
         t_stay = join_gain(st.m_w, self.w_own[r], so, si, agg.s_out[c] - so,
                            agg.s_in[c] - si)
@@ -615,7 +602,11 @@ class _PriceRounds:
     that a commit touches first, so the tails priced in a sweep sum to at
     most those the commit reaches plus n.  Every round slices its tails
     from the one ``tree`` of the sweep (see ``_MovePrices``), exact while
-    the source is untouched.
+    the source is untouched.  The same holds when the candidates are
+    reached in order without commits, as the idle sweep does, until it
+    stops.  ``overpriced`` tests the bound, and the step of its proof that
+    a round pricing too much breaks first: the candidates priced but not
+    reached have distinct sources.
 
     ``touched[c]`` is the index of the last commit that touched community
     c, -1 for none; ``commit`` records one."""
@@ -627,6 +618,8 @@ class _PriceRounds:
         self.cstar = cstar
         self.batch = np.full(roots.size, -1)
         self.slot = np.zeros(roots.size, dtype=np.int64)
+        self.size = np.zeros(roots.size, dtype=np.int64)  # tail, once priced
+        self.reached = np.zeros(roots.size, dtype=bool)
         self.rounds = []  # (prices, commits made before they were taken)
         self.touched = np.full(forest.n_comms, -1)
         self.commits = 0
@@ -642,8 +635,10 @@ class _PriceRounds:
                           & (self.touched[self.frm[q]] < 0)])
             self.batch[q] = len(self.rounds)
             self.slot[q] = np.arange(q.size)
-            self.rounds.append((_MovePrices(*self.kernel, self.roots[q],
-                                            self.cstar), self.commits))
+            mp = _MovePrices(*self.kernel, self.roots[q], self.cstar)
+            self.size[q] = np.diff(mp.tptr)
+            self.rounds.append((mp, self.commits))
+        self.reached[k] = True
         mp, born = self.rounds[self.batch[k]]
         s = int(self.slot[k])
         frm, to = int(mp.frm[s]), int(mp.to[s])
@@ -656,14 +651,22 @@ class _PriceRounds:
         self.touched[frm] = self.touched[to] = self.commits
         self.commits += 1
 
+    def overpriced(self, n):
+        """Whether the tails priced pass those of the candidates reached
+        plus ``n``, or two candidates priced but not reached share a
+        source."""
+        left = np.flatnonzero((self.batch >= 0) & ~self.reached)
+        return (self.size.sum() > self.size[self.reached].sum() + n
+                or np.unique(self.frm[left]).size < left.size)
+
 
 def maximal_correction(graph, st, forest, config, level, sweep, pool,
                        stats=None, memo=None):
     """One synchronized sweep: plan the best community switch for every
     node from a frozen snapshot, then commit accepted moves serially in
     ascending node order.  Each committed node drags its pointer tail
-    along.  Only the nodes touching a community changed since the level's
-    ``memo`` last planned are planned (see ``_Frontier``).
+    along.  The rows the level's ``memo`` settles keep their community
+    unplanned (see ``_Frontier``).
 
     The commit walks the candidates the coin accepted in ascending order.
     A candidate is skipped once its source community has been touched by
@@ -692,7 +695,7 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     candidate the coin rejected would apply at the snapshot.  That is
     exact.  A sweep that applies nothing touches nothing, so each
     candidate's snapshot price is the price a later sweep would see: the
-    forest stays the same, so do the frontier plan and the output of
+    forest stays the same, so do the plan and the output of
     positive correction, which is idempotent on an unchanged forest.
     Later sweeps would then differ only in their coins, and none could
     apply a move that cannot apply now.  Under ``debug_checks`` the run
@@ -717,24 +720,14 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
         return _map_rows(graph, pool, lambda lo, hi, r: _best_targets(
             graph, st, labels, agg, lo, hi, r, memo), rows)
 
-    changed = _changed_nodes(memo.plan_comm, labels)
-    if not changed.all():
-        # the union is symmetric: the rows with a changed neighbor are the
-        # neighbors of the changed rows
-        u = graph.neighbor_union()
-        changed[u.nbr[np.repeat(changed, np.diff(u.ptr))]] = True
-    cstar = labels[memo.target_rep]
-    rows = np.flatnonzero(changed)
-    cstar[rows] = labels[rows]
-    rows = rows[~memo.settled(graph, st, labels, agg, rows)]
+    cstar = labels.copy()
+    rows = np.flatnonzero(~memo.settled(graph, st, labels, agg))
     cstar[rows] = plan(rows, memo)
     if stats is not None and not np.array_equal(
             cstar, plan(np.arange(graph.n))):
         stats.debug_failures.append(
             f"frontier plan differs from the full plan at level {level} "
             f"sweep {sweep}")
-    memo.plan_comm = forest.comm
-    memo.target_rep = _smallest_members(labels)[cstar]
     cand = np.flatnonzero(cstar != labels)
     if cand.size == 0:
         return forest, False, 0, []
@@ -766,6 +759,9 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
         agg.move(frm, to, mp.so_b[s], mp.si_b[s], moved.size)
         book.commit(frm, to)
         gains.append(g)
+    if stats is not None and book.overpriced(graph.n):
+        stats.debug_failures.append(
+            f"level {level} sweep {sweep}: commit prices beyond the bound")
     if stats is not None and gains and not agg.check(st, labels):
         stats.debug_failures.append(
             f"incremental aggregates drifted at level {level} sweep {sweep}")
@@ -779,6 +775,9 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
                         cstar)
     improved = any(g > 0.0 and j >= 0 for _, _, g, j in map(
         idle.price, range(idle.roots.size)))
+    if stats is not None and idle.overpriced(graph.n):
+        stats.debug_failures.append(
+            f"level {level} sweep {sweep}: idle prices beyond the bound")
     return forest, improved, 0, gains
 
 

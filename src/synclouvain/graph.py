@@ -456,22 +456,19 @@ def canonicalize_labels(labels) -> np.ndarray:
     Labels in [0, n), as the detector's forests have, take O(n): a node is
     its community's smallest member iff ``np.minimum.at`` put it first
     under its label, and the count of such nodes up to it is its rank.
-    Other labels (partition files, the public API) go through
-    ``np.unique``."""
+    Other labels (partition files, the public API) are first compressed
+    into [0, n) by ``np.unique``."""
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
     if n == 0:
         return labels.copy()
-    if labels.min() >= 0 and labels.max() < n:
-        first = np.full(n, n)
-        np.minimum.at(first, labels, np.arange(n))
-        head = first[labels]
-        rank = np.cumsum(head == np.arange(n)) - 1
-        return rank[head]
-    uniq, first = np.unique(labels, return_index=True)
-    remap = np.empty(uniq.size, dtype=np.int64)
-    remap[np.argsort(first, kind="stable")] = np.arange(uniq.size)
-    return remap[np.searchsorted(uniq, labels)]
+    if labels.min() < 0 or labels.max() >= n:
+        labels = np.unique(labels, return_inverse=True)[1]
+    first = np.full(n, n)
+    np.minimum.at(first, labels, np.arange(n))
+    head = first[labels]
+    rank = np.cumsum(head == np.arange(n)) - 1
+    return rank[head]
 
 
 def compose_labels(inner, outer) -> np.ndarray:

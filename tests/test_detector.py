@@ -213,14 +213,14 @@ def test_row_cache_and_settled_rows_match_the_oracles(monkeypatch):
     real = _Frontier.settled
     seen = {"fresh": 0, "settled": 0}
 
-    def checked(self, graph, st, labels, agg, rows):
-        keep = real(self, graph, st, labels, agg, rows)
+    def checked(self, graph, st, labels, agg):
+        keep = real(self, graph, st, labels, agg)
         u = graph.neighbor_union()
         fresh = np.flatnonzero(~self.stale)
         w_own, x_max = oracle_row_cache(u.ptr, u.nbr, u.w, labels, fresh)
         assert self.w_own[fresh].tobytes() == w_own.tobytes()
         assert self.x_max[fresh].tobytes() == x_max.tobytes()
-        kept = rows[keep]
+        kept = np.flatnonzero(keep)
         want = oracle_best_targets(u.ptr, u.nbr, u.w, st.s_out, st.s_in,
                                    st.m_w, labels, agg.s_out, agg.s_in, kept)
         np.testing.assert_array_equal(want, labels[kept])

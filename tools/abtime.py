@@ -19,10 +19,9 @@ it (``resource.getrusage`` ``ru_minflt``).  Each worker first detects one
 graph untimed, to warm up.
 Each worker also wraps its tree's plan kernel, ``detector._best_targets``,
 and adds up the seconds spent inside it and the union entries of the rows
-it planned (the assignment's plan included); on a tree whose frontier has
-a settle test (``detector._Frontier.settled``), it adds that test's seconds
-to the plan's and counts the frontier rows it was given and those it
-settled.
+it planned (the assignment's plan included); on a tree with a settle test
+(``detector._Frontier.settled``), it adds that test's seconds to the
+plan's and counts the rows it tested and those it settled.
 
 Per workload it first prints each tree's median setup seconds per graph,
 the median of the per-graph setup ratios this checkout / REV with their
@@ -36,7 +35,8 @@ between the trees (0 for a change that keeps the bits).  A second line
 gives each tree's median plan seconds per run, the median of their
 per-graph ratios this checkout / REV with its quartiles and the graphs
 whose plan ran faster; then the same for plan microseconds per planned
-entry, and each tree's share of the frontier rows settled without a plan.
+entry, and each tree's share of the rows tested that settled without a
+plan.
 Plan seconds per run is the figure to read: settled rows leave the plan,
 and they are its cheapest, so the cost per planned entry rises when the
 settle test saves time.
@@ -58,14 +58,15 @@ def graph_of(shape, seed):
                               seed=seed)).graph
 
 
-PLAN_ZERO = {"plan_s": 0.0, "plan_entries": 0, "frontier": 0, "settled": 0}
+PLAN_ZERO = {"plan_s": 0.0, "plan_entries": 0, "tested": 0, "settled": 0}
 
 
 def timed_plan(detector):
     """Wrap ``detector._best_targets`` so that it adds its seconds and the
     union entries of its rows to the returned dict, and the settle test
     ``detector._Frontier.settled``, where the tree has one, so that it adds
-    its seconds, its frontier rows and the rows it settled."""
+    its seconds, the rows it tested and the rows it settled.  A tree whose
+    ``settled`` also takes the rows to test gets them passed through."""
     plan = dict(PLAN_ZERO)
     inner = detector._best_targets
     lock = threading.Lock()
@@ -84,13 +85,13 @@ def timed_plan(detector):
     frontier = getattr(detector, "_Frontier", None)
     settle = getattr(frontier, "settled", None)
     if settle is not None:
-        def timed_settle(self, graph, st, labels, agg, rows):
+        def timed_settle(self, graph, st, labels, agg, *rows):
             t0 = time.perf_counter()
-            keep = settle(self, graph, st, labels, agg, rows)
+            keep = settle(self, graph, st, labels, agg, *rows)
             secs = time.perf_counter() - t0
             with lock:
                 plan["plan_s"] += secs
-                plan["frontier"] += rows.size
+                plan["tested"] += keep.size
                 plan["settled"] += int(keep.sum())
             return keep
 
@@ -126,7 +127,7 @@ def work():
                           "plan_us": 1e6 * plan["plan_s"]
                           / max(plan["plan_entries"], 1),
                           "settled": plan["settled"]
-                          / max(plan["frontier"], 1)}),
+                          / max(plan["tested"], 1)}),
               flush=True)
 
 
@@ -174,8 +175,8 @@ def main():
                     f"{sum(r < 1.0 for r in ratio)}/{len(pairs)} graphs")
             share = [median(r["settled"] for r in side)
                      for side in zip(*pairs)]
-            line.append(f"frontier rows settled {share[0]:.1%} -> "
-                        f"{share[1]:.1%}")
+            line.append(f"rows settled {share[0]:.1%} -> {share[1]:.1%} "
+                        f"of those tested")
             print(f"{shape}: " + "; ".join(line), flush=True)
 
 
