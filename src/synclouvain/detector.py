@@ -26,13 +26,18 @@ plan keeps its community, with no gather or merge, when its cached largest
 weight to another community, over m, cannot beat staying
 (``_Frontier.settled``; the cache is exact, and so is the test); every
 other row is planned, so the first sweep of a level plans them all.
-The commit applies the moves the coin accepted in ascending node order,
-skipping a move whose source an earlier move touched.  It prices them in
-rounds of one numpy pass each (``_PriceRounds``, ``_MovePrices``): a round
-prices the next candidate of every untouched source community at once, and
-a price is taken again only for a target community a move touched since.
-Every sum over a node set is one ``segment_sums`` order, so a set has the
-same price, bit for bit, in a round, in a re-price and in ``gain_switch``.
+The commit decides the moves the coin accepted as a serial walk in
+ascending node order would: a move whose source an earlier applied move
+touched is skipped, and any other applies iff its price at that point is
+positive.  It decides them in rounds (``_commit_rounds``): a round takes
+every undecided move that shares no community, as source or target, with
+an earlier undecided one, prices them in one numpy pass (``_MovePrices``)
+and applies the ones that apply in one step.  A move's outcome reads only
+its source and target community, so each is the serial one; and each
+community's aggregates are updated, and the gains listed, in ascending
+move order, so every bit is the serial walk's.  Every sum over a node set
+is one ``segment_sums`` order, so a set has the same price, bit for bit,
+in a round and in ``gain_switch``.
 Results depend only on (graph, seed, accept_prob), never on the thread
 count.  Every run records its score trace, checked against ``score`` at
 each level's end.
@@ -52,7 +57,7 @@ from .forest import AssignmentForest, extract_components, subtrees
 from .graph import (Graph, _merge_pairs, _run_starts, _unit_scaled,
                     aggregate, compose_labels, strengths)
 from .quality import (CommunityAggregates, gain_switch, join_gain, local_gains,
-                      score, segment_total, set_sums, switch_gain)
+                      score, set_sums, switch_gain)
 from .rng import uniform01
 
 MAX_SWEEPS = 100  # maximal-correction sweeps per level
@@ -535,9 +540,8 @@ class _MovePrices:
     applies iff ``gain > 0`` and ``attach >= 0``."""
 
     def __init__(self, graph, st, labels, agg, forest, tree, roots, cstar):
-        u = graph.neighbor_union()
         k = roots.size
-        self.m = m = st.m_w
+        m = st.m_w
         self.to = to = cstar[roots]
         self.frm = frm = labels[roots]
         order, start, size, root = tree
@@ -548,148 +552,142 @@ class _MovePrices:
             start[top] - self.tptr[:-1], size[top])]
         key.sort()
         self.nodes = key - seg * graph.n
-        sums, (eseg, self.nbr, self.w) = set_sums(graph, st, labels, seg,
-                                                  self.nodes, frm, to, k)
-        w_to, self.w_from, self.so_b, self.si_b = sums
-        self.eptr = np.searchsorted(eseg, np.arange(k + 1))
-        self.gain = switch_gain(m, w_to, self.w_from, self.so_b, self.si_b,
+        w_to, w_from, self.so_b, self.si_b = set_sums(
+            graph, st, labels, seg, self.nodes, frm, to, k)
+        self.gain = switch_gain(m, w_to, w_from, self.so_b, self.si_b,
                                 agg.s_out[frm], agg.s_in[frm], agg.s_out[to],
                                 agg.s_in[to])
-        rpos, self.rnbr, rw = u.gather(roots)
-        self.rptr = np.searchsorted(rpos, np.arange(k + 1))
-        self.pg = join_gain(m, rw, st.s_out[roots][rpos],
-                            st.s_in[roots][rpos], st.s_out[self.rnbr],
-                            st.s_in[self.rnbr])
-        first = _first_max(k, rpos, np.where(
-            labels[self.rnbr] == to[rpos], self.pg, -np.inf), -np.inf)
+        rpos, rnbr, rw = graph.neighbor_union().gather(roots)
+        pg = join_gain(m, rw, st.s_out[roots][rpos], st.s_in[roots][rpos],
+                       st.s_out[rnbr], st.s_in[rnbr])
+        first = _first_max(k, rpos, np.where(labels[rnbr] == to[rpos], pg,
+                                             -np.inf), -np.inf)
         ok = first >= 0
         self.attach = np.full(k, -1, dtype=np.int64)
-        self.attach[ok] = self.rnbr[first[ok]]
+        self.attach[ok] = rnbr[first[ok]]
 
     def tail(self, k):
         return self.nodes[self.tptr[k]:self.tptr[k + 1]]
 
-    def reprice(self, k, frm, to, labels, agg):
-        """(gain, attach target) of candidate k, moving from ``frm`` to
-        ``to``, at the current ``labels`` and ``agg``.  Exact while no
-        commit has touched the source community since the batch: the
-        tail, W(T, frm minus T), T's strengths and ``agg[frm]`` are then
-        unchanged, and only the terms of ``to`` are summed again, from the
-        candidate's stored entries in the same order."""
-        lo, hi = self.rptr[k], self.rptr[k + 1]
-        nb = self.rnbr[lo:hi]
-        sel = labels[nb] == to
-        if not sel.any():
-            return 0.0, -1
-        j = int(nb[sel][np.argmax(self.pg[lo:hi][sel])])
-        lo, hi = self.eptr[k], self.eptr[k + 1]
-        w_to = segment_total(self.w[lo:hi][labels[self.nbr[lo:hi]] == to])
-        g = switch_gain(self.m, w_to, self.w_from[k], self.so_b[k],
-                        self.si_b[k], agg.s_out[frm], agg.s_in[frm],
-                        agg.s_out[to], agg.s_in[to])
-        return float(g), j
+
+def _ready(frm, to, n_comms):
+    """Mask of the undecided candidates, given in ascending order by their
+    source ``frm`` and target ``to`` communities, that share no community
+    with an earlier one: each is the first candidate, in either role, to
+    name its source and the first to name its target."""
+    k = np.arange(frm.size)
+    first = np.full(n_comms, frm.size)
+    np.minimum.at(first, frm, k)
+    np.minimum.at(first, to, k)
+    return (first[frm] == k) & (first[to] == k)
 
 
-class _PriceRounds:
-    """Prices of the ascending candidates ``roots`` of one sweep, taken in
-    rounds as the serial commit reaches them.  Reaching a candidate not
-    yet priced prices one round (a ``_MovePrices`` batch at the current
-    labels): the first candidate at or after it of every source community
-    no commit has touched.  A community's candidate thus waits until its
-    earlier ones have been reached, and the round's tails, one per
-    community, are disjoint.  Every candidate priced is one the commit
-    reaches with its source untouched, except at most one per community
-    that a commit touches first, so the tails priced in a sweep sum to at
-    most those the commit reaches plus n.  Every round slices its tails
-    from the one ``tree`` of the sweep (see ``_MovePrices``), exact while
-    the source is untouched.  The same holds when the candidates are
-    reached in order without commits, as the idle sweep does, until it
-    stops.  ``overpriced`` tests the bound, and the step of its proof that
-    a round pricing too much breaks first: the candidates priced but not
-    reached have distinct sources.
+def _commit_rounds(graph, st, labels, agg, forest, tree, roots, cstar, a,
+                   moved, stats=None, where=""):
+    """Decide the ascending candidates ``roots`` of one sweep, each moving
+    to its ``cstar``, as the serial walk of ``maximal_correction`` does,
+    in rounds.  A round takes the undecided candidates that share no
+    community with an earlier undecided one (``_ready``), prices them in
+    one ``_MovePrices`` batch at the current labels and yields (ready,
+    prices, ok): their indices into ``roots``, ascending, the batch, and
+    the mask of those that apply.  Resumed, it applies those in one step
+    to the pointers ``a``, ``labels``, ``agg`` and the mask ``moved``, and
+    drops every undecided candidate whose source an applied move touched.
+    A consumer that stops at the first round with an applicable move thus
+    applies nothing.
 
-    ``touched[c]`` is the index of the last commit that touched community
-    c, -1 for none; ``commit`` records one."""
+    This is the serial walk, bit for bit.  A candidate's outcome reads
+    only its source and target community: its tail (its source's members
+    and their pointers), which of the tail's neighbors lie in either, the
+    two aggregates and the root's neighbors in the target.  A move changes
+    only its tail's labels, its root's pointer and the aggregates of its
+    own source and target.  So a candidate decided once every earlier one
+    that shares a community with it is decided sees what the walk sees,
+    and the walk's skip of a candidate whose source an earlier move
+    touched changes nothing.  Ready candidates share no community, so each
+    community's aggregates are updated in ascending candidate order and
+    the fancy-indexed updates repeat no index.  A round's tails lie in
+    distinct sources, so they are disjoint and hold at most n nodes, and
+    each candidate is priced once, when decided, with its source
+    untouched: the tails priced are exactly those the walk reaches.
 
-    def __init__(self, graph, st, labels, agg, forest, tree, roots, cstar):
-        self.kernel = (graph, st, labels, agg, forest, tree)
-        self.roots = roots
-        self.frm = labels[roots]
-        self.cstar = cstar
-        self.batch = np.full(roots.size, -1)
-        self.slot = np.zeros(roots.size, dtype=np.int64)
-        self.size = np.zeros(roots.size, dtype=np.int64)  # tail, once priced
-        self.reached = np.zeros(roots.size, dtype=bool)
-        self.rounds = []  # (prices, commits made before they were taken)
-        self.touched = np.full(forest.n_comms, -1)
-        self.commits = 0
-
-    def price(self, k):
-        """(prices, slot, gain, attach target) of candidate k at the
-        current labels, its source untouched.  The round's price holds
-        unless a commit touched the target since, and is then re-priced
-        (``_MovePrices.reprice``)."""
-        if self.batch[k] < 0:
-            q = k + np.unique(self.frm[k:], return_index=True)[1]
-            q = np.sort(q[(self.batch[q] < 0)
-                          & (self.touched[self.frm[q]] < 0)])
-            self.batch[q] = len(self.rounds)
-            self.slot[q] = np.arange(q.size)
-            mp = _MovePrices(*self.kernel, self.roots[q], self.cstar)
-            self.size[q] = np.diff(mp.tptr)
-            self.rounds.append((mp, self.commits))
-        self.reached[k] = True
-        mp, born = self.rounds[self.batch[k]]
-        s = int(self.slot[k])
-        frm, to = int(mp.frm[s]), int(mp.to[s])
-        if self.touched[to] >= born:
-            _, _, labels, agg, _, _ = self.kernel
-            return (mp, s) + mp.reprice(s, frm, to, labels, agg)
-        return mp, s, float(mp.gain[s]), int(mp.attach[s])
-
-    def commit(self, frm, to):
-        self.touched[frm] = self.touched[to] = self.commits
-        self.commits += 1
-
-    def overpriced(self, n):
-        """Whether the tails priced pass those of the candidates reached
-        plus ``n``, or two candidates priced but not reached share a
-        source."""
-        left = np.flatnonzero((self.batch >= 0) & ~self.reached)
-        return (self.size.sum() > self.size[self.reached].sum() + n
-                or np.unique(self.frm[left]).size < left.size)
+    Given ``stats``, it records under ``where`` a round that shares a
+    community or prices a candidate twice, and every applicable move whose
+    price is not ``gain_switch``'s and ``_attach_target``'s."""
+    frm, to = labels[roots], cstar[roots]
+    live = np.arange(roots.size)
+    priced = np.zeros(roots.size, dtype=bool)
+    touched = np.zeros(agg.n_comms, dtype=bool)
+    while live.size:
+        go = _ready(frm[live], to[live], agg.n_comms)
+        ready = live[go]
+        mp = _MovePrices(graph, st, labels, agg, forest, tree, roots[ready],
+                         cstar)
+        ok = (mp.gain > 0.0) & (mp.attach >= 0)
+        if stats is not None:
+            if priced[ready].any() or np.unique(np.concatenate(
+                    (mp.frm, mp.to))).size < 2 * ready.size:
+                stats.debug_failures.append(
+                    f"{where}: a round shares a community or prices a "
+                    f"candidate twice")
+            priced[ready] = True
+            for s in np.flatnonzero(ok).tolist():
+                i, t = int(roots[ready[s]]), int(mp.to[s])
+                got = (float(mp.gain[s]), int(mp.attach[s]))
+                fresh = (gain_switch(graph, st, labels, agg, mp.tail(s),
+                                     int(mp.frm[s]), t),
+                         _attach_target(graph, st, labels, i, t))
+                if fresh != got:
+                    stats.debug_failures.append(
+                        f"{where}: move of node {i} priced {got}, fresh "
+                        f"{fresh}")
+        yield ready, mp, ok
+        size = np.diff(mp.tptr)
+        tails = mp.nodes[np.repeat(ok, size)]
+        f, t = mp.frm[ok], mp.to[ok]
+        a[roots[ready[ok]]] = mp.attach[ok]
+        labels[tails] = np.repeat(t, size[ok])
+        moved[tails] = True
+        agg.move(f, t, mp.so_b[ok], mp.si_b[ok], size[ok])
+        touched[f] = touched[t] = True
+        live = live[~go]
+        live = live[~touched[frm[live]]]
 
 
 def maximal_correction(graph, st, forest, config, level, sweep, pool,
                        stats=None, memo=None):
     """One synchronized sweep: plan the best community switch for every
-    node from a frozen snapshot, then commit accepted moves serially in
-    ascending node order.  Each committed node drags its pointer tail
-    along.  The rows the level's ``memo`` settles keep their community
-    unplanned (see ``_Frontier``).
+    node from a frozen snapshot, then commit the accepted moves as a serial
+    walk in ascending node order would.  Each committed node drags its
+    pointer tail along.  The rows the level's ``memo`` settles keep their
+    community unplanned (see ``_Frontier``).
 
-    The commit walks the candidates the coin accepted in ascending order.
-    A candidate is skipped once its source community has been touched by
-    an earlier commit this sweep, and otherwise applies iff its price at
-    the current labels is strictly positive and it has a neighbor in the
-    target to attach to.  The prices come in rounds (``_PriceRounds``):
-    reaching a candidate not yet priced prices, in one batch at the
-    current labels (``_MovePrices``), the next candidate of every source
-    community still untouched.  A batch price stays exact until a commit
-    touches its target: a commit changes only the labels of its tail, the
-    aggregates of its source and target, and the pointer of its root.  So
-    while the source is untouched its members, their pointers and
-    ``agg[frm]`` are unchanged, hence the tail and W(T, frm minus T) too,
-    and while the target is untouched its members and ``agg[to]`` are.  A
-    touched target is re-priced from the candidate's stored entries
-    (``_MovePrices.reprice``).  The tails are slices of one ``subtrees``
-    preorder of the snapshot pointers, built once per sweep over the
-    candidates' source communities and shared by the commit's rounds and
-    the idle ones below: an untouched source has its snapshot pointers.
-    Every sum is a ``segment_sums`` in one order, so the batch price, the
-    re-price and ``gain_switch`` agree bit for bit; under ``debug_checks``
-    every applied move is checked against ``gain_switch`` and
-    ``_attach_target``.
+    The walk takes the candidates the coin accepted in ascending order.  A
+    candidate is skipped once an earlier applied move has touched its
+    source community, and otherwise applies iff its price at the current
+    labels is strictly positive and it has a neighbor in the target to
+    attach to.  The commit decides them in rounds (``_commit_rounds``): a
+    candidate is ready once every earlier candidate that names its source
+    or its target community, as source or target, has been decided.  A
+    round prices every ready candidate in one batch at the current labels
+    (``_MovePrices``) and applies those that apply in one numpy step; then
+    every undecided candidate whose source a move touched is dropped, as
+    the walk would skip it.  That is exact: a commit changes only the
+    labels of its tail, the aggregates of its source and target, and the
+    pointer of its root, so a candidate's price and attach target read
+    only its source and target community, and every earlier move that
+    could change them is decided first.  The bits hold: ready candidates
+    share no community, so each community's aggregates take their updates,
+    and the gains are listed, in ascending candidate order, as in the
+    walk.  The tails are slices of one ``subtrees`` preorder of the
+    snapshot pointers, built once per sweep over the candidates' source
+    communities and shared by the commit's rounds and the idle ones below:
+    an untouched source has its snapshot pointers.  Every sum is a
+    ``segment_sums`` in one order, so a batch price and ``gain_switch``
+    agree bit for bit; under ``debug_checks`` every applicable move is
+    checked against ``gain_switch`` and ``_attach_target``, and every
+    round against the bound: no two of its candidates share a community,
+    and none is priced twice.
 
     ``improved`` is False, ending the level, unless a move applied or a
     candidate the coin rejected would apply at the snapshot.  That is
@@ -698,8 +696,13 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     forest stays the same, so do the plan and the output of
     positive correction, which is idempotent on an unchanged forest.
     Later sweeps would then differ only in their coins, and none could
-    apply a move that cannot apply now.  Under ``debug_checks`` the run
-    loop re-checks every such stop with all coins accepted.
+    apply a move that cannot apply now.  The rejected candidates are
+    priced in the commit's rounds, which stop at the first round in which
+    one would apply.  A round's tails lie in distinct source communities,
+    so they are disjoint and hold at most n nodes, where one batch of
+    every rejected candidate's nested tails would hold up to n times the
+    pointer depth.  Under ``debug_checks`` the run loop re-checks every
+    such stop with all coins accepted.
 
     The returned forest takes no second extraction: it is ``a``, the
     canonical ``labels``, and the cycle flags of the nodes that kept their
@@ -733,35 +736,20 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
         return forest, False, 0, []
     accept = uniform01(config.seed, (level, sweep), cand) < config.accept_prob
     tree = subtrees(forest, np.flatnonzero(np.isin(labels, labels[cand])))
-    book = _PriceRounds(graph, st, labels, agg, forest, tree, cand[accept],
-                        cstar)
     a = forest.a.copy()
-    gains = []
-    for k, (i, frm) in enumerate(zip(book.roots.tolist(),
-                                     book.frm.tolist())):
-        if book.touched[frm] >= 0:
-            continue
-        mp, s, g, j = book.price(k)
-        if not (g > 0.0 and j >= 0):
-            continue
-        to = int(mp.to[s])
-        moved = mp.tail(s)
-        if stats is not None:
-            fresh = (gain_switch(graph, st, labels, agg, moved, frm, to),
-                     _attach_target(graph, st, labels, i, to))
-            if fresh != (g, j):
-                stats.debug_failures.append(
-                    f"level {level} sweep {sweep}: move of node {i} priced "
-                    f"{(g, j)}, fresh {fresh}")
-        a[i] = j
-        labels[moved] = to
-        memo.moved[moved] = True
-        agg.move(frm, to, mp.so_b[s], mp.si_b[s], moved.size)
-        book.commit(frm, to)
-        gains.append(g)
-    if stats is not None and book.overpriced(graph.n):
-        stats.debug_failures.append(
-            f"level {level} sweep {sweep}: commit prices beyond the bound")
+
+    def rounds(roots):
+        return _commit_rounds(graph, st, labels, agg, forest, tree, roots,
+                              cstar, a, memo.moved, stats,
+                              f"level {level} sweep {sweep}")
+
+    roots = cand[accept]
+    gain = np.zeros(roots.size)
+    applied = np.zeros(roots.size, dtype=bool)
+    for ready, mp, ok in rounds(roots):
+        gain[ready] = mp.gain
+        applied[ready] = ok
+    gains = gain[applied].tolist()
     if stats is not None and gains and not agg.check(st, labels):
         stats.debug_failures.append(
             f"incremental aggregates drifted at level {level} sweep {sweep}")
@@ -769,16 +757,10 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
         forest = AssignmentForest.from_labels(
             a, labels, forest.on_cycle & (labels == forest.comm))
         return forest, True, len(gains), gains
-    # nothing applied, so nothing is touched and labels and agg are the
-    # snapshot; the rejected candidates are priced until one applies
-    idle = _PriceRounds(graph, st, labels, agg, forest, tree, cand[~accept],
-                        cstar)
-    improved = any(g > 0.0 and j >= 0 for _, _, g, j in map(
-        idle.price, range(idle.roots.size)))
-    if stats is not None and idle.overpriced(graph.n):
-        stats.debug_failures.append(
-            f"level {level} sweep {sweep}: idle prices beyond the bound")
-    return forest, improved, 0, gains
+    # nothing applied, so labels and agg are the snapshot, and stopping at
+    # the first round in which a rejected candidate would apply applies
+    # nothing
+    return forest, any(ok.any() for _, _, ok in rounds(cand[~accept])), 0, []
 
 
 # ---------------------------------------------------------------- main loop

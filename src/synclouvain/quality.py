@@ -73,9 +73,11 @@ class CommunityAggregates:
         self.move(frm, to, segment_total(st.s_out[nodes]),
                   segment_total(st.s_in[nodes]), len(nodes))
 
-    def move(self, frm: int, to: int, so, si, count: int) -> None:
+    def move(self, frm, to, so, si, count) -> None:
         """Move a set with strength sums ``so``/``si`` (summed in the
-        order of ``segment_sums``) and ``count`` members."""
+        order of ``segment_sums``) and ``count`` members; or, elementwise,
+        one set per entry of the arrays, when no community is named
+        twice."""
         self.s_out[frm] -= so
         self.s_in[frm] -= si
         self.count[frm] -= count
@@ -191,12 +193,11 @@ def set_sums(graph: Graph, st: Strengths, labels, seg, nodes, frm, to,
     ``nodes`` with the set ``seg`` of each, sorted by set, then by node.
     ``frm`` and ``to`` hold a community per set (-1 for none).
 
-    Returns ((w_to, w_from, so_b, si_b), (eseg, nbr, w)): per set W(T, to)
-    and W(T, frm minus T), both directions, and T's out- and in-strength
-    sums; then the gathered entries of the sets' rows, with their set.
-    Every sum is a ``segment_sums`` over the nodes in ascending order and
-    each row's entries in order, so a set's sums do not depend on the
-    other sets."""
+    Returns (w_to, w_from, so_b, si_b): per set W(T, to) and W(T, frm
+    minus T), both directions, and T's out- and in-strength sums.  Every
+    sum is a ``segment_sums`` over the nodes in ascending order and each
+    row's entries in order, so a set's sums do not depend on the other
+    sets."""
     pos, nbr, w = graph.neighbor_union().gather(nodes)
     eseg = seg[pos]
     lab = labels[nbr]
@@ -205,11 +206,10 @@ def set_sums(graph: Graph, st: Strengths, labels, seg, nodes, frm, to,
     inside = key[np.searchsorted(key, ekey).clip(max=key.size - 1)] == ekey
     hit_from = (lab == frm[eseg]) & ~inside
     hit_to = lab == to[eseg]
-    sums = (segment_sums(eseg[hit_to], w[hit_to], nseg),
+    return (segment_sums(eseg[hit_to], w[hit_to], nseg),
             segment_sums(eseg[hit_from], w[hit_from], nseg),
             segment_sums(seg, st.s_out[nodes], nseg),
             segment_sums(seg, st.s_in[nodes], nseg))
-    return sums, (eseg, nbr, w)
 
 
 def gain_switch(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,
@@ -225,7 +225,7 @@ def gain_switch(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,
     if to is not None and to == frm:
         return 0.0
     nodes = np.sort(np.asarray(nodes, dtype=np.int64))
-    (w_to, w_from, so_b, si_b), _ = set_sums(
+    w_to, w_from, so_b, si_b = set_sums(
         graph, st, labels, np.zeros(nodes.size, dtype=np.int64), nodes,
         np.array([frm]), np.array([-1 if to is None else to]), 1)
     so_t, si_t = (0.0, 0.0) if to is None else (agg.s_out[to], agg.s_in[to])

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: dense matrices, double loops,
 exhaustive enumeration. Nothing imports the package under test, so a bug in
-the package cannot hide inside its own oracle; the one exception,
-``oracle_generate``, borrows the community-size and degree draws and writes
-out the rest.
+the package cannot hide inside its own oracle; the two exceptions borrow
+only what other tests check: ``oracle_generate`` borrows the community-size
+and degree draws and writes out the rest, and ``oracle_commit`` prices each
+move with the package's one-move kernels and writes out the walk.
 """
 
 from __future__ import annotations
@@ -130,6 +131,38 @@ def oracle_tail(assignment, i, stop=()):
                 out.add(k)
                 todo.append(k)
     return sorted(out)
+
+
+def oracle_commit(graph, st, a, labels, agg, roots, cstar):
+    """The commit of one sweep as a plain serial walk over the ascending
+    candidates ``roots``, each moving to its ``cstar``: a candidate whose
+    source community an earlier applied move touched is skipped; any other
+    moves its ``oracle_tail`` in the current pointers ``a`` and applies iff
+    ``gain_switch`` of that tail is positive and ``_attach_target`` finds a
+    neighbor in the target.  Works on copies.  Returns (a, labels, agg,
+    moves), ``moves`` holding each applied (node, source, target, gain) in
+    order."""
+    from synclouvain.detector import _attach_target
+    from synclouvain.quality import CommunityAggregates, gain_switch
+    a, labels = a.copy(), labels.copy()
+    agg = CommunityAggregates(agg.s_out.copy(), agg.s_in.copy(),
+                              agg.count.copy())
+    touched = set()
+    moves = []
+    for i in roots.tolist():
+        frm, to = int(labels[i]), int(cstar[i])
+        if frm in touched:
+            continue
+        tail = np.array(oracle_tail(a, i), dtype=np.int64)
+        gain = gain_switch(graph, st, labels, agg, tail, frm, to)
+        j = _attach_target(graph, st, labels, i, to)
+        if gain > 0.0 and j >= 0:
+            a[i] = j
+            labels[tail] = to
+            agg.move_nodes(st, tail, frm, to)
+            touched |= {frm, to}
+            moves.append((i, frm, to, gain))
+    return a, labels, agg, moves
 
 
 def oracle_best_targets(ptr, nbr, w, s_out, s_in, m, labels, c_out, c_in,

@@ -12,12 +12,10 @@ from synclouvain.detector import (
     Hierarchy,
     RunConfig,
     RunStats,
-    _MovePrices,
     _Pool,
     _Frontier,
-    _PriceRounds,
-    _attach_target,
     _changed_nodes,
+    _commit_rounds,
     _debug_validate,
     _first_max,
     _map_rows,
@@ -29,12 +27,12 @@ from synclouvain.detector import (
 from synclouvain.forest import extract_components, subtrees
 from synclouvain.graph import (_unit_scaled, canonicalize_labels,
                                compose_labels, strengths)
-from synclouvain.quality import (CommunityAggregates, gain_switch, join_gain,
-                                 local_gains, score)
+from synclouvain.quality import (CommunityAggregates, join_gain, local_gains,
+                                 score)
 
 from conftest import build_graph, two_triangles
-from oracles import (dense_weights, oracle_best_targets, oracle_row_cache,
-                     oracle_score, oracle_tail, random_edges)
+from oracles import (dense_weights, oracle_best_targets, oracle_commit,
+                     oracle_row_cache, oracle_score, random_edges)
 
 
 def test_config_validation():
@@ -633,18 +631,54 @@ def _random_pointers(rng, g, two_cycles):
     return a
 
 
+def _commit_against_oracle(g, st, forest, roots, cstar):
+    """Commit the ascending candidates ``roots`` of one sweep, moving to
+    ``cstar``, in rounds, and check the pointers, labels, aggregates,
+    moved mask and gains against ``oracle_commit``, bit for bit, with the
+    rounds' debug checks clean.  Returns (largest round, applied moves
+    whose target an earlier applied move touched)."""
+    labels = forest.comm.copy()
+    agg = CommunityAggregates.from_labels(st, labels, forest.n_comms)
+    want_a, want_labels, want_agg, moves = oracle_commit(
+        g, st, forest.a, labels, agg, roots, cstar)
+    a = forest.a.copy()
+    moved = np.zeros(g.n, dtype=bool)
+    stats = RunStats()
+    gain = np.zeros(roots.size)
+    applied = np.zeros(roots.size, dtype=bool)
+    biggest = 0
+    for ready, mp, ok in _commit_rounds(
+            g, st, labels, agg, forest, subtrees(forest, np.arange(g.n)),
+            roots, cstar, a, moved, stats):
+        biggest = max(biggest, ready.size)
+        gain[ready] = mp.gain
+        applied[ready] = ok
+    assert stats.debug_failures == []
+    assert a.tobytes() == want_a.tobytes()
+    assert labels.tobytes() == want_labels.tobytes()
+    for got, want in ((agg.s_out, want_agg.s_out), (agg.s_in, want_agg.s_in),
+                      (agg.count, want_agg.count)):
+        assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(moved, labels != forest.comm)
+    np.testing.assert_array_equal(roots[applied], [mv[0] for mv in moves])
+    assert ([x.hex() for x in gain[applied].tolist()]
+            == [mv[3].hex() for mv in moves])
+    touched, late = set(), 0
+    for _, frm, to, _ in moves:
+        late += to in touched
+        touched |= {frm, to}
+    return biggest, late
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=strategies.integers(0, 2**31),
        scale=strategies.sampled_from((-500, 0, 500)),
        unit=strategies.booleans(), loops=strategies.booleans(),
        chain=strategies.booleans())
-def test_price_rounds_are_exact_and_bounded(seed, scale, unit, loops, chain):
-    # the serial commit over rounds of batch prices: every price a
-    # candidate is reached with equals the one-move kernels, bit for bit,
-    # at the labels and aggregates of that moment, whether it is the
-    # round's price or a re-price after a commit touched its target.  A
-    # round prices one candidate per untouched source, so the tails priced
-    # sum to at most those reached plus n.  With ``chain`` nodes point at
+def test_commit_rounds_match_the_serial_oracle(seed, scale, unit, loops,
+                                               chain):
+    # the commit's rounds against the serial walk, on random targets: any
+    # community, a neighbor there or not.  With ``chain`` nodes point at
     # their predecessor: long nested tails within one community.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 40))
@@ -663,35 +697,35 @@ def test_price_rounds_are_exact_and_bounded(seed, scale, unit, loops, chain):
     forest = extract_components(a)
     if forest.n_comms < 2:
         return
-    labels = forest.comm.copy()
-    agg = CommunityAggregates.from_labels(st, labels, forest.n_comms)
     roots = np.flatnonzero(rng.random(n) < 0.8)
-    cstar = (labels + rng.integers(1, forest.n_comms, size=n)) % forest.n_comms
-    tree = subtrees(forest, np.arange(n))
-    book = _PriceRounds(g, st, labels, agg, forest, tree, roots, cstar)
-    reached = 0
-    for k, i in enumerate(roots.tolist()):
-        frm = int(labels[i])
-        if book.touched[frm] >= 0:
-            continue
-        mp, s, gain, j = book.price(k)
-        to = int(cstar[i])
-        moved = mp.tail(s)
-        reached += moved.size
-        np.testing.assert_array_equal(moved, oracle_tail(a, i))
-        assert j == _attach_target(g, st, labels, i, to)
-        if j >= 0:
-            want = gain_switch(g, st, labels, agg, moved, frm, to)
-            assert gain.hex() == want.hex()
-        if gain > 0.0 and j >= 0:
-            labels[moved] = to
-            agg.move(frm, to, mp.so_b[s], mp.si_b[s], moved.size)
-            book.commit(frm, to)
-    priced = 0
-    for mp, _ in book.rounds:
-        assert np.unique(mp.frm).size == mp.frm.size
-        priced += mp.nodes.size
-    assert priced <= reached + n
+    cstar = ((forest.comm + rng.integers(1, forest.n_comms, size=n))
+             % forest.n_comms)
+    _commit_against_oracle(g, st, forest, roots, cstar)
+
+
+def test_commit_rounds_match_the_serial_oracle_on_planted_sweeps():
+    # the planned first sweep of planted graphs, with every candidate
+    # accepted and with half of them: rounds of several candidates, and
+    # moves into a target that an earlier move of the sweep touched
+    biggest = late = 0
+    coins = np.random.default_rng(1)
+    for mu_t, mu_w in ((0.2, 0.1), (0.5, 0.4)):
+        g = _unit_scaled(generate(BenchSpec(N=400, k=8, kmax=16, mu_t=mu_t,
+                                            mu_w=mu_w, seed=7)).graph)
+        st = strengths(g)
+        forest = positive_correction(
+            g, st, extract_components(find_assignment(g, st)))[0]
+        agg = CommunityAggregates.from_labels(st, forest.comm,
+                                              forest.n_comms)
+        cstar = detector._best_targets(g, st, forest.comm, agg, 0, g.n,
+                                       np.arange(g.n))
+        cand = np.flatnonzero(cstar != forest.comm)
+        for roots in (cand, cand[coins.random(cand.size) < 0.5]):
+            big, hit = _commit_against_oracle(g, st, forest, roots, cstar)
+            biggest = max(biggest, big)
+            late += hit
+    assert biggest >= 2
+    assert late >= 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -732,10 +766,20 @@ def test_maximal_correction_forest_is_a_fresh_extraction(seed, shape,
 
 
 def test_debug_flags_a_move_priced_against_a_stale_target(monkeypatch):
-    # a commit that took the snapshot price of a touched target would be
-    # wrong; the debug check re-prices every applied move from scratch
-    monkeypatch.setattr(_MovePrices, "reprice", lambda self, k, frm, to, *_:
-                        (float(self.gain[k]), int(self.attach[k])))
+    # a commit that priced every round at the sweep's snapshot would be
+    # wrong once a move touched a later round's target; the debug check
+    # prices every applicable move afresh
+    real = detector._MovePrices
+    snaps = {}  # per sweep, keyed by its one tree, which it keeps alive
+
+    def stale(graph, st, labels, agg, forest, tree, roots, cstar):
+        if id(tree) not in snaps:
+            snaps[id(tree)] = (tree, labels.copy(), CommunityAggregates(
+                agg.s_out.copy(), agg.s_in.copy(), agg.count.copy()))
+        _, labels, agg = snaps[id(tree)]
+        return real(graph, st, labels, agg, forest, tree, roots, cstar)
+
+    monkeypatch.setattr(detector, "_MovePrices", stale)
     rng = np.random.default_rng(3)
     failures = []
     for seed in range(4):
@@ -743,6 +787,22 @@ def test_debug_flags_a_move_priced_against_a_stale_target(monkeypatch):
         res = run(g, RunConfig(seed=seed, accept_prob=1.0, debug_checks=True))
         failures += res.stats.debug_failures
     assert any(" priced " in msg for msg in failures)
+
+
+def test_debug_flags_a_round_ready_by_its_source_alone(monkeypatch):
+    # a readiness rule that looks only at sources lets two candidates of a
+    # round share a target; the debug check of the rounds' bound flags it
+    real = detector._ready
+    monkeypatch.setattr(detector, "_ready",
+                        lambda frm, to, n_comms: real(frm, frm, n_comms))
+    rng = np.random.default_rng(3)
+    failures = []
+    for seed in range(4):
+        g = build_graph(80, random_edges(rng, 80, density=0.08))
+        res = run(g, RunConfig(seed=seed, accept_prob=1.0, debug_checks=True))
+        failures += res.stats.debug_failures
+    assert any(msg.endswith(": a round shares a community or prices a "
+                            "candidate twice") for msg in failures)
 
 
 def test_first_max_picks_first_row_maximum_above_floor():
