@@ -26,6 +26,14 @@ def _thread_list(text):
     return vals
 
 
+def _fraction(text):
+    """A parallel fraction for the Amdahl model: a float in [0, 1]."""
+    if not 0.0 <= float(text) <= 1.0:
+        raise argparse.ArgumentTypeError(
+            "parallel fraction must lie in [0, 1]")
+    return float(text)
+
+
 def _env_threads(flag_value, want_list):
     """Flag wins; environment applies only when the flag is absent."""
     if flag_value is not None:
@@ -78,12 +86,12 @@ def build_parser():
     p_ben.add_argument("--p", type=float, default=0.5)
     p_ben.add_argument("--threads", type=_thread_list, default=None)
     p_ben.add_argument("--repeats", type=int, default=2)
-    p_ben.add_argument("--amdahl-p", type=float, default=0.95)
+    p_ben.add_argument("--amdahl-p", type=_fraction, default=0.95)
     p_ben.add_argument("--out-dir", default=".")
     p_ben.set_defaults(func=_cmd_bench)
 
     p_amd = sub.add_parser("amdahl", help="print the model speedup table")
-    p_amd.add_argument("--p", type=float, default=0.95)
+    p_amd.add_argument("--p", type=_fraction, default=0.95)
     p_amd.add_argument("--threads", type=_thread_list,
                        default=[1, 2, 4, 8, 12])
     p_amd.set_defaults(func=_cmd_amdahl)

@@ -80,14 +80,32 @@ class RunConfig:
     debug_checks: bool = False
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if not isinstance(self.threads, (int, np.integer)) or self.threads < 1:
+            raise ValueError("threads must be an integer >= 1")
         if not (0.0 < self.accept_prob <= 1.0):
             raise ValueError("accept_prob must be in (0, 1]")
 
 
 @dataclass
 class RunStats:
+    """What a run did and what it checked.
+
+    - ``levels``: the levels built; ``wall_seconds``: ``run``'s wall time.
+    - ``sweeps_per_level``: the maximal sweeps of each level.
+    - ``accepted_moves``: the moves maximal correction applied.
+    - ``accepted_splits``: the cuts positive correction applied.
+    - ``unresolved_negative``: the negative-gain members that no single
+      cut could repair, summed over the positive phases; a community left
+      unrepaired is counted again in every positive phase that re-examines
+      it.
+    - ``phase_seconds``: wall seconds per phase.
+    - ``score_trace``: the running score after each applied cut or move,
+      counted from the score of each level's assignment;
+      ``trace_level_starts`` indexes each level's first entry.
+    - ``drift_checks``: per level, the running score and ``score`` of the
+      level's partition.
+    - ``warnings``: the levels stopped by ``MAX_SWEEPS``.
+    - ``debug_failures``: every broken invariant ``debug_checks`` found."""
     levels: int = 0
     wall_seconds: float = 0.0
     sweeps_per_level: list = field(default_factory=list)
@@ -178,38 +196,35 @@ def _map_rows(graph, pool, fn, rows):
         lambda p: fn(int(p[0]), int(p[-1]) + 1, p), np.split(rows, cuts)))
 
 
-def _changed_nodes(old, new):
-    """Mask of the nodes whose ``new`` community is not, member for member,
-    a community of ``old``; both are canonical labelings of the same nodes,
-    and ``old`` None (nothing computed yet) marks every node.  A new
-    community is unchanged iff every member had the old label of its
-    smallest member and that old community had the same size, so moves,
-    merges, splits and vanished communities all count as changes."""
-    if old is None:
-        return np.ones(new.size, dtype=bool)
-    # the smallest member of each new community, in label order: the nodes
-    # where the running label maximum grows
-    rep = np.flatnonzero(np.diff(np.maximum.accumulate(new), prepend=-1))
-    was = old[rep]
-    strayed = old != was[new]
-    size_new = np.bincount(new, minlength=rep.size)
-    unchanged = ((np.bincount(old)[was] == size_new)
-                 & (np.bincount(new[strayed], minlength=rep.size) == 0))
-    return ~unchanged[new]
-
-
 class _Frontier:
-    """One level's memo of what its maximal plans and its local gains last
-    computed, so later sweeps redo only what changed.  A fresh memo has
-    computed nothing, so its first use plans or computes every node.
+    """One level's memo of what its maximal plans and its positive phases
+    last computed, so later phases redo only what changed.  A fresh memo
+    has computed nothing, so its first use plans or examines every node.
 
-    Positive correction recomputes only the local gains of the nodes whose
-    community changed, member for member, since the labeling ``lg_comm``
-    the last ones were computed on (``_changed_nodes``).  This is exact,
-    bit for bit: an unchanged node's community has the same member set, so
-    the bincounts of ``CommunityAggregates.from_labels`` give it the same
-    bits, and the node's weight to it sums the same entries in the same
-    order.
+    Positive correction computes the local gains of the ``dirty`` nodes
+    alone, all of them at level start, and clears the mask.  It is marked
+    where members change: an applying maximal sweep marks every member of
+    each source and target community of an applied move, and positive
+    correction marks the members of each piece it cuts and of each piece
+    it leaves unrepaired (``left``).  The communities it examines, those
+    with a dirty member of negative local gain, are then exactly those
+    where a full recompute finds one, bit for bit:
+
+    - every mark covers whole communities: a commit marks its communities
+      after the moves, and every piece that positive correction hands on
+      from a cut or left piece lies inside it; so a community with a clean
+      member is clean throughout;
+    - a clean community has the member set it had when it was last
+      examined, since only commits and cuts change members, and its gains
+      were not negative then, else it would have been cut or left;
+    - the same member set gives the bincounts of
+      ``CommunityAggregates.from_labels`` the same bits, and each member's
+      weight to its community sums the same entries in the same order, so
+      every gain keeps its bits and is still not negative.
+
+    A cut piece is marked although its pieces were examined after the cut:
+    they were judged against incrementally updated aggregates, whose bits
+    need not be ``from_labels``'.
 
     A maximal sweep plans every row but those ``settled`` keeps in their
     community, with no gather or merge: the rows whose cache is fresh and
@@ -236,12 +251,11 @@ class _Frontier:
       staying by the kernel's proof (``_best_targets``); so the kernel
       would return the own community.  No rounding margin is needed.
 
-    Under ``debug_checks`` the plan, the local gains and so the cache are
-    compared with a full recompute."""
+    Under ``debug_checks`` the plan and the examined communities, and so
+    the cache and the marks, are compared with a full recompute."""
 
     def __init__(self, n):
-        self.lg_comm = None
-        self.lg = np.zeros(n)
+        self.dirty = np.ones(n, dtype=bool)
         self.stale = np.ones(n, dtype=bool)
         self.w_own = np.zeros(n)
         self.x_max = np.full(n, -np.inf)
@@ -312,21 +326,23 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
     Returns (forest, unresolved, gains, left): the forest of the cut
     pointers, the count of negative-gain members no cut could repair, the
     gain of each applied cut, and a mask of the nodes of the pieces holding
-    them.  Only the local gains of nodes changed since the level's
-    ``memo`` last saw them are recomputed; a ``stats`` turns on the
-    comparison with a full recompute.
+    them.  Only the ``dirty`` nodes of the level's ``memo`` are examined,
+    and the pieces cut or left are marked dirty for the next phase (see
+    ``_Frontier``); a ``stats`` turns on the comparison with a full
+    recompute.
 
-    One stack of pieces, seeded with the bad communities so that the
-    smallest label is popped first, is bisected until no piece holds a
-    negative local gain that a cut repairs; each piece carries its members,
-    ascending, and the flags ``cycle`` mark every piece's cycle nodes.
-    Pieces are labels of the scratch labeling ``labels``, and ``agg`` holds
-    their aggregates, with room for a label per node.  A cut moves the
-    detached nodes to the next label of the counter ``fresh``, so it is a
-    maximal-correction commit to an empty community: ``local_gains`` tests a piece, ``gain_switch(...,
-    to=None)`` prices a cut and ``agg.move_nodes`` applies it, each linear
-    in the piece's rows.  Only the bad communities' nodes change in ``a``,
-    ``labels`` and ``agg``.
+    One stack of pieces, seeded with the bad communities (those with a
+    dirty member of negative local gain) so that the smallest label is
+    popped first, is bisected until no piece holds a negative local gain
+    that a cut repairs; each piece carries its members, ascending, and the
+    flags ``cycle`` mark every piece's cycle nodes.  Pieces are labels of
+    the scratch labeling ``labels``, and ``agg`` holds their aggregates,
+    with room for a label per node.  A cut moves the detached nodes to the
+    next label of the counter ``fresh``, so it is a maximal-correction
+    commit to an empty community: ``local_gains`` tests a piece,
+    ``gain_switch(..., to=None)`` prices a cut and ``agg.move_nodes``
+    applies it, each linear in the piece's rows.  Only the bad
+    communities' nodes change in ``a``, ``labels`` and ``agg``.
 
     ``subtrees`` lays the bad communities out once, before any cut, with
     each community's smallest cycle node as its root.  The nodes a cut
@@ -365,16 +381,15 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
         memo = _Frontier(graph.n)
     comm = forest.comm
     agg = CommunityAggregates.from_labels(st, comm, graph.n)
-    changed = np.flatnonzero(_changed_nodes(memo.lg_comm, comm))
-    lg = memo.lg
-    lg[changed] = local_gains(graph, st, comm, agg, changed)
-    memo.lg_comm = comm
-    if stats is not None and lg.tobytes() != local_gains(
-            graph, st, comm, agg).tobytes():
+    dirty = np.flatnonzero(memo.dirty)
+    memo.dirty[dirty] = False
+    bad = np.unique(comm[dirty[local_gains(graph, st, comm, agg, dirty)
+                               < 0.0]])
+    if stats is not None and not np.array_equal(bad, np.unique(
+            comm[local_gains(graph, st, comm, agg) < 0.0])):
         stats.debug_failures.append(
-            "positive: cached local gains differ from a full recompute")
+            "positive: a negative local gain lies at a clean node")
     left = np.zeros(graph.n, dtype=bool)
-    bad = np.unique(comm[lg < 0.0])
     if bad.size == 0:
         return forest, 0, [], left
     nodes = np.flatnonzero(np.isin(comm, bad))
@@ -425,9 +440,11 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
         b = next(fresh)
         labels[b_nodes] = b
         memo.moved[b_nodes] = True
+        memo.dirty[mem] = True
         agg.move_nodes(st, b_nodes, c, b)
         stack.append((c, mem[labels[mem] == c]))
         stack.append((b, b_nodes))
+    memo.dirty |= left
     if gains:
         forest = AssignmentForest.from_labels(a, labels, cycle)
     return forest, unresolved, gains, left
@@ -660,7 +677,8 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     node from a frozen snapshot, then commit the accepted moves as a serial
     walk in ascending node order would.  Each committed node drags its
     pointer tail along.  The rows the level's ``memo`` settles keep their
-    community unplanned (see ``_Frontier``).
+    community unplanned, and an applying sweep marks dirty every member of
+    the communities its moves touched (see ``_Frontier``).
 
     The walk takes the candidates the coin accepted in ascending order.  A
     candidate is skipped once an earlier applied move has touched its
@@ -754,6 +772,9 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
         stats.debug_failures.append(
             f"incremental aggregates drifted at level {level} sweep {sweep}")
     if gains:
+        hit = np.zeros(forest.n_comms, dtype=bool)
+        hit[forest.comm[roots[applied]]] = hit[cstar[roots[applied]]] = True
+        memo.dirty |= hit[labels]
         forest = AssignmentForest.from_labels(
             a, labels, forest.on_cycle & (labels == forest.comm))
         return forest, True, len(gains), gains

@@ -257,6 +257,22 @@ def test_bench_determinism_breach_exits_3(tmp_path, monkeypatch, capsys):
     assert "partition" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["bench", "--N", "200", "--k", "8", "--kmax", "16", "--mut", "0.2",
+     "--muw", "0.1", "--amdahl-p", "1.5"],
+    ["amdahl", "--p", "-0.1"],
+    ["amdahl", "--p", "nan"]])
+def test_parallel_fraction_outside_unit_interval_exits_2_at_parse(
+        args, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(args + (["--out-dir", "o"] if args[0] == "bench" else []))
+    assert exc.value.code == 2
+    assert "parallel fraction must lie in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert not list(tmp_path.rglob("runs.csv"))
+
+
 def test_amdahl_subcommand(capsys):
     rc = main(["amdahl", "--p", "0.95", "--threads", "1,12"])
     assert rc == 0

@@ -32,6 +32,20 @@ FIELDS = ("flat levels final_score "
 FLOATS = ("final_score", "score_trace", "drift_checks")
 
 
+def random_graphs(rng, count):
+    """``count`` random graphs of 4 to 59 nodes drawn from ``rng``, a third
+    unit-weight, half with self-loops."""
+    from synclouvain import Graph
+    for t in range(count):
+        n = int(rng.integers(4, 60))
+        adj = rng.random((n, n)) < rng.uniform(0.03, 0.4)
+        adj[np.diag_indices(n)] &= t % 2 == 1
+        adj[0, 1] = True
+        src, dst = np.nonzero(adj)
+        w = np.ones(src.size) if t % 3 == 0 else rng.uniform(0.1, 3, src.size)
+        yield Graph.from_edges(n, src, dst, w)
+
+
 def corpus():
     from synclouvain import BenchSpec, Graph, generate
     for name, (n, k, kmax, mu_t, mu_w) in SHAPES.items():
@@ -39,14 +53,14 @@ def corpus():
             yield f"{name}-{seed}", generate(BenchSpec(
                 N=n, k=k, kmax=kmax, mu_t=mu_t, mu_w=mu_w, seed=seed)).graph
     rng = np.random.default_rng(0)
-    for t in range(60):  # a third unit-weight, half with self-loops
-        n = int(rng.integers(4, 60))
-        adj = rng.random((n, n)) < rng.uniform(0.03, 0.4)
-        adj[np.diag_indices(n)] &= t % 2 == 1
-        adj[0, 1] = True
-        src, dst = np.nonzero(adj)
-        w = np.ones(src.size) if t % 3 == 0 else rng.uniform(0.1, 3, src.size)
-        yield f"random-{t}", Graph.from_edges(n, src, dst, w)
+    for t, graph in enumerate(random_graphs(rng, 60)):
+        yield f"random-{t}", graph
+    # three draws under another seed whose runs leave a community
+    # unrepaired in two or more positive phases (3, 8 and 2 of them), so
+    # that a later phase re-examines it
+    for t, graph in enumerate(random_graphs(np.random.default_rng(7), 140)):
+        if t in (27, 43, 139):
+            yield f"unresolved-{t}", graph
     # an empty or nearly empty union: no edge, self-loops only, and n=50
     # with 4 edges
     none = np.empty(0, dtype=np.int64)
