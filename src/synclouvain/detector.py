@@ -37,7 +37,10 @@ its source and target community, so each is the serial one; and each
 community's aggregates are updated, and the gains listed, in ascending
 move order, so every bit is the serial walk's.  Every sum over a node set
 is one ``segment_sums`` order, so a set has the same price, bit for bit,
-in a round and in ``gain_switch``.
+in a round and in ``gain_switch``.  Neither the sweep nor ``settled``
+returns early on empty input: a sweep without candidates draws no coin and
+decides no round, so it applies nothing and ends the level, and with no
+node moved ``settled`` marks nothing stale.
 Results depend only on (graph, seed, accept_prob), never on the thread
 count.  Every run records its score trace, checked against ``score`` at
 each level's end.
@@ -49,6 +52,7 @@ import contextvars
 import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -82,6 +86,8 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.threads, (int, np.integer)) or self.threads < 1:
             raise ValueError("threads must be an integer >= 1")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError("seed must be an integer")
         if not (0.0 < self.accept_prob <= 1.0):
             raise ValueError("accept_prob must be in (0, 1]")
 
@@ -142,7 +148,8 @@ class _Pool:
     """Thin thread-pool wrapper; parallelism is an implementation detail
     and never changes results because work is split on row boundaries.
     The calling thread is one of the ``threads``: it runs its own share of
-    the items while ``threads - 1`` workers run theirs."""
+    the items while ``threads - 1`` workers run theirs.  Leaving a ``with``
+    block closes it."""
 
     def __init__(self, threads):
         self.threads = threads
@@ -173,6 +180,12 @@ class _Pool:
     def close(self):
         if self._ex is not None:
             self._ex.shutdown(wait=True)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def _map_rows(graph, pool, fn, rows):
@@ -264,12 +277,12 @@ class _Frontier:
     def settled(self, graph, st, labels, agg):
         """Mask of the nodes that keep their community at ``labels`` by the
         cache alone, after marking stale the nodes moved since the last
-        call and their union neighbors; the test needs m > 0."""
+        call and their union neighbors, a no-op when none moved; the test
+        needs m > 0."""
         moved = np.flatnonzero(self.moved)
-        if moved.size:
-            self.moved[moved] = False
-            self.stale[moved] = True
-            self.stale[graph.neighbor_union().gather(moved)[1]] = True
+        self.moved[moved] = False
+        self.stale[moved] = True
+        self.stale[graph.neighbor_union().gather(moved)[1]] = True
         keep = ~self.stale
         if not st.m_w > 0.0:
             return np.zeros(keep.size, dtype=bool)
@@ -720,7 +733,9 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     so they are disjoint and hold at most n nodes, where one batch of
     every rejected candidate's nested tails would hold up to n times the
     pointer depth.  Under ``debug_checks`` the run loop re-checks every
-    such stop with all coins accepted.
+    such stop with all coins accepted.  A sweep without candidates takes
+    the same path, with no return of its own: its coins, tree and rounds
+    are empty, so it applies nothing and returns ``improved`` False.
 
     The returned forest takes no second extraction: it is ``a``, the
     canonical ``labels``, and the cycle flags of the nodes that kept their
@@ -750,8 +765,6 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
             f"frontier plan differs from the full plan at level {level} "
             f"sweep {sweep}")
     cand = np.flatnonzero(cstar != labels)
-    if cand.size == 0:
-        return forest, False, 0, []
     accept = uniform01(config.seed, (level, sweep), cand) < config.accept_prob
     tree = subtrees(forest, np.flatnonzero(np.isin(labels, labels[cand])))
     a = forest.a.copy()
@@ -851,56 +864,46 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
     stats = RunStats()
     t_start = time.perf_counter()
     graph = _unit_scaled(graph)
-    pool = _Pool(config.threads)
-    clock = {"t": t_start}
     debug = stats if config.debug_checks else None
-    running = 0.0
 
-    def tick(phase):
-        now = time.perf_counter()
-        stats.phase_seconds[phase] += now - clock["t"]
-        clock["t"] = now
-
-    def record(gains):
-        nonlocal running
-        for gv in gains:
-            running += gv
-            stats.score_trace.append(running)
+    @contextmanager
+    def phase(name):
+        t = time.perf_counter()
+        yield
+        stats.phase_seconds[name] += time.perf_counter() - t
 
     def positive(forest):
-        clock["t"] = time.perf_counter()
-        forest, unresolved, gains, left = positive_correction(
-            g, st, forest, debug, memo)
-        tick("positive")
+        with phase("positive"):
+            forest, unresolved, gains, left = positive_correction(
+                g, st, forest, debug, memo)
         stats.accepted_splits += len(gains)
         stats.unresolved_negative += unresolved
-        record(gains)
+        steps.extend(gains)
         if config.debug_checks:
             forest = _debug_validate(g, st, forest, f"positive@{level}",
                                      stats, left)
         return forest
 
-    try:
+    with _Pool(config.threads) as pool:
         g = graph
         levels = []
         for level in itertools.count():
             st = strengths(g)
             memo = _Frontier(g.n)
-            stats.trace_level_starts.append(len(stats.score_trace))
-            clock["t"] = time.perf_counter()
-            a = find_assignment(g, st, pool)
-            tick("assign")
-            forest = extract_components(a)
-            tick("components")
-            running = score(g, st, forest.comm)
+            steps = []  # the gain of each applied cut or move, in order
+            with phase("assign"):
+                a = find_assignment(g, st, pool)
+            with phase("components"):
+                forest = extract_components(a)
+            start = score(g, st, forest.comm)
             forest = positive(forest)
             for sweep in range(MAX_SWEEPS):
-                clock["t"] = time.perf_counter()
-                forest, improved, applied, gains = maximal_correction(
-                    g, st, forest, config, level, sweep, pool, debug, memo)
-                tick("maximal")
+                with phase("maximal"):
+                    forest, improved, applied, gains = maximal_correction(
+                        g, st, forest, config, level, sweep, pool, debug,
+                        memo)
                 stats.accepted_moves += applied
-                record(gains)
+                steps.extend(gains)
                 if config.debug_checks:
                     forest = _debug_validate(g, st, forest,
                                              f"maximal@{level}", stats, None)
@@ -915,12 +918,14 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
             stats.sweeps_per_level.append(sweep + 1)
             labels = forest.comm
             levels.append(labels)
-            stats.drift_checks.append((running, score(g, st, labels)))
+            trace = list(itertools.accumulate(steps, initial=start))
+            stats.trace_level_starts.append(len(stats.score_trace))
+            stats.score_trace += trace[1:]
+            stats.drift_checks.append((trace[-1], score(g, st, labels)))
             if forest.n_comms == g.n:
                 break
-            clock["t"] = time.perf_counter()
-            g = aggregate(g, labels)
-            tick("aggregate")
+            with phase("aggregate"):
+                g = aggregate(g, labels)
         flat = levels[0]
         for lv in levels[1:]:
             flat = compose_labels(flat, lv)
@@ -929,5 +934,3 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
         stats.levels = len(levels)
         stats.wall_seconds = time.perf_counter() - t_start
         return RunResult(hierarchy=hierarchy, final_score=final, stats=stats)
-    finally:
-        pool.close()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -80,36 +81,23 @@ def measure(graph, threads=(1,), repeats=2, config=None, csv_path=None,
         raise ValueError("repeats must be >= 1")
     base_cfg = config if config is not None else RunConfig()
     graph.neighbor_union()  # one-time setup, not charged to the first run
+    runs = [(t, rep, run(graph, replace(base_cfg, threads=t)))
+            for t in threads for rep in range(repeats)]
+    ref = runs[0][2].hierarchy
     records = []
-    ref_flat = None
-    ref_levels = None
-    phase_sums = {t: None for t in threads}
-    for t in threads:
-        cfg = replace(base_cfg, threads=t)
-        for rep in range(repeats):
-            res = run(graph, cfg)
-            records.append(RunRecord(
-                threads=t, repeat=rep,
-                wall_seconds=res.stats.wall_seconds,
-                score=res.final_score, levels=res.stats.levels,
-                seed=cfg.seed, p=cfg.accept_prob))
-            if ref_flat is None:
-                ref_flat = res.hierarchy.flat
-                ref_levels = res.hierarchy.levels
-            else:
-                same = np.array_equal(ref_flat, res.hierarchy.flat) and \
-                    len(ref_levels) == len(res.hierarchy.levels) and \
-                    all(np.array_equal(x, y) for x, y in
-                        zip(ref_levels, res.hierarchy.levels))
-                if not same:
-                    raise DeterminismError(
-                        f"partition changed at threads={t} repeat={rep}")
-            ph = res.stats.phase_seconds
-            if phase_sums[t] is None:
-                phase_sums[t] = dict(ph)
-            else:
-                for k, v in ph.items():
-                    phase_sums[t][k] += v
+    phase_sums = {t: Counter() for t in threads}
+    for t, rep, res in runs:
+        h = res.hierarchy
+        if len(h.levels) != len(ref.levels) or not all(
+                np.array_equal(x, y) for x, y in
+                zip([h.flat, *h.levels], [ref.flat, *ref.levels])):
+            raise DeterminismError(
+                f"partition changed at threads={t} repeat={rep}")
+        records.append(RunRecord(
+            threads=t, repeat=rep, wall_seconds=res.stats.wall_seconds,
+            score=res.final_score, levels=res.stats.levels,
+            seed=base_cfg.seed, p=base_cfg.accept_prob))
+        phase_sums[t].update(res.stats.phase_seconds)
     curve = curve_from_records(records)
     if csv_path is not None:
         write_csv(records, csv_path)

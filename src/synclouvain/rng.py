@@ -16,19 +16,22 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _finalize_int(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
+def _finalize(z):
+    """SplitMix64's finalizer on ``np.uint64`` values, modulo 2**64; call it
+    under ``np.errstate(over="ignore")``."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
 
 
 def mix_key(seed: int, *parts: int) -> int:
     """Collapse (seed, part, part, ...) into one well-mixed 64-bit state."""
-    state = _finalize_int(seed & _MASK)
-    for part in parts:
-        state = _finalize_int((state + _GAMMA + (part & _MASK)) & _MASK)
-    return state
+    with np.errstate(over="ignore"):
+        state = _finalize(np.uint64(int(seed) & _MASK))
+        for part in parts:
+            state = _finalize(state + np.uint64(_GAMMA)
+                              + np.uint64(int(part) & _MASK))
+    return int(state)
 
 
 def uniform01(seed: int, parts: tuple[int, ...], ids) -> np.ndarray:
@@ -36,8 +39,5 @@ def uniform01(seed: int, parts: tuple[int, ...], ids) -> np.ndarray:
     base = np.uint64(mix_key(seed, *parts))
     ids = np.asarray(ids, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = ids * np.uint64(_GAMMA) + base
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        z = _finalize(ids * np.uint64(_GAMMA) + base)
     return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -46,6 +47,20 @@ def test_config_validation():
         RunConfig(accept_prob=0.0)
     with pytest.raises(ValueError):
         RunConfig(accept_prob=1.5)
+    RunConfig(seed=np.int64(5))
+    for seed in (1.5, "1", None):
+        with pytest.raises(ValueError):
+            RunConfig(seed=seed)
+
+
+def test_numpy_integer_seed_runs_as_its_int(rng):
+    g = build_graph(80, random_edges(rng, 80, density=0.08))
+    want, got = (run(g, RunConfig(seed=s)) for s in (7, np.int64(7)))
+    np.testing.assert_array_equal(got.hierarchy.flat, want.hierarchy.flat)
+    assert len(got.hierarchy.levels) == len(want.hierarchy.levels)
+    for x, y in zip(got.hierarchy.levels, want.hierarchy.levels):
+        np.testing.assert_array_equal(x, y)
+    assert got.final_score.hex() == want.final_score.hex()
 
 
 def test_assignment_two_triangles_ties_to_lowest_id():
@@ -917,6 +932,22 @@ def test_pool_workers_keep_the_callers_error_state():
                 pool.map(lambda x: np.float64(x) * 1e300, [1.0, 1e300])
     finally:
         pool.close()
+
+
+def test_run_closes_its_pool_when_a_phase_raises(rng, monkeypatch):
+    # tiny pieces make the assignment hand work to the pool's worker, which
+    # must be gone once the failing maximal phase has left ``run``
+    g = build_graph(40, random_edges(rng, 40, density=0.2))
+    base = threading.active_count()
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("phase failed")
+
+    monkeypatch.setattr(detector, "PIECE_ENTRIES", 8)
+    monkeypatch.setattr(detector, "maximal_correction", fail)
+    with pytest.raises(RuntimeError, match="phase failed"):
+        run(g, RunConfig(threads=2))
+    assert threading.active_count() == base
 
 
 def test_run_edgeless_graph_short_circuits():

@@ -174,3 +174,26 @@ def test_phase_report(tmp_path):
     phases = {ln.split("\t")[1] for ln in lines[1:]}
     assert phases == {"assign", "components", "positive", "maximal",
                       "aggregate"}
+
+
+def test_phase_report_means_the_runs_phase_seconds(tmp_path, monkeypatch):
+    import synclouvain.perf as perf
+
+    g = small_graph()
+    real_run = perf.run
+    seen = []
+
+    def recorded(graph, config):
+        res = real_run(graph, config)
+        seen.append((config.threads, res.stats.phase_seconds))
+        return res
+
+    monkeypatch.setattr(perf, "run", recorded)
+    path = tmp_path / "phases.tsv"
+    measure(g, threads=[1, 2], repeats=2, phase_path=path)
+    rows = [ln.split("\t") for ln in path.read_text().splitlines()[1:]]
+    assert [t for t, _ in seen] == [1, 1, 2, 2]
+    assert len(rows) == 2 * 5
+    for t, phase, mean in rows:
+        runs = [ph[phase] for tt, ph in seen if tt == int(t)]
+        assert mean == f"{sum(runs) / 2:.6f}"
