@@ -26,21 +26,22 @@ plan keeps its community, with no gather or merge, when its cached largest
 weight to another community, over m, cannot beat staying
 (``_Frontier.settled``; the cache is exact, and so is the test); every
 other row is planned, so the first sweep of a level plans them all.
-The commit decides the moves the coin accepted as a serial walk in
-ascending node order would: a move whose source an earlier applied move
-touched is skipped, and any other applies iff its price at that point is
-positive.  It decides them in rounds (``_commit_rounds``): a round takes
-every undecided move that shares no community, as source or target, with
-an earlier undecided one, prices them in one numpy pass (``_MovePrices``)
-and applies the ones that apply in one step.  A move's outcome reads only
-its source and target community, so each is the serial one; and each
-community's aggregates are updated, and the gains listed, in ascending
-move order, so every bit is the serial walk's.  Every sum over a node set
-is one ``segment_sums`` order, so a set has the same price, bit for bit,
-in a round and in ``gain_switch``.  Neither the sweep nor ``settled``
-returns early on empty input: a sweep without candidates draws no coin and
-decides no round, so it applies nothing and ends the level, and with no
-node moved ``settled`` marks nothing stale.
+The commit decides the moves the coin accepted as a serial walk in ascending
+node order would: a move whose pointer tail an earlier applied move changed,
+by moving one of its nodes or attaching to one, is skipped, and any other
+applies iff its price at that point is positive.  A move whose source lost
+or gained other tails still applies, priced at the current aggregates.  It
+decides them in rounds (``_commit_rounds``): a round takes every undecided
+move that shares no community, as source or target, with an earlier
+undecided one, prices them in one numpy pass (``_MovePrices``) and applies
+the ones that apply in one step.  A move's outcome reads only its source and
+target community, so each is the serial one; and each community's aggregates
+are updated, and the gains listed, in ascending move order, so every bit is
+the serial walk's.  Every sum over a node set is one ``segment_sums`` order,
+so a set has the same price, bit for bit, in a round and in ``gain_switch``.
+Neither the sweep nor ``settled`` returns early on empty input: a sweep
+without candidates draws no coin and decides no round, so it applies nothing
+and ends the level, and with no node moved ``settled`` marks nothing stale.
 Results depend only on (graph, seed, accept_prob), never on the thread
 count.  Every run records its score trace, checked against ``score`` at
 each level's end.
@@ -622,9 +623,12 @@ def _commit_rounds(graph, st, labels, agg, forest, tree, roots, cstar, a,
     prices, ok): their indices into ``roots``, ascending, the batch, and
     the mask of those that apply.  Resumed, it applies those in one step
     to the pointers ``a``, ``labels``, ``agg`` and the mask ``moved``, and
-    drops every undecided candidate whose source an applied move touched.
-    A consumer that stops at the first round with an applicable move thus
-    applies nothing.
+    drops every undecided candidate whose snapshot tail, its slice of
+    ``tree`` (its community's when it lies on its cycle, as
+    ``_MovePrices`` prices it), holds a node that an applied move moved or
+    attached to: one prefix count of those nodes over ``tree``'s preorder,
+    compared at each slice's ends.  A consumer that stops at the first
+    round with an applicable move thus applies nothing.
 
     This is the serial walk, bit for bit.  A candidate's outcome reads
     only its source and target community: its tail (its source's members
@@ -632,28 +636,42 @@ def _commit_rounds(graph, st, labels, agg, forest, tree, roots, cstar, a,
     two aggregates and the root's neighbors in the target.  A move changes
     only its tail's labels, its root's pointer and the aggregates of its
     own source and target.  So a candidate decided once every earlier one
-    that shares a community with it is decided sees what the walk sees,
-    and the walk's skip of a candidate whose source an earlier move
-    touched changes nothing.  Ready candidates share no community, so each
-    community's aggregates are updated in ascending candidate order and
-    the fancy-indexed updates repeat no index.  A round's tails lie in
-    distinct sources, so they are disjoint and hold at most n nodes, and
-    each candidate is priced once, when decided, with its source
-    untouched: the tails priced are exactly those the walk reaches.
+    that shares a community with it is decided sees what the walk sees.
+    The drop is the walk's skip.  A slice that holds no such node is the
+    candidate's exact current tail: none of its nodes moved, so every
+    pointer path in it to the root is intact, and no outside pointer lands
+    in it, since only applied roots changed pointers, each to its attach
+    node.  A slice that holds one is not: the root moved, a move below it
+    took nodes away, or an attach hung another tail below it.  An on-cycle
+    candidate's slice is its whole community, so any move out of it or
+    into it drops the candidate.  Every move that can hit a slice shares
+    the candidate's source, so it is decided first.  Ready candidates
+    share no community, so each community's aggregates are updated in
+    ascending candidate order and the fancy-indexed updates repeat no
+    index.  A round's tails lie in distinct sources, so they are disjoint
+    and hold at most n nodes, and each candidate is priced once, when
+    decided, with its tail intact: the tails priced are exactly those the
+    walk reaches.
 
     Given ``stats``, it records under ``where`` a round that shares a
-    community or prices a candidate twice, and every applicable move whose
-    price is not ``gain_switch``'s and ``_attach_target``'s."""
+    community or prices a candidate twice, every priced tail that is not
+    closed (a node outside its source or moved this sweep, or a pointer
+    from outside it landing in it), and every applicable move whose price
+    is not ``gain_switch``'s and ``_attach_target``'s."""
     frm, to = labels[roots], cstar[roots]
+    order, start, size, root = tree
+    top = np.where(forest.on_cycle[roots], root[roots], roots)
+    lo, hi = start[top], start[top] + size[top]  # each snapshot tail's slice
     live = np.arange(roots.size)
     priced = np.zeros(roots.size, dtype=bool)
-    touched = np.zeros(agg.n_comms, dtype=bool)
+    hit = np.zeros(graph.n, dtype=bool)  # applied tails and attach nodes
     while live.size:
         go = _ready(frm[live], to[live], agg.n_comms)
         ready = live[go]
         mp = _MovePrices(graph, st, labels, agg, forest, tree, roots[ready],
                          cstar)
         ok = (mp.gain > 0.0) & (mp.attach >= 0)
+        tsize = np.diff(mp.tptr)
         if stats is not None:
             if priced[ready].any() or np.unique(np.concatenate(
                     (mp.frm, mp.to))).size < 2 * ready.size:
@@ -661,6 +679,18 @@ def _commit_rounds(graph, st, labels, agg, forest, tree, roots, cstar, a,
                     f"{where}: a round shares a community or prices a "
                     f"candidate twice")
             priced[ready] = True
+            # a tail is closed: in its source, unmoved, and no pointer
+            # from outside it lands in it
+            seg = np.full(graph.n, -1)  # the priced tail a node lies in
+            seg[mp.nodes] = np.repeat(np.arange(ready.size), tsize)
+            into = seg[a]
+            out = moved[mp.nodes] | (labels[mp.nodes]
+                                     != np.repeat(mp.frm, tsize))
+            for s in np.union1d(into[(into >= 0) & (seg != into)],
+                                seg[mp.nodes[out]]).tolist():
+                stats.debug_failures.append(
+                    f"{where}: move of node {int(roots[ready[s]])} priced "
+                    f"a tail that is not closed")
             for s in np.flatnonzero(ok).tolist():
                 i, t = int(roots[ready[s]]), int(mp.to[s])
                 got = (float(mp.gain[s]), int(mp.attach[s]))
@@ -672,16 +702,16 @@ def _commit_rounds(graph, st, labels, agg, forest, tree, roots, cstar, a,
                         f"{where}: move of node {i} priced {got}, fresh "
                         f"{fresh}")
         yield ready, mp, ok
-        size = np.diff(mp.tptr)
-        tails = mp.nodes[np.repeat(ok, size)]
+        tails = mp.nodes[np.repeat(ok, tsize)]
         f, t = mp.frm[ok], mp.to[ok]
         a[roots[ready[ok]]] = mp.attach[ok]
-        labels[tails] = np.repeat(t, size[ok])
-        moved[tails] = True
-        agg.move(f, t, mp.so_b[ok], mp.si_b[ok], size[ok])
-        touched[f] = touched[t] = True
+        labels[tails] = np.repeat(t, tsize[ok])
+        moved[tails] = hit[tails] = hit[mp.attach[ok]] = True
+        agg.move(f, t, mp.so_b[ok], mp.si_b[ok], tsize[ok])
         live = live[~go]
-        live = live[~touched[frm[live]]]
+        if ok.any():
+            c = np.append(0, np.cumsum(hit[order]))
+            live = live[c[hi[live]] == c[lo[live]]]
 
 
 def maximal_correction(graph, st, forest, config, level, sweep, pool,
@@ -694,31 +724,32 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     the communities its moves touched (see ``_Frontier``).
 
     The walk takes the candidates the coin accepted in ascending order.  A
-    candidate is skipped once an earlier applied move has touched its
-    source community, and otherwise applies iff its price at the current
-    labels is strictly positive and it has a neighbor in the target to
-    attach to.  The commit decides them in rounds (``_commit_rounds``): a
-    candidate is ready once every earlier candidate that names its source
-    or its target community, as source or target, has been decided.  A
-    round prices every ready candidate in one batch at the current labels
-    (``_MovePrices``) and applies those that apply in one numpy step; then
-    every undecided candidate whose source a move touched is dropped, as
-    the walk would skip it.  That is exact: a commit changes only the
-    labels of its tail, the aggregates of its source and target, and the
-    pointer of its root, so a candidate's price and attach target read
-    only its source and target community, and every earlier move that
+    candidate is skipped once an earlier applied move has changed its
+    pointer tail, by moving one of its nodes or attaching to one, and
+    otherwise applies iff its price at the current labels is strictly
+    positive and it has a neighbor in the target to attach to.  The commit
+    decides them in rounds (``_commit_rounds``): a candidate is ready once
+    every earlier candidate that names its source or its target community,
+    as source or target, has been decided.  A round prices every ready
+    candidate in one batch at the current labels (``_MovePrices``) and
+    applies those that apply in one numpy step; then every undecided
+    candidate whose snapshot tail holds a node a move moved or attached to
+    is dropped, as the walk would skip it.  That is exact: a commit changes
+    only the labels of its tail, the aggregates of its source and target,
+    and the pointer of its root, so a candidate's price and attach target
+    read only its source and target community, and every earlier move that
     could change them is decided first.  The bits hold: ready candidates
     share no community, so each community's aggregates take their updates,
-    and the gains are listed, in ascending candidate order, as in the
-    walk.  The tails are slices of one ``subtrees`` preorder of the
-    snapshot pointers, built once per sweep over the candidates' source
-    communities and shared by the commit's rounds and the idle ones below:
-    an untouched source has its snapshot pointers.  Every sum is a
+    and the gains are listed, in ascending candidate order, as in the walk.
+    The tails are slices of one ``subtrees`` preorder of the snapshot
+    pointers, built once per sweep over the candidates' source communities
+    and shared by the commit's rounds and the idle ones below: a candidate
+    not dropped has its snapshot tail as its exact tail.  Every sum is a
     ``segment_sums`` in one order, so a batch price and ``gain_switch``
     agree bit for bit; under ``debug_checks`` every applicable move is
-    checked against ``gain_switch`` and ``_attach_target``, and every
-    round against the bound: no two of its candidates share a community,
-    and none is priced twice.
+    checked against ``gain_switch`` and ``_attach_target``, every priced
+    tail is checked to be closed, and every round against the bound: no two
+    of its candidates share a community, and none is priced twice.
 
     ``improved`` is False, ending the level, unless a move applied or a
     candidate the coin rejected would apply at the snapshot.  That is
@@ -739,14 +770,14 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
 
     The returned forest takes no second extraction: it is ``a``, the
     canonical ``labels``, and the cycle flags of the nodes that kept their
-    label.  A commit moves root i's tail into another community and points
-    i there.  If i is off its cycle, its tail holds no cycle node.  If i is
-    on its cycle, every member's path runs through i, so the whole
-    community moves and its cycle breaks.  No commit closes a new cycle,
-    because i points into a component whose paths never reach the tail.
-    So a node leaves a cycle iff it moved, and no node joins one.  Under
-    ``debug_checks`` ``_debug_validate`` compares the forest with a fresh
-    ``extract_components`` after every phase."""
+    label.  A commit moves root i's tail into another community and points i
+    there.  If i is off its cycle, its tail holds no cycle node.  If i is on
+    its cycle, no move has left or entered its community, and every member's
+    path runs through i, so the whole community moves and its cycle breaks.
+    No commit closes a new cycle, because i points into a component whose
+    paths never reach the tail.  So a node leaves a cycle iff it moved, and
+    no node joins one.  Under ``debug_checks`` ``_debug_validate`` compares
+    the forest with a fresh ``extract_components`` after every phase."""
     if memo is None:
         memo = _Frontier(graph.n)
     labels = forest.comm.copy()

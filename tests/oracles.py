@@ -136,31 +136,31 @@ def oracle_tail(assignment, i, stop=()):
 def oracle_commit(graph, st, a, labels, agg, roots, cstar):
     """The commit of one sweep as a plain serial walk over the ascending
     candidates ``roots``, each moving to its ``cstar``: a candidate whose
-    source community an earlier applied move touched is skipped; any other
-    moves its ``oracle_tail`` in the current pointers ``a`` and applies iff
-    ``gain_switch`` of that tail is positive and ``_attach_target`` finds a
-    neighbor in the target.  Works on copies.  Returns (a, labels, agg,
-    moves), ``moves`` holding each applied (node, source, target, gain) in
-    order."""
+    label is no longer its label in ``labels``, or whose ``oracle_tail`` in
+    the current pointers is not its tail in the given pointers ``a``, is
+    skipped; any other moves that tail and applies iff ``gain_switch`` of
+    it is positive and ``_attach_target`` finds a neighbor in the target.
+    Works on copies.  Returns (a, labels, agg, moves), ``moves`` holding
+    each applied (node, source, target, gain) in order."""
     from synclouvain.detector import _attach_target
     from synclouvain.quality import CommunityAggregates, gain_switch
+    a0, labels0 = a, labels
     a, labels = a.copy(), labels.copy()
     agg = CommunityAggregates(agg.s_out.copy(), agg.s_in.copy(),
                               agg.count.copy())
-    touched = set()
     moves = []
     for i in roots.tolist():
         frm, to = int(labels[i]), int(cstar[i])
-        if frm in touched:
+        tail = oracle_tail(a, i)
+        if frm != labels0[i] or tail != oracle_tail(a0, i):
             continue
-        tail = np.array(oracle_tail(a, i), dtype=np.int64)
+        tail = np.array(tail, dtype=np.int64)
         gain = gain_switch(graph, st, labels, agg, tail, frm, to)
         j = _attach_target(graph, st, labels, i, to)
         if gain > 0.0 and j >= 0:
             a[i] = j
             labels[tail] = to
             agg.move_nodes(st, tail, frm, to)
-            touched |= {frm, to}
             moves.append((i, frm, to, gain))
     return a, labels, agg, moves
 

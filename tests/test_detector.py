@@ -27,12 +27,12 @@ from synclouvain.detector import (
 from synclouvain.forest import extract_components, subtrees
 from synclouvain.graph import (_unit_scaled, canonicalize_labels,
                                compose_labels, strengths)
-from synclouvain.quality import (CommunityAggregates, join_gain, local_gains,
-                                 score)
+from synclouvain.quality import (CommunityAggregates, gain_switch, join_gain,
+                                 local_gains, score)
 
 from conftest import build_graph, two_triangles
 from oracles import (dense_weights, oracle_best_targets, oracle_commit,
-                     oracle_row_cache, oracle_score, random_edges)
+                     oracle_row_cache, oracle_score, oracle_tail, random_edges)
 
 
 def test_config_validation():
@@ -687,7 +687,8 @@ def _commit_against_oracle(g, st, forest, roots, cstar):
     ``cstar``, in rounds, and check the pointers, labels, aggregates,
     moved mask and gains against ``oracle_commit``, bit for bit, with the
     rounds' debug checks clean.  Returns (largest round, applied moves
-    whose target an earlier applied move touched)."""
+    whose target an earlier applied move touched, applied moves whose
+    source an earlier applied move touched)."""
     labels = forest.comm.copy()
     agg = CommunityAggregates.from_labels(st, labels, forest.n_comms)
     want_a, want_labels, want_agg, moves = oracle_commit(
@@ -714,11 +715,12 @@ def _commit_against_oracle(g, st, forest, roots, cstar):
     np.testing.assert_array_equal(roots[applied], [mv[0] for mv in moves])
     assert ([x.hex() for x in gain[applied].tolist()]
             == [mv[3].hex() for mv in moves])
-    touched, late = set(), 0
+    touched, late, resumed = set(), 0, 0
     for _, frm, to, _ in moves:
         late += to in touched
+        resumed += frm in touched
         touched |= {frm, to}
-    return biggest, late
+    return biggest, late, resumed
 
 
 @settings(max_examples=80, deadline=None)
@@ -756,9 +758,10 @@ def test_commit_rounds_match_the_serial_oracle(seed, scale, unit, loops,
 
 def test_commit_rounds_match_the_serial_oracle_on_planted_sweeps():
     # the planned first sweep of planted graphs, with every candidate
-    # accepted and with half of them: rounds of several candidates, and
-    # moves into a target that an earlier move of the sweep touched
-    biggest = late = 0
+    # accepted and with half of them: rounds of several candidates, moves
+    # into a target and moves out of a source that an earlier move of the
+    # sweep touched
+    biggest = late = resumed = 0
     coins = np.random.default_rng(1)
     for mu_t, mu_w in ((0.2, 0.1), (0.5, 0.4)):
         g = _unit_scaled(generate(BenchSpec(N=400, k=8, kmax=16, mu_t=mu_t,
@@ -772,11 +775,79 @@ def test_commit_rounds_match_the_serial_oracle_on_planted_sweeps():
                                        np.arange(g.n))
         cand = np.flatnonzero(cstar != forest.comm)
         for roots in (cand, cand[coins.random(cand.size) < 0.5]):
-            big, hit = _commit_against_oracle(g, st, forest, roots, cstar)
+            big, hit, again = _commit_against_oracle(g, st, forest, roots,
+                                                     cstar)
             biggest = max(biggest, big)
             late += hit
+            resumed += again
     assert biggest >= 2
     assert late >= 1
+    assert resumed >= 1
+
+
+def _hand_sweep(n, pairs, a):
+    """One sweep with every coin accepted over the forest of the pointers
+    ``a`` on the graph of the symmetric ``pairs`` (i, j, w).  Returns the
+    candidates, each one's snapshot price of moving its tail alone, and
+    the candidates that applied: those whose pointer changed."""
+    edges = [e for i, j, w in pairs for e in ((i, j, w), (j, i, w))]
+    g = _unit_scaled(build_graph(n, edges))
+    st = strengths(g)
+    forest = extract_components(np.array(a))
+    agg = CommunityAggregates.from_labels(st, forest.comm, forest.n_comms)
+    cstar = detector._best_targets(g, st, forest.comm, agg, 0, n,
+                                   np.arange(n))
+    cand = np.flatnonzero(cstar != forest.comm)
+    alone = [gain_switch(g, st, forest.comm, agg,
+                         np.array(oracle_tail(a, i)), forest.comm[i],
+                         cstar[i]) for i in cand.tolist()]
+    stats = RunStats()
+    out = maximal_correction(g, st, forest, RunConfig(accept_prob=1.0), 0, 0,
+                             None, stats)[0]
+    assert stats.debug_failures == []
+    _assert_is_extraction(out)
+    return cand.tolist(), alone, np.flatnonzero(out.a != a).tolist()
+
+
+def test_commit_applies_two_leaves_of_one_community():
+    # leaves 1 and 2 of {0, 1, 2} each join their own 2-cycle: the second
+    # leaf's tail is untouched by the first move, so both apply
+    cand, alone, applied = _hand_sweep(7, [
+        (0, 1, 0.1), (0, 2, 0.1), (1, 3, 5), (1, 4, 5), (3, 4, 5),
+        (2, 5, 5), (2, 6, 5), (5, 6, 5)], [0, 0, 0, 4, 3, 6, 5])
+    assert cand == applied == [1, 2]
+
+
+def test_commit_drops_a_parent_after_its_childs_move():
+    # 1 -> 2 -> 0: child 1 leaves first, so parent 2's tail lost a node
+    cand, alone, applied = _hand_sweep(7, [
+        (0, 2, 0.1), (1, 2, 0.1), (1, 3, 5), (1, 4, 5), (3, 4, 5),
+        (2, 5, 5), (2, 6, 5), (5, 6, 5)], [0, 2, 0, 4, 3, 6, 5])
+    assert cand == [1, 2] and min(alone) > 0.0
+    assert applied == [1]
+
+
+@pytest.mark.parametrize("attach, applied", [(3, [1]), (6, [1, 3])])
+def test_commit_drops_a_candidate_whose_tail_an_attach_reached(attach,
+                                                                applied):
+    # 1 joins {2, 3, 6} (3 -> 2, 6 -> 2) at its one neighbor there, then 3
+    # would leave for {4, 5}: attached at 3, 1 now hangs in 3's tail, which
+    # is dropped; attached at 6, 3's tail is untouched and applies
+    cand, alone, got = _hand_sweep(7, [
+        (0, 1, 0.1), (2, 3, 0.1), (2, 6, 5), (3, 4, 10), (3, 5, 10),
+        (4, 5, 10), (1, attach, 2)], [0, 0, 2, 2, 5, 4, 2])
+    assert cand == [1, 3] and min(alone) > 0.0
+    assert got == applied
+
+
+def test_commit_drops_an_on_cycle_candidate_of_a_touched_community():
+    # leaf 0 of {0, 1, 2}, rooted at 2, leaves first; 2 lies on the cycle,
+    # so its tail is the whole community, which lost a node
+    cand, alone, applied = _hand_sweep(7, [
+        (0, 2, 0.1), (1, 2, 0.1), (0, 3, 5), (0, 4, 5), (3, 4, 5),
+        (2, 5, 5), (2, 6, 5), (5, 6, 10)], [2, 2, 2, 4, 3, 6, 5])
+    assert cand == [0, 2] and min(alone) > 0.0
+    assert applied == [0]
 
 
 @settings(max_examples=60, deadline=None)

@@ -36,7 +36,8 @@ gives each tree's median plan seconds per run, the median of their
 per-graph ratios this checkout / REV with its quartiles and the graphs
 whose plan ran faster; then the same for plan microseconds per planned
 entry, and each tree's share of the rows tested that settled without a
-plan.
+plan.  A last line gives each tree's median level-0 sweeps and median
+sweeps per run, summed over the levels (``RunStats.sweeps_per_level``).
 Plan seconds per run is the figure to read: settled rows leave the plan,
 and they are its cheapest, so the cost per planned entry rises when the
 settle test saves time.
@@ -123,6 +124,8 @@ def work():
         print(json.dumps({"setup_s": setup, "graph": crc,
                           "s": secs, "faults": faults,
                           "flat": zlib.crc32(res.hierarchy.flat.tobytes()),
+                          "sweeps0": res.stats.sweeps_per_level[0],
+                          "sweeps": sum(res.stats.sweeps_per_level),
                           "plan_s": plan["plan_s"],
                           "plan_us": 1e6 * plan["plan_s"]
                           / max(plan["plan_entries"], 1),
@@ -178,6 +181,10 @@ def main():
             line.append(f"rows settled {share[0]:.1%} -> {share[1]:.1%} "
                         f"of those tested")
             print(f"{shape}: " + "; ".join(line), flush=True)
+            s0, sw = ([median(r[f] for r in side) for side in zip(*pairs)]
+                      for f in ("sweeps0", "sweeps"))
+            print(f"{shape}: median level-0 sweeps {s0[0]:g} -> {s0[1]:g}; "
+                  f"median sweeps per run {sw[0]:g} -> {sw[1]:g}", flush=True)
 
 
 def compare(shape, args, srcs):

@@ -7,8 +7,10 @@ through ``run`` on both trees, each in its own process, at threads 1 and 2
 with ``debug_checks`` on (and ``record_scores``, on a tree whose
 ``RunConfig`` still has that switch).  Prints every field that
 differs, with the number of runs it differs on, one of them and, for a
-float field, the largest absolute difference between the two trees; then
-the fields that are identical on every run.  A run that raises is recorded
+float field, the largest absolute difference between the two trees (for
+``final_score`` also the runs this checkout scores lower and higher, and
+the mean signed difference over the runs that differ); then the fields
+that are identical on every run.  A run that raises is recorded
 in the field ``error``, with every other field None, and printed; a run
 that raised on either tree is compared by that field alone.  Exits 1 on
 any difference, any debug failure or any run of this checkout that
@@ -138,12 +140,22 @@ def dump():
 
 def largest_gap(f, keys, old, new):
     """``; max |diff| x`` over the runs ``keys`` where the float field ``f``
-    has the same shape on both trees, else an empty string."""
+    has the same shape on both trees, else an empty string.  For
+    ``final_score`` it adds the runs this checkout scores lower and higher
+    and the mean signed difference, this checkout less REV."""
     if f not in FLOATS:
         return ""
     gaps = [np.abs(np.subtract(new[k][f], old[k][f])).max(initial=0.0)
             for k in keys if np.shape(new[k][f]) == np.shape(old[k][f])]
-    return f"; max |diff| {max(gaps):.3g}" if gaps else ""
+    if not gaps:
+        return ""
+    out = f"; max |diff| {max(gaps):.3g}"
+    if f == "final_score":
+        diff = [new[k][f] - old[k][f] for k in keys]
+        out += (f"; lower on {sum(d < 0.0 for d in diff)}, higher on "
+                f"{sum(d > 0.0 for d in diff)}, mean signed diff "
+                f"{np.mean(diff):+.3g}")
+    return out
 
 
 def extract_src(rev, tmp):
