@@ -30,16 +30,7 @@ from .graph import (
     strengths,
     write_partition,
 )
-from .perf import (
-    DeterminismError,
-    RunRecord,
-    SpeedupCurve,
-    amdahl,
-    curve_from_records,
-    emit_plot_data,
-    measure,
-    write_csv,
-)
+from .perf import DeterminismError, amdahl, emit_plot_data, measure
 from .quality import (
     CommunityAggregates,
     gain_insert,
@@ -60,16 +51,13 @@ __all__ = [
     "InvariantError",
     "PlantedGraph",
     "RunConfig",
-    "RunRecord",
     "RunResult",
     "RunStats",
-    "SpeedupCurve",
     "Strengths",
     "aggregate",
     "amdahl",
     "canonicalize_labels",
     "compose_labels",
-    "curve_from_records",
     "dump_edge_list",
     "emit_plot_data",
     "extract_components",
@@ -89,6 +77,5 @@ __all__ = [
     "score",
     "strengths",
     "write_benchmark",
-    "write_csv",
     "write_partition",
 ]

@@ -151,18 +151,19 @@ def _cmd_bench(args):
     if args.input is not None:
         graph = load_edge_list(args.input)
     else:
-        if args.N is None:
-            raise ValueError("bench needs --input or the generator flags "
-                             "--N/--k/--kmax/--mut/--muw")
+        missing = [f"--{flag}" for flag in ("N", "k", "kmax", "mut", "muw")
+                   if getattr(args, flag) is None]
+        if missing:
+            raise ValueError("bench needs --input or the generator flags; "
+                             f"missing {', '.join(missing)}")
         graph = generate(_spec_from_args(args)).graph
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = RunConfig(threads=1, seed=args.seed, accept_prob=args.p)
-    curve = measure(graph, threads=threads, repeats=args.repeats,
-                    config=cfg, csv_path=out / "runs.csv",
-                    phase_path=out / "phases.tsv")
-    emit_plot_data(curve, args.amdahl_p, out / "speedup.tsv")
-    for t, s in curve.points:
+    points = measure(graph, threads=threads, repeats=args.repeats,
+                     config=cfg, out_dir=out)
+    emit_plot_data(points, args.amdahl_p, out / "speedup.tsv")
+    for t, s in points:
         print(f"threads={t} speedup={s:.3f} "
               f"model={amdahl(args.amdahl_p, t):.3f}")
     return 0

@@ -29,16 +29,9 @@ other row is planned, so the first sweep of a level plans them all.
 The commit decides the moves the coin accepted as a serial walk in ascending
 node order would: a move whose pointer tail an earlier applied move changed,
 by moving one of its nodes or attaching to one, is skipped, and any other
-applies iff its price at that point is positive.  A move whose source lost
-or gained other tails still applies, priced at the current aggregates.  It
-decides them in rounds (``_commit_rounds``): a round takes every undecided
-move that shares no community, as source or target, with an earlier
-undecided one, prices them in one numpy pass (``_MovePrices``) and applies
-the ones that apply in one step.  A move's outcome reads only its source and
-target community, so each is the serial one; and each community's aggregates
-are updated, and the gains listed, in ascending move order, so every bit is
-the serial walk's.  Every sum over a node set is one ``segment_sums`` order,
-so a set has the same price, bit for bit, in a round and in ``gain_switch``.
+applies iff its price at that point is positive.  It decides them in rounds
+of moves that share no community, each round priced in one numpy pass;
+``_commit_rounds`` proves that the rounds are the walk, bit for bit.
 Neither the sweep nor ``settled`` returns early on empty input: a sweep
 without candidates draws no coin and decides no round, so it applies nothing
 and ends the level, and with no node moved ``settled`` marks nothing stale.
@@ -651,7 +644,8 @@ def _commit_rounds(graph, st, labels, agg, forest, tree, roots, cstar, a,
     index.  A round's tails lie in distinct sources, so they are disjoint
     and hold at most n nodes, and each candidate is priced once, when
     decided, with its tail intact: the tails priced are exactly those the
-    walk reaches.
+    walk reaches.  Every sum over a node set is one ``segment_sums``
+    order, so a batch prices a tail, bit for bit, as ``gain_switch`` does.
 
     Given ``stats``, it records under ``where`` a round that shares a
     community or prices a candidate twice, every priced tail that is not
@@ -727,29 +721,16 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     candidate is skipped once an earlier applied move has changed its
     pointer tail, by moving one of its nodes or attaching to one, and
     otherwise applies iff its price at the current labels is strictly
-    positive and it has a neighbor in the target to attach to.  The commit
-    decides them in rounds (``_commit_rounds``): a candidate is ready once
-    every earlier candidate that names its source or its target community,
-    as source or target, has been decided.  A round prices every ready
-    candidate in one batch at the current labels (``_MovePrices``) and
-    applies those that apply in one numpy step; then every undecided
-    candidate whose snapshot tail holds a node a move moved or attached to
-    is dropped, as the walk would skip it.  That is exact: a commit changes
-    only the labels of its tail, the aggregates of its source and target,
-    and the pointer of its root, so a candidate's price and attach target
-    read only its source and target community, and every earlier move that
-    could change them is decided first.  The bits hold: ready candidates
-    share no community, so each community's aggregates take their updates,
-    and the gains are listed, in ascending candidate order, as in the walk.
-    The tails are slices of one ``subtrees`` preorder of the snapshot
-    pointers, built once per sweep over the candidates' source communities
-    and shared by the commit's rounds and the idle ones below: a candidate
-    not dropped has its snapshot tail as its exact tail.  Every sum is a
-    ``segment_sums`` in one order, so a batch price and ``gain_switch``
-    agree bit for bit; under ``debug_checks`` every applicable move is
-    checked against ``gain_switch`` and ``_attach_target``, every priced
-    tail is checked to be closed, and every round against the bound: no two
-    of its candidates share a community, and none is priced twice.
+    positive and it has a neighbor in the target to attach to.
+    ``_commit_rounds`` decides them in rounds of candidates that share no
+    community, and proves that this is the walk, bit for bit.  The tails
+    are slices of one ``subtrees`` preorder of the snapshot pointers, built
+    once per sweep over the candidates' source communities and shared by
+    the commit's rounds and the idle ones below.  Under ``debug_checks``
+    every applicable move is checked against ``gain_switch`` and
+    ``_attach_target``, every priced tail is checked to be closed, and every
+    round against the bound: no two of its candidates share a community,
+    and none is priced twice.
 
     ``improved`` is False, ending the level, unless a move applied or a
     candidate the coin rejected would apply at the snapshot.  That is

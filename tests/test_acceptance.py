@@ -204,9 +204,8 @@ def test_c10_scaled_speedup_trend_informational():
     t0 = time.perf_counter()
     pg = generate(BenchSpec(N=100_000, k=16, kmax=32, mu_t=0.2, mu_w=0.1,
                             cmin=50, cmax=200, seed=1))
-    curve = measure(pg.graph, threads=[1, 2, 4], repeats=1,
-                    config=RunConfig(seed=1))
-    speedup = dict(curve.points)
+    speedup = dict(measure(pg.graph, threads=[1, 2, 4], repeats=1,
+                           config=RunConfig(seed=1)))
     assert speedup[1] == 1.0
     assert all(s > 0 for s in speedup.values())
     if not (speedup[4] > speedup[2] > 1.0):

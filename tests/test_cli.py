@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -255,6 +256,23 @@ def test_bench_determinism_breach_exits_3(tmp_path, monkeypatch, capsys):
                "--out-dir", str(tmp_path / "b")])
     assert rc == 3
     assert "partition" in capsys.readouterr().err
+    for name in ("runs.csv", "phases.tsv", "speedup.tsv"):
+        assert not (tmp_path / "b" / name).exists()
+
+
+@pytest.mark.parametrize("spec, missing", [
+    (["--N", "200"], "--k, --kmax, --mut, --muw"),
+    (["--N", "200", "--k", "8", "--kmax", "16", "--mut", "0.2"], "--muw")])
+def test_bench_partial_generator_spec_exits_2(spec, missing, tmp_path,
+                                              capsys, monkeypatch):
+    def no_graph(spec):
+        raise AssertionError("generated a graph from a partial spec")
+
+    monkeypatch.setattr(cli, "generate", no_graph)
+    rc = main(["bench", *spec, "--out-dir", str(tmp_path / "b")])
+    assert rc == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"missing {missing}")
+    assert not (tmp_path / "b").exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -280,3 +298,13 @@ def test_amdahl_subcommand(capsys):
     assert out[0] == "threads\tamdahl"
     assert out[1].startswith("1\t1.000000")
     assert abs(float(out[2].split("\t")[1]) - 7.7419) < 1e-3
+
+
+def test_readme_command_lines_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = [ln.strip() for ln in block.replace("\\\n", " ").splitlines()]
+    commands = [ln for ln in lines if ln.startswith("synclouvain ")]
+    assert commands
+    for line in commands:
+        cli.build_parser().parse_args(shlex.split(line)[1:])

@@ -3,18 +3,14 @@ import pytest
 
 from synclouvain.bench import BenchSpec, generate
 from synclouvain.detector import RunConfig
+import synclouvain.perf as perf
 from synclouvain.perf import (
+    CSV_FIELDS,
     DeterminismError,
-    RunRecord,
-    SpeedupCurve,
     amdahl,
-    curve_from_records,
     emit_plot_data,
     measure,
-    write_csv,
 )
-
-CSV_HEADER = "threads,repeat,wall_seconds,score,levels,seed,p"
 
 
 def small_graph():
@@ -49,44 +45,54 @@ def test_amdahl_monotone_and_limit():
     assert abs(amdahl(p_fr, 10**6) - 20.0) <= gap * 1.01
 
 
-def test_run_record_validation():
-    RunRecord(1, 0, 0.5, 0.1, 2, 0, 0.5)
-    with pytest.raises(ValueError):
-        RunRecord(0, 0, 0.5, 0.1, 2, 0, 0.5)
-    with pytest.raises(ValueError):
-        RunRecord(1, 0, 0.0, 0.1, 2, 0, 0.5)
+def recording(monkeypatch):
+    """Patch ``perf.run`` to keep each run's (threads, result)."""
+    real_run = perf.run
+    seen = []
+
+    def recorded(graph, config):
+        res = real_run(graph, config)
+        seen.append((config.threads, res))
+        return res
+
+    monkeypatch.setattr(perf, "run", recorded)
+    return seen
 
 
 def test_measure_single_thread_baseline(tmp_path):
     g = small_graph()
-    path = tmp_path / "runs.csv"
-    curve = measure(g, threads=[1], repeats=2, csv_path=path)
-    assert curve.points == [(1, 1.0)]
-    lines = path.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
+    points = measure(g, threads=[1], repeats=2, out_dir=tmp_path)
+    assert points == [(1, 1.0)]
+    lines = (tmp_path / "runs.csv").read_text().splitlines()
+    assert lines[0] == ",".join(CSV_FIELDS)
     assert len(lines) == 3
 
 
 def test_measure_requires_baseline_thread_count():
     with pytest.raises(ValueError):
         measure(small_graph(), threads=[2, 4], repeats=1)
+    with pytest.raises(ValueError):
+        measure(small_graph(), threads=[1], repeats=0)
 
 
-def test_measure_multi_thread_counts_records():
+def test_measure_multi_thread_counts_records(monkeypatch):
+    seen = recording(monkeypatch)
     g = small_graph()
-    curve = measure(g, threads=[1, 2], repeats=2,
-                    config=RunConfig(seed=3, accept_prob=1.0))
-    assert [t for t, _ in curve.points] == [1, 2]
-    assert curve.points[0][1] == 1.0
-    assert all(s > 0 for _, s in curve.points)
-    assert len(curve.records) == 4
-    assert {r.threads for r in curve.records} == {1, 2}
-    assert all(r.seed == 3 and r.p == 1.0 for r in curve.records)
+    points = measure(g, threads=[2, 1, 2], repeats=2,
+                     config=RunConfig(seed=3, accept_prob=1.0))
+    assert [t for t, _ in seen] == [1, 1, 2, 2]
+    wall = {t: float(np.mean([r.stats.wall_seconds for tt, r in seen
+                              if tt == t])) for t in (1, 2)}
+    assert points == [(1, 1.0), (2, wall[1] / wall[2])]
 
 
-def test_measure_detects_partition_mismatch(monkeypatch):
-    import synclouvain.perf as perf
+def test_measure_writes_no_file_without_out_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    measure(small_graph(), threads=[1], repeats=1)
+    assert not list(tmp_path.iterdir())
 
+
+def test_measure_detects_partition_mismatch(monkeypatch, tmp_path):
     g = small_graph()
     real_run = perf.run
     calls = {"k": 0}
@@ -101,13 +107,12 @@ def test_measure_detects_partition_mismatch(monkeypatch):
 
     monkeypatch.setattr(perf, "run", flaky)
     with pytest.raises(DeterminismError):
-        measure(g, threads=[1], repeats=2)
+        measure(g, threads=[1], repeats=2, out_dir=tmp_path)
+    assert not list(tmp_path.iterdir())  # nothing written on a breach
 
 
 def test_measure_builds_union_before_timed_runs(monkeypatch):
     # the lazy neighbor-union build is setup, not part of the first run
-    import synclouvain.perf as perf
-
     g = small_graph()
     real_run = perf.run
     seen = []
@@ -121,55 +126,45 @@ def test_measure_builds_union_before_timed_runs(monkeypatch):
     assert seen == [True] * 4
 
 
-def test_csv_round_trip(tmp_path):
-    recs = [
-        RunRecord(1, 0, 1.25, 0.4031, 3, 9, 0.5),
-        RunRecord(1, 1, 1.75, 0.4031, 3, 9, 0.5),
-        RunRecord(4, 0, 0.5, 0.1 + 0.2, 3, 9, 0.5),
-    ]
-    path = tmp_path / "r.csv"
-    write_csv(recs, path)
-    rows = [line.split(",") for line in path.read_text().splitlines()]
-    assert ",".join(rows[0]) == CSV_HEADER
-    assert len(rows) == 1 + len(recs)
-    for cells, r in zip(rows[1:], recs):
+def test_csv_round_trip(tmp_path, monkeypatch):
+    seen = recording(monkeypatch)
+    cfg = RunConfig(seed=9, accept_prob=0.1 + 0.2)
+    measure(small_graph(), threads=[1, 2], repeats=2, config=cfg,
+            out_dir=tmp_path)
+    rows = [line.split(",")
+            for line in (tmp_path / "runs.csv").read_text().splitlines()]
+    assert tuple(rows[0]) == CSV_FIELDS
+    assert len(rows) == 1 + len(seen)
+    for rep, (cells, (t, res)) in enumerate(zip(rows[1:], seen)):
         assert [int(cells[k]) for k in (0, 1, 4, 5)] == [
-            r.threads, r.repeat, r.levels, r.seed]
+            t, rep % 2, res.stats.levels, 9]
         # floats are written so that they read back to the same value
         assert [float(cells[k]) for k in (2, 3, 6)] == [
-            r.wall_seconds, r.score, r.p]
-    curve = curve_from_records(recs)
-    assert curve.points == [(1, 1.0), (4, 3.0)]  # mean wall 1.5 vs 0.5
+            res.stats.wall_seconds, res.final_score, 0.1 + 0.2]
 
 
 def test_emit_plot_data(tmp_path):
-    recs = [RunRecord(1, 0, 10.0, 0.5, 2, 0, 0.5),
-            RunRecord(12, 0, 10.0 / 7.0, 0.5, 2, 0, 0.5)]
-    curve = curve_from_records(recs)
     path = tmp_path / "plot.tsv"
-    text = emit_plot_data(curve, 0.95, path)
+    text = emit_plot_data([(1, 1.0), (12, 7.0)], 0.95, path)
     assert path.read_text() == text
     lines = text.splitlines()
     assert lines[0] == "threads\tempirical\tamdahl"
     first = lines[1].split("\t")
     assert first == ["1", "1.000000", "1.000000"]
     last = lines[2].split("\t")
-    assert last[0] == "12" and float(last[2]) == pytest.approx(7.7419, abs=1e-3)
+    assert last == ["12", "7.000000", last[2]]
+    assert float(last[2]) == pytest.approx(7.7419, abs=1e-3)
 
 
 def test_emit_plot_data_flags_superlinear(tmp_path):
-    recs = [RunRecord(1, 0, 10.0, 0.5, 2, 0, 0.5),
-            RunRecord(2, 0, 2.0, 0.5, 2, 0, 0.5)]  # speedup 5 > 2
-    curve = curve_from_records(recs)
     with pytest.warns(UserWarning, match="superlinear"):
-        emit_plot_data(curve, 0.95, tmp_path / "p.tsv")
+        emit_plot_data([(1, 1.0), (2, 5.0)], 0.95, tmp_path / "p.tsv")
 
 
 def test_phase_report(tmp_path):
     g = small_graph()
-    path = tmp_path / "phases.tsv"
-    measure(g, threads=[1], repeats=1, phase_path=path)
-    lines = path.read_text().splitlines()
+    measure(g, threads=[1], repeats=1, out_dir=tmp_path)
+    lines = (tmp_path / "phases.tsv").read_text().splitlines()
     assert lines[0] == "threads\tphase\tmean_seconds"
     phases = {ln.split("\t")[1] for ln in lines[1:]}
     assert phases == {"assign", "components", "positive", "maximal",
@@ -177,23 +172,13 @@ def test_phase_report(tmp_path):
 
 
 def test_phase_report_means_the_runs_phase_seconds(tmp_path, monkeypatch):
-    import synclouvain.perf as perf
-
-    g = small_graph()
-    real_run = perf.run
-    seen = []
-
-    def recorded(graph, config):
-        res = real_run(graph, config)
-        seen.append((config.threads, res.stats.phase_seconds))
-        return res
-
-    monkeypatch.setattr(perf, "run", recorded)
-    path = tmp_path / "phases.tsv"
-    measure(g, threads=[1, 2], repeats=2, phase_path=path)
-    rows = [ln.split("\t") for ln in path.read_text().splitlines()[1:]]
+    seen = recording(monkeypatch)
+    measure(small_graph(), threads=[1, 2], repeats=2, out_dir=tmp_path)
+    text = (tmp_path / "phases.tsv").read_text()
+    rows = [ln.split("\t") for ln in text.splitlines()[1:]]
     assert [t for t, _ in seen] == [1, 1, 2, 2]
     assert len(rows) == 2 * 5
     for t, phase, mean in rows:
-        runs = [ph[phase] for tt, ph in seen if tt == int(t)]
+        runs = [r.stats.phase_seconds[phase] for tt, r in seen
+                if tt == int(t)]
         assert mean == f"{sum(runs) / 2:.6f}"
