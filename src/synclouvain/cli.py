@@ -17,6 +17,7 @@ from .graph import load_edge_list, write_partition
 from .perf import DeterminismError, amdahl, emit_plot_data, measure
 
 ENV_THREADS = "SYNCLOUVAIN_THREADS"
+P_HELP = "acceptance probability of a level's first sweep; then it rises"
 
 
 def _thread_list(text):
@@ -24,6 +25,12 @@ def _thread_list(text):
     if not vals or any(v < 1 for v in vals):
         raise argparse.ArgumentTypeError("thread counts must be >= 1")
     return vals
+
+
+def _repeats(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError("repeats must be >= 1")
+    return int(text)
 
 
 def _fraction(text):
@@ -56,8 +63,7 @@ def build_parser():
     p_det.add_argument("--out-dir", default=".")
     p_det.add_argument("--threads", type=int, default=None)
     p_det.add_argument("--seed", type=int, default=0)
-    p_det.add_argument("--p", type=float, default=0.5,
-                       help="move acceptance probability")
+    p_det.add_argument("--p", type=float, default=0.5, help=P_HELP)
     p_det.add_argument("--debug", action="store_true",
                        help="run internal invariant checks every phase; "
                        "a floating-point fault exits 3")
@@ -83,9 +89,9 @@ def build_parser():
     p_ben.add_argument("--cmin", type=int, default=10)
     p_ben.add_argument("--cmax", type=int, default=100)
     p_ben.add_argument("--seed", type=int, default=0)
-    p_ben.add_argument("--p", type=float, default=0.5)
+    p_ben.add_argument("--p", type=float, default=0.5, help=P_HELP)
     p_ben.add_argument("--threads", type=_thread_list, default=None)
-    p_ben.add_argument("--repeats", type=int, default=2)
+    p_ben.add_argument("--repeats", type=_repeats, default=2)
     p_ben.add_argument("--amdahl-p", type=_fraction, default=0.95)
     p_ben.add_argument("--out-dir", default=".")
     p_ben.set_defaults(func=_cmd_bench)

@@ -26,6 +26,13 @@ plan keeps its community, with no gather or merge, when its cached largest
 weight to another community, over m, cannot beat staying
 (``_Frontier.settled``; the cache is exact, and so is the test); every
 other row is planned, so the first sweep of a level plans them all.
+A seeded per-node coin accepts each planned move: sweep s of a level,
+counted from 0, accepts with probability 1 - (1 - accept_prob)**(s + 1),
+so ``accept_prob`` is the acceptance probability of a level's first sweep
+(the paper's coin) and each later sweep accepts more (0.75, 0.875, ... at
+0.5).  The commit is an exact serial walk whatever the coin accepts, so no
+sweep needs the coin for correctness; the rising threshold shortens a
+level's tail of sweeps that apply a few moves each.
 The commit decides the moves the coin accepted as a serial walk in ascending
 node order would: a move whose pointer tail an earlier applied move changed,
 by moving one of its nodes or attaching to one, is skipped, and any other
@@ -74,6 +81,8 @@ PIECE_ENTRIES = 2**15
 class RunConfig:
     threads: int = 1
     seed: int = 0
+    # the acceptance probability of a level's first sweep; sweep s accepts
+    # with 1 - (1 - accept_prob)**(s + 1) (see maximal_correction)
     accept_prob: float = 0.5
     debug_checks: bool = False
 
@@ -717,6 +726,13 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     community unplanned, and an applying sweep marks dirty every member of
     the communities its moves touched (see ``_Frontier``).
 
+    Sweep ``sweep`` of a level accepts candidate i iff
+    ``uniform01(seed, (level, sweep), i) < 1 - (1 - accept_prob) ** (sweep
+    + 1)``: ``accept_prob`` at the level's first sweep, more at each later
+    one, and every candidate at ``accept_prob`` 1.0.  The threshold is
+    ``accept_prob`` itself, bit for bit, for ``accept_prob`` >= 0.5, where
+    ``1 - accept_prob`` is exact.
+
     The walk takes the candidates the coin accepted in ascending order.  A
     candidate is skipped once an earlier applied move has changed its
     pointer tail, by moving one of its nodes or attaching to one, and
@@ -734,12 +750,15 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
 
     ``improved`` is False, ending the level, unless a move applied or a
     candidate the coin rejected would apply at the snapshot.  That is
-    exact.  A sweep that applies nothing touches nothing, so each
-    candidate's snapshot price is the price a later sweep would see: the
-    forest stays the same, so do the plan and the output of
+    exact under any coin schedule.  A sweep that applies nothing changes
+    nothing, so each candidate's snapshot price is the price a later sweep
+    would see: the forest stays the same, so do the plan and the output of
     positive correction, which is idempotent on an unchanged forest.
-    Later sweeps would then differ only in their coins, and none could
-    apply a move that cannot apply now.  The rejected candidates are
+    Later sweeps would then differ only in their coins, whatever their
+    acceptance probability.  Their walks start at the snapshot, where this
+    check has priced every candidate, accepted or rejected, and found none
+    that applies; so each walk's first candidate applies nothing, and by
+    induction neither does any later one.  The rejected candidates are
     priced in the commit's rounds, which stop at the first round in which
     one would apply.  A round's tails lie in distinct source communities,
     so they are disjoint and hold at most n nodes, where one batch of
@@ -777,7 +796,8 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
             f"frontier plan differs from the full plan at level {level} "
             f"sweep {sweep}")
     cand = np.flatnonzero(cstar != labels)
-    accept = uniform01(config.seed, (level, sweep), cand) < config.accept_prob
+    accept = (uniform01(config.seed, (level, sweep), cand)
+              < 1 - (1 - config.accept_prob) ** (sweep + 1))
     tree = subtrees(forest, np.flatnonzero(np.isin(labels, labels[cand])))
     a = forest.a.copy()
 

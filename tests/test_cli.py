@@ -291,6 +291,22 @@ def test_parallel_fraction_outside_unit_interval_exits_2_at_parse(
     assert not list(tmp_path.rglob("runs.csv"))
 
 
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_bench_repeats_below_one_exits_2_at_parse(repeats, tmp_path, capsys,
+                                                  monkeypatch):
+    def no_graph(spec):
+        raise AssertionError("generated a graph before checking --repeats")
+
+    monkeypatch.setattr(cli, "generate", no_graph)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--N", "300", "--k", "8", "--kmax", "16", "--mut",
+              "0.2", "--muw", "0.1", "--cmin", "20", "--cmax", "50",
+              "--repeats", repeats, "--out-dir", str(tmp_path / "r0")])
+    assert exc.value.code == 2
+    assert "repeats must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "r0").exists()
+
+
 def test_amdahl_subcommand(capsys):
     rc = main(["amdahl", "--p", "0.95", "--threads", "1,12"])
     assert rc == 0

@@ -36,8 +36,12 @@ gives each tree's median plan seconds per run, the median of their
 per-graph ratios this checkout / REV with its quartiles and the graphs
 whose plan ran faster; then the same for plan microseconds per planned
 entry, and each tree's share of the rows tested that settled without a
-plan.  A last line gives each tree's median level-0 sweeps and median
+plan.  Then a line gives each tree's median level-0 sweeps and median
 sweeps per run, summed over the levels (``RunStats.sweeps_per_level``).
+A last line gives, from the same timed runs, each tree's mean
+``final_score`` and its mean NMI against the planted truth (``nmi``), and
+the difference this checkout less REV, so that a change that alters
+partitions shows its quality next to its time.
 Plan seconds per run is the figure to read: settled rows leave the plan,
 and they are its cheapest, so the cost per planned entry rises when the
 settle test saves time.
@@ -52,11 +56,11 @@ import numpy as np
 from equivalence import ROOT, SHAPES, extract_src
 
 
-def graph_of(shape, seed):
+def planted(shape, seed):
     from synclouvain import BenchSpec, generate
     n, k, kmax, mu_t, mu_w = SHAPES[shape]
     return generate(BenchSpec(N=n, k=k, kmax=kmax, mu_t=mu_t, mu_w=mu_w,
-                              seed=seed)).graph
+                              seed=seed))
 
 
 PLAN_ZERO = {"plan_s": 0.0, "plan_entries": 0, "tested": 0, "settled": 0}
@@ -103,12 +107,13 @@ def timed_plan(detector):
 def work():
     """Worker loop: one JSON request per stdin line, one JSON reply per
     stdout line."""
-    from synclouvain import RunConfig, detector, run
+    from synclouvain import RunConfig, detector, nmi, run
     plan = timed_plan(detector)
     for line in sys.stdin:
         req = json.loads(line)
         t0 = time.perf_counter()
-        graph = graph_of(req["shape"], req["seed"])
+        pg = planted(req["shape"], req["seed"])
+        graph = pg.graph
         graph.neighbor_union()  # setup, as in the benchmark, not detect
         setup = time.perf_counter() - t0
         crc = 0
@@ -124,6 +129,8 @@ def work():
         print(json.dumps({"setup_s": setup, "graph": crc,
                           "s": secs, "faults": faults,
                           "flat": zlib.crc32(res.hierarchy.flat.tobytes()),
+                          "q": res.final_score,
+                          "nmi": nmi(res.hierarchy.flat, pg.truth),
                           "sweeps0": res.stats.sweeps_per_level[0],
                           "sweeps": sum(res.stats.sweeps_per_level),
                           "plan_s": plan["plan_s"],
@@ -185,6 +192,12 @@ def main():
                       for f in ("sweeps0", "sweeps"))
             print(f"{shape}: median level-0 sweeps {s0[0]:g} -> {s0[1]:g}; "
                   f"median sweeps per run {sw[0]:g} -> {sw[1]:g}", flush=True)
+            q, nm = ([np.mean([r[f] for r in side]) for side in zip(*pairs)]
+                     for f in ("q", "nmi"))
+            print(f"{shape}: mean final_score {q[0]:.5f} -> {q[1]:.5f} "
+                  f"({q[1] - q[0]:+.5f}); mean NMI against the planted truth "
+                  f"{nm[0]:.4f} -> {nm[1]:.4f} ({nm[1] - nm[0]:+.4f})",
+                  flush=True)
 
 
 def compare(shape, args, srcs):
