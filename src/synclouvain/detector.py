@@ -21,11 +21,12 @@ plan on singletons), and ``_map_rows`` the one place that splits rows,
 into contiguous pieces of the planned rows of at most ``PIECE_ENTRIES``
 union entries, which the threads share round-robin.  A piece whose rows
 are a node range reads its entries as one slice of the union.  Within a
-level a row whose node and union neighbors have not moved since its last
-plan keeps its community, with no gather or merge, when its cached largest
-weight to another community, over m, cannot beat staying
-(``_Frontier.settled``; the cache is exact, and so is the test); every
-other row is planned, so the first sweep of a level plans them all.
+level a row whose node has not moved since its last plan keeps its
+community, with no gather or merge, when its cached largest weight to
+another community, over m, cannot beat staying (``_Frontier.settled``): a
+neighbor's move widens the two cached sums by its weight and a rounding
+margin, so they bound what a plan would sum, and the test stays exact.
+Every other row is planned, so the first sweep of a level plans them all.
 A seeded per-node coin accepts each planned move: sweep s of a level,
 counted from 0, accepts with probability 1 - (1 - accept_prob)**(s + 1),
 so ``accept_prob`` is the acceptance probability of a level's first sweep
@@ -37,11 +38,14 @@ The commit decides the moves the coin accepted as a serial walk in ascending
 node order would: a move whose pointer tail an earlier applied move changed,
 by moving one of its nodes or attaching to one, is skipped, and any other
 applies iff its price at that point is positive.  It decides them in rounds
-of moves that share no community, each round priced in one numpy pass;
-``_commit_rounds`` proves that the rounds are the walk, bit for bit.
+whose moves share no source and leave no other's target, each round priced
+in one numpy pass; moves into one target are priced in node order, each
+after the earlier ones.  ``_commit_rounds`` proves that the rounds are the
+walk, bit for bit.
 Neither the sweep nor ``settled`` returns early on empty input: a sweep
 without candidates draws no coin and decides no round, so it applies nothing
-and ends the level, and with no node moved ``settled`` marks nothing stale.
+and ends the level, and with no node moved ``settled`` marks nothing stale
+and widens nothing.
 Results depend only on (graph, seed, accept_prob), never on the thread
 count.  Every run records its score trace, checked against ``score`` at
 each level's end.
@@ -62,7 +66,7 @@ from .forest import AssignmentForest, extract_components, subtrees
 from .graph import (Graph, _merge_pairs, _run_starts, _unit_scaled,
                     aggregate, compose_labels, strengths)
 from .quality import (CommunityAggregates, gain_switch, join_gain, local_gains,
-                      score, set_sums, switch_gain)
+                      score, segment_sums, set_sums, switch_gain)
 from .rng import uniform01
 
 MAX_SWEEPS = 100  # maximal-correction sweeps per level
@@ -243,29 +247,60 @@ class _Frontier:
     need not be ``from_labels``'.
 
     A maximal sweep plans every row but those ``settled`` keeps in their
-    community, with no gather or merge: the rows whose cache is fresh and
-    that cannot beat staying.  Each planned row caches ``w_own``, its own
-    group's sum, and ``x_max``, its largest group sum to another community
-    (-inf for none), and is then fresh (``stale`` False) until its node or
-    a union neighbor moves: the commit flags each applied tail and positive
-    correction each cut's nodes in the mask ``moved``, and the next
-    ``settled`` marks those nodes and their union neighbors stale, in
-    O(n + their entries).  A mask, not a list of the moved arrays, so that
-    no commit's arrays outlive it.
-    Both are exact, bit for bit:
+    community, with no gather or merge: the fresh rows that cannot beat
+    staying.  Each planned row caches ``w_own``, its own group's sum, and
+    ``x_max``, its largest group sum to another community (-inf for none),
+    and is then fresh (``stale`` False) until its node moves.  The commit
+    flags each applied tail and positive correction each cut's nodes in the
+    mask ``moved`` (a mask, not a list of the moved arrays, so that no
+    commit's arrays outlive it).  The next ``settled`` marks those nodes
+    stale and widens the cache of each union neighbor i of them, once per
+    call, in O(n + their entries): with d the degree of i, S = s_out[i] +
+    s_in[i] and A the sum of the weights w_iv to the moved v that are not
+    in i's community now,
 
-    - the cache is exact: only moves change which nodes share a community,
-      and canonical relabeling renames the communities of unmoved nodes one
-      to one, so a fresh row's neighbors fall into the same groups, with
-      the same entries in the same order, and every group sum, ``w_own``
-      and ``x_max`` keep their bits;
-    - the settle test is exact: a fresh row stays when not ``x_max / m >
-      t_stay``, ``t_stay`` being ``join_gain`` of the cached ``w_own`` with
-      the kernel's operands.  Every other group sum is at most ``x_max``,
-      and division by m > 0 rounds monotonically, so every other group
-      fails the kernel's ``gsum / m > t_stay``; the own group cannot beat
-      staying by the kernel's proof (``_best_targets``); so the kernel
-      would return the own community.  No rounding margin is needed.
+        D = A + (d + 4) * (2**-49 * S + 2**-1070),
+        x_max[i] = max(x_max[i], 0) + D,  w_own[i] -= D.
+
+    The settle test is then exact: every row it keeps, the kernel keeps.
+
+    - Bounds suffice.  A fresh row stays when not ``x_max / m > t_stay``,
+      ``t_stay`` being ``join_gain`` of the cached ``w_own`` with the
+      kernel's operands.  Let ``w_own`` be at most the own group's sum as
+      the kernel would round it now, and ``x_max`` at least every other
+      group's.  ``join_gain`` and division by m > 0 round monotonically, so
+      every other group fails the kernel's ``gsum / m > t_stay``, and the
+      own group cannot beat staying by the kernel's proof
+      (``_best_targets``); so the kernel returns the own community.
+    - A row with no neighbor moved since its plan has exact bits.  Only
+      moves change which nodes share a community, and canonical relabeling
+      renames the communities of unmoved nodes one to one, so the row's
+      groups hold the same entries in the same order.
+    - A widened row keeps the bounds in exact arithmetic.  Let L0 be the
+      labels at its plan and L those now.  Unmoved nodes keep sharing, or
+      not sharing, a community, so each group at L is the unmoved part of
+      one group at L0 plus moved nodes.  A moved neighbor v is, at the last
+      call that saw it moved, in the community it has now.  So each v that
+      left i's community, and each v in another group now, is in that
+      call's A.  The exact own sum thus fell by at most the calls' A's
+      together, and each other exact group sum is at most max(x_max at L0,
+      0) plus them.  The max matters: a row with no other community at its
+      plan (-inf) can gain one.
+    - The margin covers the rounding.  Let u = 2**-53, e = 2**-1075 and T
+      the exact sum of i's union weights.  A rounding errs by at most u
+      times its result plus e, in any range (an addition with a subnormal
+      result is exact).  A union weight is one rounded addition of the two
+      edge weights between its ends, which S counts, scaled at level 0 by
+      ``_unit_scaled``'s power of two, so T <= 1.01 S + 4de for any d
+      below 2**40.  Every value rounded here is at most 3T: a group sum, a
+      call's A, and the cache, which after a widening stays cached only
+      while ``settled`` keeps the row, so while 0 <= x_max <= w_own * (1 +
+      2u) + 2e; and w_own never grows.  So each rounding errs by at most r = 3uT
+      + e <= 3.03uS + 2e.  The kernel's sum of a group's at most d terms
+      errs by (d - 1)r, at L0 and at L; a call's A errs by (d - 1)r, and its
+      three additions by r each.  Each call's margin, rounded, is at least
+      (d + 4)(15.9uS + 30e), more than its own (d + 1)r plus the 2(d - 1)r
+      of the kernel's two sums.
 
     Under ``debug_checks`` the plan and the examined communities, and so
     the cache and the marks, are compared with a full recompute."""
@@ -280,12 +315,19 @@ class _Frontier:
     def settled(self, graph, st, labels, agg):
         """Mask of the nodes that keep their community at ``labels`` by the
         cache alone, after marking stale the nodes moved since the last
-        call and their union neighbors, a no-op when none moved; the test
-        needs m > 0."""
+        call and widening their union neighbors' caches, a no-op when none
+        moved; the test needs m > 0."""
         moved = np.flatnonzero(self.moved)
         self.moved[moved] = False
         self.stale[moved] = True
-        self.stale[graph.neighbor_union().gather(moved)[1]] = True
+        pos, nbr, w = graph.neighbor_union().gather(moved)
+        w[labels[nbr] == labels[moved][pos]] = 0.0
+        rows = np.flatnonzero(np.bincount(nbr, minlength=graph.n))
+        margin = (np.diff(graph.neighbor_union().ptr)[rows] + 4) * (
+            2.0**-49 * (st.s_out[rows] + st.s_in[rows]) + 2.0**-1070)
+        wide = segment_sums(nbr, w, graph.n)[rows] + margin
+        self.x_max[rows] = np.maximum(self.x_max[rows], 0.0) + wide
+        self.w_own[rows] -= wide
         keep = ~self.stale
         if not st.m_w > 0.0:
             return np.zeros(keep.size, dtype=bool)
@@ -544,60 +586,68 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows, memo=None):
 def _attach_target(graph, st, labels, i, to):
     """Best neighbor of i inside community ``to`` by pairwise gain; -1 if i
     has no neighbor there."""
-    u = graph.neighbor_union()
-    lo, hi = int(u.ptr[i]), int(u.ptr[i + 1])
-    nb = u.nbr[lo:hi]
+    _, nb, w = graph.neighbor_union().gather(np.array([i]))
     sel = labels[nb] == to
     if not sel.any():
         return -1
-    cand = nb[sel]
-    pg = join_gain(st.m_w, u.w[lo:hi][sel], st.s_out[i], st.s_in[i],
-                   st.s_out[cand], st.s_in[cand])
-    return int(cand[int(np.argmax(pg))])
+    pg = join_gain(st.m_w, w[sel], st.s_out[i], st.s_in[i],
+                   st.s_out[nb[sel]], st.s_in[nb[sel]])
+    return int(nb[sel][np.argmax(pg)])
 
 
 class _MovePrices:
-    """Prices of moving each node of ``roots`` with its pointer tail to its
-    planned community ``cstar[root]``, taken in one numpy pass at the
-    current ``labels``/``agg``.
+    """Prices of moving each root of ``roots`` with its pointer tail from
+    its source ``frm`` to its target ``to``, taken in one numpy pass at the
+    current ``labels``/``agg``, each as if the earlier roots of its target
+    in the batch had moved first.
 
-    ``tree`` is ``subtrees`` of ``forest`` over the roots' communities.  A
-    root's tail is its slice, or its community's slice (its ``root``'s)
-    when it lies on its cycle.  One ``np.repeat`` lays the slices end to
-    end, and one sort of the (set, node) keys puts every tail's nodes in
-    ascending order.  The tails' sums come from one ``set_sums`` call, the
-    kernel of ``gain_switch``, so each ``gain`` has ``gain_switch``'s
-    bits.
-    ``attach`` is ``_attach_target``'s pick, the first maximum of the
-    root's pairwise gains over its entries in ``to``, or -1.  A move
-    applies iff ``gain > 0`` and ``attach >= 0``."""
+    A root's tail is its slice ``[lo, lo + size)`` of the sweep's
+    ``subtrees`` preorder ``order``; the tails must be disjoint.  One
+    ``np.repeat`` lays the slices end to end, and one sort of the (set,
+    node) keys puts every tail's nodes in ascending order.  Their sums come
+    from one ``set_sums`` call, the kernel of ``gain_switch``, given the
+    scratch map ``owner`` (-1 everywhere, and left so): a tail's weight to
+    its target then also counts its entries into the tails of the earlier
+    roots of that target.  A root of rank r among the roots of its target
+    is priced against the target's sums plus the strength sums of the r
+    roots before it, added one at a time in root order, as
+    ``CommunityAggregates.move`` adds them.  So each ``gain`` has
+    ``gain_switch``'s bits at the labels and aggregates those r moves
+    leave.  ``attach`` is ``_attach_target``'s pick there: the first
+    maximum of the root's pairwise gains over its own entries that
+    ``set_sums`` counted in the target, in row order, or -1; so the roots'
+    rows are gathered once, with their tails'.  A move applies iff ``gain
+    > 0`` and ``attach >= 0``."""
 
-    def __init__(self, graph, st, labels, agg, forest, tree, roots, cstar):
+    def __init__(self, graph, st, labels, agg, order, lo, size, roots, frm,
+                 to, owner):
         k = roots.size
         m = st.m_w
-        self.to = to = cstar[roots]
-        self.frm = frm = labels[roots]
-        order, start, size, root = tree
-        top = np.where(forest.on_cycle[roots], root[roots], roots)
-        self.tptr = np.concatenate(([0], np.cumsum(size[top])))
-        seg = np.repeat(np.arange(k), size[top])
+        self.frm, self.to = frm, to
+        self.tptr = np.concatenate(([0], np.cumsum(size)))
+        seg = np.repeat(np.arange(k), size)
         key = seg * graph.n + order[np.arange(seg.size) + np.repeat(
-            start[top] - self.tptr[:-1], size[top])]
+            lo - self.tptr[:-1], size)]
         key.sort()
-        self.nodes = key - seg * graph.n
-        w_to, w_from, self.so_b, self.si_b = set_sums(
-            graph, st, labels, seg, self.nodes, frm, to, k)
+        self.nodes = nodes = key - seg * graph.n
+        w_to, w_from, self.so_b, self.si_b, (pos, eseg, nbr, w, into) = \
+            set_sums(graph, st, labels, seg, nodes, frm, to, k, owner)
+        sums, b = np.array([agg.s_out[to], agg.s_in[to]]), np.array(
+            [self.so_b, self.si_b])
+        by = np.argsort(to, kind="stable")
+        head = _run_starts(to[by])
+        run = np.diff(head, append=k)
+        for r in range(1, run.max()):
+            p, q = by[head[run > r] + r], by[head[run > r] + r - 1]
+            sums[:, p] = sums[:, q] + b[:, q]
         self.gain = switch_gain(m, w_to, w_from, self.so_b, self.si_b,
-                                agg.s_out[frm], agg.s_in[frm], agg.s_out[to],
-                                agg.s_in[to])
-        rpos, rnbr, rw = graph.neighbor_union().gather(roots)
-        pg = join_gain(m, rw, st.s_out[roots][rpos], st.s_in[roots][rpos],
-                       st.s_out[rnbr], st.s_in[rnbr])
-        first = _first_max(k, rpos, np.where(labels[rnbr] == to[rpos], pg,
-                                             -np.inf), -np.inf)
-        ok = first >= 0
-        self.attach = np.full(k, -1, dtype=np.int64)
-        self.attach[ok] = rnbr[first[ok]]
+                                agg.s_out[frm], agg.s_in[frm], *sums)
+        e = np.flatnonzero(into)
+        e = e[nodes[pos[e]] == roots[eseg[e]]]
+        s, j = eseg[e], nbr[e]
+        pg = join_gain(m, w[e], st.s_out[roots[s]], st.s_in[roots[s]],
+                       st.s_out[j], st.s_in[j])
+        self.attach = np.append(j, -1)[_first_max(k, s, pg, -np.inf)]
 
     def tail(self, k):
         return self.nodes[self.tptr[k]:self.tptr[k + 1]]
@@ -605,83 +655,109 @@ class _MovePrices:
 
 def _ready(frm, to, n_comms):
     """Mask of the undecided candidates, given in ascending order by their
-    source ``frm`` and target ``to`` communities, that share no community
-    with an earlier one: each is the first candidate, in either role, to
-    name its source and the first to name its target."""
+    source ``frm`` and target ``to`` communities, that a round may price:
+    those of which no earlier one names the source, in either role, or has
+    the target as its source, and of which every earlier one with the same
+    target is ready too.  The first candidate is always ready."""
     k = np.arange(frm.size)
-    first = np.full(n_comms, frm.size)
-    np.minimum.at(first, frm, k)
+    src = np.full(n_comms, frm.size)
+    np.minimum.at(src, frm, k)
+    first = src.copy()
     np.minimum.at(first, to, k)
-    return (first[frm] == k) & (first[to] == k)
+    go = (first[frm] == k) & (src[to] >= k)
+    first.fill(frm.size)
+    np.minimum.at(first, to[~go], k[~go])
+    return go & (first[to] > k)
 
 
 def _commit_rounds(graph, st, labels, agg, forest, tree, roots, cstar, a,
                    moved, stats=None, where=""):
     """Decide the ascending candidates ``roots`` of one sweep, each moving
     to its ``cstar``, as the serial walk of ``maximal_correction`` does,
-    in rounds.  A round takes the undecided candidates that share no
-    community with an earlier undecided one (``_ready``), prices them in
-    one ``_MovePrices`` batch at the current labels and yields (ready,
-    prices, ok): their indices into ``roots``, ascending, the batch, and
-    the mask of those that apply.  Resumed, it applies those in one step
-    to the pointers ``a``, ``labels``, ``agg`` and the mask ``moved``, and
-    drops every undecided candidate whose snapshot tail, its slice of
-    ``tree`` (its community's when it lies on its cycle, as
-    ``_MovePrices`` prices it), holds a node that an applied move moved or
-    attached to: one prefix count of those nodes over ``tree``'s preorder,
-    compared at each slice's ends.  A consumer that stops at the first
-    round with an applicable move thus applies nothing.
+    in rounds.  A round prices the candidates ``_ready`` admits in one
+    ``_MovePrices`` batch at the current labels, passing each one's source,
+    target and snapshot tail, its slice of ``tree`` (its community's when
+    it lies on its cycle), all fixed for the sweep.  It decides them all
+    but those of a target after that target's first rejection, which wait
+    for a later round, and yields (done, gain, ok): the decided
+    candidates' indices into ``roots``, ascending, their prices and the
+    mask of those that apply.  Resumed, it applies those in one step to the
+    pointers ``a``, ``labels``, ``agg`` and the mask ``moved``, and drops
+    every undecided candidate whose snapshot tail holds a node that an
+    applied move moved or attached to: their positions in ``tree``'s
+    preorder, sorted, are searched at each slice's ends.  ``_ready`` and the
+    rejections see the named communities numbered from 0, so no round
+    costs time in n.  A consumer that stops at the first round with an
+    applicable move thus applies nothing.
 
     This is the serial walk, bit for bit.  A candidate's outcome reads
     only its source and target community: its tail (its source's members
     and their pointers), which of the tail's neighbors lie in either, the
     two aggregates and the root's neighbors in the target.  A move changes
     only its tail's labels, its root's pointer and the aggregates of its
-    own source and target.  So a candidate decided once every earlier one
-    that shares a community with it is decided sees what the walk sees.
-    The drop is the walk's skip.  A slice that holds no such node is the
-    candidate's exact current tail: none of its nodes moved, so every
-    pointer path in it to the root is intact, and no outside pointer lands
-    in it, since only applied roots changed pointers, each to its attach
-    node.  A slice that holds one is not: the root moved, a move below it
-    took nodes away, or an attach hung another tail below it.  An on-cycle
-    candidate's slice is its whole community, so any move out of it or
-    into it drops the candidate.  Every move that can hit a slice shares
-    the candidate's source, so it is decided first.  Ready candidates
-    share no community, so each community's aggregates are updated in
-    ascending candidate order and the fancy-indexed updates repeat no
-    index.  A round's tails lie in distinct sources, so they are disjoint
-    and hold at most n nodes, and each candidate is priced once, when
-    decided, with its tail intact: the tails priced are exactly those the
-    walk reaches.  Every sum over a node set is one ``segment_sums``
-    order, so a batch prices a tail, bit for bit, as ``gain_switch`` does.
+    own source and target.  Take a decided candidate j with target t.  No
+    earlier undecided candidate names j's source or has source t, and
+    every earlier undecided one with target t is ready, so it is in the
+    round, and decided and applied, since j would wait after a rejection
+    among them.  So of the moves the walk makes between the round's start
+    and j, j sees exactly those into t, and its ``_MovePrices`` price is
+    the walk's: their tails' nodes now lie in t, t's sums grew by theirs
+    in candidate order, and their tails and roots lie in other sources,
+    so j's tail, its weight to the rest of its source and its source's
+    sums are as they were.  The other moves of the round touch neither
+    j's source nor t.  The drop is the walk's skip.  A slice that holds no
+    such node is the candidate's exact current tail: none of its nodes
+    moved, so every pointer path in it to the root is intact, and no
+    outside pointer lands in it, since only applied roots changed
+    pointers, each to its attach node.  A slice that holds one is not: the
+    root moved, a move below it took nodes away, or an attach hung another
+    tail below it.  An on-cycle candidate's slice is its whole community,
+    so any move out of it or into it drops the candidate.  Every move that
+    can hit a slice shares the candidate's source, so it is decided first.
+    A round's sources are distinct and none is one of its targets, so the
+    fancy-indexed source updates repeat no index, and ``agg.move`` adds a
+    target's moves in candidate order, as the prices assumed.  A round's
+    tails lie in distinct sources, so they are disjoint and hold at most n
+    nodes; its first candidate is always decided, so the rounds end.
+    Every sum over a node set is one ``segment_sums`` order, so a batch
+    prices a tail, bit for bit, as ``gain_switch`` does.
 
-    Given ``stats``, it records under ``where`` a round that shares a
-    community or prices a candidate twice, every priced tail that is not
-    closed (a node outside its source or moved this sweep, or a pointer
-    from outside it landing in it), and every applicable move whose price
-    is not ``gain_switch``'s and ``_attach_target``'s."""
+    Given ``stats``, it records under ``where`` a round whose decided
+    candidates share a source or leave another's target, every priced tail
+    that is not closed (a node outside its source or moved this sweep, or
+    a pointer from outside it landing in it), and every decided move whose
+    price and attach node are not those ``gain_switch`` and
+    ``_attach_target`` give in a serial walk over the round's decided
+    moves, on copies of the labels and aggregates."""
     frm, to = labels[roots], cstar[roots]
     order, start, size, root = tree
     top = np.where(forest.on_cycle[roots], root[roots], roots)
-    lo, hi = start[top], start[top] + size[top]  # each snapshot tail's slice
+    lo, sz = start[top], size[top]  # each snapshot tail's slice
+    # the communities the candidates name, numbered below 2 * roots.size
+    kf, kt = np.unique(np.concatenate((frm, to)),
+                       return_inverse=True)[1].reshape(2, -1)
     live = np.arange(roots.size)
-    priced = np.zeros(roots.size, dtype=bool)
-    hit = np.zeros(graph.n, dtype=bool)  # applied tails and attach nodes
+    at = np.full(graph.n, -1)  # each node's position in the preorder
+    at[order] = np.arange(order.size)
+    owner = np.full(graph.n, -1)
     while live.size:
-        go = _ready(frm[live], to[live], agg.n_comms)
+        go = _ready(kf[live], kt[live], 2 * roots.size)
         ready = live[go]
-        mp = _MovePrices(graph, st, labels, agg, forest, tree, roots[ready],
-                         cstar)
+        mp = _MovePrices(graph, st, labels, agg, order, lo[ready],
+                         sz[ready], roots[ready], frm[ready], to[ready],
+                         owner)
         ok = (mp.gain > 0.0) & (mp.attach >= 0)
+        # the roots of a target after its first rejection wait
+        cut = np.full(2 * roots.size, ready.size)
+        np.minimum.at(cut, kt[ready][~ok], np.flatnonzero(~ok))
+        dec = np.arange(ready.size) <= cut[kt[ready]]
+        ok &= dec
         tsize = np.diff(mp.tptr)
         if stats is not None:
-            if priced[ready].any() or np.unique(np.concatenate(
-                    (mp.frm, mp.to))).size < 2 * ready.size:
+            if (np.unique(mp.frm[dec]).size < dec.sum()
+                    or np.isin(mp.frm[dec], mp.to[dec]).any()):
                 stats.debug_failures.append(
-                    f"{where}: a round shares a community or prices a "
-                    f"candidate twice")
-            priced[ready] = True
+                    f"{where}: a round shares a source")
             # a tail is closed: in its source, unmoved, and no pointer
             # from outside it lands in it
             seg = np.full(graph.n, -1)  # the priced tail a node lies in
@@ -694,27 +770,32 @@ def _commit_rounds(graph, st, labels, agg, forest, tree, roots, cstar, a,
                 stats.debug_failures.append(
                     f"{where}: move of node {int(roots[ready[s]])} priced "
                     f"a tail that is not closed")
-            for s in np.flatnonzero(ok).tolist():
-                i, t = int(roots[ready[s]]), int(mp.to[s])
+            # the walk over the decided moves, on copies
+            lab, walk = labels.copy(), CommunityAggregates(
+                agg.s_out.copy(), agg.s_in.copy(), agg.count.copy())
+            for s in np.flatnonzero(dec).tolist():
+                i, f, t = int(roots[ready[s]]), int(mp.frm[s]), int(mp.to[s])
                 got = (float(mp.gain[s]), int(mp.attach[s]))
-                fresh = (gain_switch(graph, st, labels, agg, mp.tail(s),
-                                     int(mp.frm[s]), t),
-                         _attach_target(graph, st, labels, i, t))
+                fresh = (gain_switch(graph, st, lab, walk, mp.tail(s), f, t),
+                         _attach_target(graph, st, lab, i, t))
                 if fresh != got:
                     stats.debug_failures.append(
                         f"{where}: move of node {i} priced {got}, fresh "
                         f"{fresh}")
-        yield ready, mp, ok
+                if ok[s]:
+                    lab[mp.tail(s)] = t
+                    walk.move_nodes(st, mp.tail(s), f, t)
+        yield ready[dec], mp.gain[dec], ok[dec]
         tails = mp.nodes[np.repeat(ok, tsize)]
-        f, t = mp.frm[ok], mp.to[ok]
         a[roots[ready[ok]]] = mp.attach[ok]
-        labels[tails] = np.repeat(t, tsize[ok])
-        moved[tails] = hit[tails] = hit[mp.attach[ok]] = True
-        agg.move(f, t, mp.so_b[ok], mp.si_b[ok], tsize[ok])
+        labels[tails] = np.repeat(mp.to[ok], tsize[ok])
+        moved[tails] = True
+        agg.move(mp.frm[ok], mp.to[ok], mp.so_b[ok], mp.si_b[ok], tsize[ok])
+        hit = np.sort(at[np.concatenate((tails, mp.attach[ok]))])
+        go[go] = dec
         live = live[~go]
-        if ok.any():
-            c = np.append(0, np.cumsum(hit[order]))
-            live = live[c[hi[live]] == c[lo[live]]]
+        live = live[np.searchsorted(hit, lo[live])
+                    == np.searchsorted(hit, lo[live] + sz[live])]
 
 
 def maximal_correction(graph, st, forest, config, level, sweep, pool,
@@ -738,15 +819,16 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     pointer tail, by moving one of its nodes or attaching to one, and
     otherwise applies iff its price at the current labels is strictly
     positive and it has a neighbor in the target to attach to.
-    ``_commit_rounds`` decides them in rounds of candidates that share no
-    community, and proves that this is the walk, bit for bit.  The tails
-    are slices of one ``subtrees`` preorder of the snapshot pointers, built
-    once per sweep over the candidates' source communities and shared by
-    the commit's rounds and the idle ones below.  Under ``debug_checks``
-    every applicable move is checked against ``gain_switch`` and
-    ``_attach_target``, every priced tail is checked to be closed, and every
-    round against the bound: no two of its candidates share a community,
-    and none is priced twice.
+    ``_commit_rounds`` decides them in rounds whose candidates share no
+    source and leave no other's target, and proves that this is the walk,
+    bit for bit.  The tails are slices of one ``subtrees`` preorder of the
+    snapshot pointers, built once per sweep over the candidates' source
+    communities and shared by the commit's rounds and the idle ones below.
+    Under ``debug_checks`` every decided move is checked against
+    ``gain_switch`` and ``_attach_target`` in a serial walk over its round,
+    every priced tail is checked to be closed, and every round against the
+    bound: its decided candidates share no source and leave no other's
+    target.
 
     ``improved`` is False, ending the level, unless a move applied or a
     candidate the coin rejected would apply at the snapshot.  That is
@@ -809,9 +891,9 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     roots = cand[accept]
     gain = np.zeros(roots.size)
     applied = np.zeros(roots.size, dtype=bool)
-    for ready, mp, ok in rounds(roots):
-        gain[ready] = mp.gain
-        applied[ready] = ok
+    for done, price, ok in rounds(roots):
+        gain[done] = price
+        applied[done] = ok
     gains = gain[applied].tolist()
     if stats is not None and gains and not agg.check(st, labels):
         stats.debug_failures.append(

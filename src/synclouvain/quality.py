@@ -76,14 +76,16 @@ class CommunityAggregates:
     def move(self, frm, to, so, si, count) -> None:
         """Move a set with strength sums ``so``/``si`` (summed in the
         order of ``segment_sums``) and ``count`` members; or, elementwise,
-        one set per entry of the arrays, when no community is named
-        twice."""
+        one set per entry of the arrays, when no source is named twice and
+        no source is a target.  A repeated target takes its sets in the
+        order given, one addition at a time (``np.add.at``), as a loop of
+        single moves would."""
         self.s_out[frm] -= so
         self.s_in[frm] -= si
         self.count[frm] -= count
-        self.s_out[to] += so
-        self.s_in[to] += si
-        self.count[to] += count
+        np.add.at(self.s_out, to, so)
+        np.add.at(self.s_in, to, si)
+        np.add.at(self.count, to, count)
 
     def check(self, st: Strengths, labels, atol: float = 1e-9) -> bool:
         fresh = CommunityAggregates.from_labels(st, labels, self.n_comms)
@@ -188,28 +190,45 @@ def local_gains(graph: Graph, st: Strengths, labels,
 
 
 def set_sums(graph: Graph, st: Strengths, labels, seg, nodes, frm, to,
-             nseg: int):
+             nseg: int, owner=None):
     """Weight and strength sums of node sets T_0, ..., T_{nseg-1}, given as
     ``nodes`` with the set ``seg`` of each, sorted by set, then by node.
     ``frm`` and ``to`` hold a community per set (-1 for none).
 
-    Returns (w_to, w_from, so_b, si_b): per set W(T, to) and W(T, frm
-    minus T), both directions, and T's out- and in-strength sums.  Every
-    sum is a ``segment_sums`` over the nodes in ascending order and each
-    row's entries in order, so a set's sums do not depend on the other
-    sets."""
+    Returns (w_to, w_from, so_b, si_b, entries): per set W(T, to) and
+    W(T, frm minus T), both directions, and T's out- and in-strength sums;
+    and, per entry of the nodes' rows (``NeighborUnion.gather`` of
+    ``nodes``, in its order), the position of its node in ``nodes``, its
+    set, the neighbor, w and whether it counted in W(T, to).  Every sum is
+    a ``segment_sums`` over the nodes in ascending order and each row's
+    entries in order, so a set's sums do not depend on the other sets'.
+
+    Given ``owner``, an array mapping each node to -1 (and left so), the
+    sets must be disjoint and are taken as moving to ``to`` one after
+    another, in set order: W(T, to) then also counts T's entries into an
+    earlier set with the same ``to``, as a set priced after those moves
+    sees them (``detector._MovePrices``).  Without it, each set is priced
+    alone at ``labels``."""
     pos, nbr, w = graph.neighbor_union().gather(nodes)
     eseg = seg[pos]
     lab = labels[nbr]
-    key = seg * graph.n + nodes
-    ekey = eseg * graph.n + nbr
-    inside = key[np.searchsorted(key, ekey).clip(max=key.size - 1)] == ekey
-    hit_from = (lab == frm[eseg]) & ~inside
     hit_to = lab == to[eseg]
+    if owner is None:
+        key = seg * graph.n + nodes
+        ekey = eseg * graph.n + nbr
+        inside = key[np.searchsorted(key, ekey).clip(max=key.size - 1)] == ekey
+    else:
+        owner[nodes] = seg
+        near = owner[nbr]
+        owner[nodes] = -1
+        inside = near == eseg
+        hit_to |= (np.append(to, -2)[near] == to[eseg]) & (near < eseg)
+    hit_from = (lab == frm[eseg]) & ~inside
     return (segment_sums(eseg[hit_to], w[hit_to], nseg),
             segment_sums(eseg[hit_from], w[hit_from], nseg),
             segment_sums(seg, st.s_out[nodes], nseg),
-            segment_sums(seg, st.s_in[nodes], nseg))
+            segment_sums(seg, st.s_in[nodes], nseg),
+            (pos, eseg, nbr, w, hit_to))
 
 
 def gain_switch(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,
@@ -225,7 +244,7 @@ def gain_switch(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,
     if to is not None and to == frm:
         return 0.0
     nodes = np.sort(np.asarray(nodes, dtype=np.int64))
-    w_to, w_from, so_b, si_b = set_sums(
+    w_to, w_from, so_b, si_b, _ = set_sums(
         graph, st, labels, np.zeros(nodes.size, dtype=np.int64), nodes,
         np.array([frm]), np.array([-1 if to is None else to]), 1)
     so_t, si_t = (0.0, 0.0) if to is None else (agg.s_out[to], agg.s_in[to])

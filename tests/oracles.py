@@ -117,20 +117,20 @@ def oracle_components(assignment):
 
 def oracle_tail(assignment, i, stop=()):
     """Pointer tail of node i: i plus every node whose path x -> a[x] -> ...
-    reaches i without passing a node of ``stop``, ascending.  A walk over
-    the child lists, never entering a node twice, so a cycle node's tail is
-    its whole component."""
-    kids = [[] for _ in assignment]
-    for x, y in enumerate(assignment):
-        if x != y:
-            kids[y].append(x)
-    out, todo = {i}, [i]
-    while todo:
-        for k in kids[todo.pop()]:
-            if k not in out and k not in stop:
-                out.add(k)
-                todo.append(k)
-    return sorted(out)
+    reaches i without passing a node of ``stop``, ascending.  A walk down
+    the pointers level by level, each level one pass over every pointer,
+    never entering a node twice, so a cycle node's tail is its whole
+    component."""
+    a = np.asarray(assignment)
+    out = np.zeros(a.size, dtype=bool)
+    out[i] = True
+    barred = out.copy()
+    barred[list(stop)] = True
+    level = [i]
+    while len(level):
+        level = np.flatnonzero(np.isin(a, level) & ~barred)
+        out[level] = barred[level] = True
+    return np.flatnonzero(out).tolist()
 
 
 def oracle_commit(graph, st, a, labels, agg, roots, cstar):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+from collections import Counter
 import threading
 import time
 from dataclasses import replace
@@ -210,12 +211,20 @@ def test_best_targets_bits_match_the_oracle_on_run_pieces(shape, monkeypatch):
 
 def _cache_shapes():
     """(name, graph) of the row-cache checks: a planted graph of each
-    benchmark shape, a unit-weight path and an equal-weight clique."""
+    benchmark shape, the first of them with each weight scaled by 2**-530,
+    2**-500, 1 or 2**500 (once scaled to a unit total, terms near and
+    below the subnormal range next to terms of order 2**-11), a
+    unit-weight path and an equal-weight clique."""
     for n, k, kmax, mu_t, mu_w in [(400, 16, 32, 0.2, 0.1),
                                    (400, 16, 32, 0.5, 0.4),
                                    (500, 4, 8, 0.3, 0.2)]:
         yield f"planted-{mu_t}", generate(BenchSpec(
             N=n, k=k, kmax=kmax, mu_t=mu_t, mu_w=mu_w, seed=7)).graph
+    g = generate(BenchSpec(N=400, k=16, kmax=32, mu_t=0.2, mu_w=0.1,
+                           seed=7)).graph
+    scale = np.random.default_rng(7).choice([-530, -500, 0, 500], g.out_w.size)
+    yield "scales", Graph.from_edges(g.n, g.out_src, g.out_dst,
+                                     np.ldexp(g.out_w, scale))
     path = np.arange(299)
     yield "path", Graph.from_edges(300, path, path + 1, np.ones(299))
     i, j = np.nonzero(~np.eye(30, dtype=bool))
@@ -223,28 +232,40 @@ def _cache_shapes():
 
 
 def test_row_cache_and_settled_rows_match_the_oracles(monkeypatch):
-    # at every maximal sweep, once the moved rows are marked stale: every
-    # fresh row's cached w_own and x_max have the bits of a row-by-row
-    # recompute at the current labels, and every row the settle test keeps
-    # is kept in its community by the full plan kernel of oracles.py.  The
-    # second run of each graph writes the cache from 3 threads (more than
-    # the cores), in pieces of at most 64 entries, switching threads often
+    # at every maximal sweep, once the moved rows are marked stale and
+    # their neighbors' caches widened: every fresh row's cached w_own is at
+    # most, and its x_max at least, a row-by-row recompute at the current
+    # labels, with the recompute's bits on the rows none of whose neighbors
+    # moved since their plan; and every row the settle test keeps is kept
+    # in its community by the full plan kernel of oracles.py.  The second
+    # run of each graph writes the cache from 3 threads (more than the
+    # cores), in pieces of at most 64 entries, switching threads often
     real = _Frontier.settled
-    seen = {"fresh": 0, "settled": 0}
+    seen = {"fresh": 0, "settled": 0, "widened": 0, "exact": 0}
+    widened = {}  # per memo, kept alive: rows widened since their plan
 
     def checked(self, graph, st, labels, agg):
-        keep = real(self, graph, st, labels, agg)
         u = graph.neighbor_union()
+        _, wide = widened.setdefault(id(self), (self, np.zeros(graph.n,
+                                                               dtype=bool)))
+        wide[u.gather(np.flatnonzero(self.moved))[1]] = True
+        keep = real(self, graph, st, labels, agg)
         fresh = np.flatnonzero(~self.stale)
         w_own, x_max = oracle_row_cache(u.ptr, u.nbr, u.w, labels, fresh)
-        assert self.w_own[fresh].tobytes() == w_own.tobytes()
-        assert self.x_max[fresh].tobytes() == x_max.tobytes()
+        assert (self.w_own[fresh] <= w_own).all()
+        assert (self.x_max[fresh] >= x_max).all()
+        same = ~wide[fresh]
+        assert self.w_own[fresh[same]].tobytes() == w_own[same].tobytes()
+        assert self.x_max[fresh[same]].tobytes() == x_max[same].tobytes()
         kept = np.flatnonzero(keep)
         want = oracle_best_targets(u.ptr, u.nbr, u.w, st.s_out, st.s_in,
                                    st.m_w, labels, agg.s_out, agg.s_in, kept)
         np.testing.assert_array_equal(want, labels[kept])
+        wide[~keep] = False  # planned next, so exact again
         seen["fresh"] += fresh.size
         seen["settled"] += kept.size
+        seen["widened"] += int(wide[kept].sum())
+        seen["exact"] += int(same.sum())
         return keep
 
     monkeypatch.setattr(_Frontier, "settled", checked)
@@ -261,6 +282,7 @@ def test_row_cache_and_settled_rows_match_the_oracles(monkeypatch):
     finally:
         sys.setswitchinterval(switch)
     assert seen["settled"] > 0 and seen["fresh"] > seen["settled"]
+    assert seen["widened"] > 0 and seen["exact"] > 0
 
 
 def test_debug_flags_a_row_settled_from_a_corrupt_cache():
@@ -690,9 +712,12 @@ def _commit_against_oracle(g, st, forest, roots, cstar):
     """Commit the ascending candidates ``roots`` of one sweep, moving to
     ``cstar``, in rounds, and check the pointers, labels, aggregates,
     moved mask and gains against ``oracle_commit``, bit for bit, with the
-    rounds' debug checks clean.  Returns (largest round, applied moves
-    whose target an earlier applied move touched, applied moves whose
-    source an earlier applied move touched)."""
+    rounds' debug checks clean.  Returns a Counter of the largest round
+    (``biggest``), the rounds, the applied moves, those whose target
+    (``late``) or source (``resumed``) an earlier applied move touched,
+    the rounds that decide two or more moves into one target (``shared``)
+    and those of them where such a move, priced after the earlier applied
+    ones of its target, was rejected (``mid``)."""
     labels = forest.comm.copy()
     agg = CommunityAggregates.from_labels(st, labels, forest.n_comms)
     want_a, want_labels, want_agg, moves = oracle_commit(
@@ -702,13 +727,18 @@ def _commit_against_oracle(g, st, forest, roots, cstar):
     stats = RunStats()
     gain = np.zeros(roots.size)
     applied = np.zeros(roots.size, dtype=bool)
-    biggest = 0
-    for ready, mp, ok in _commit_rounds(
+    seen = Counter()
+    for done, price, ok in _commit_rounds(
             g, st, labels, agg, forest, subtrees(forest, np.arange(g.n)),
             roots, cstar, a, moved, stats):
-        biggest = max(biggest, ready.size)
-        gain[ready] = mp.gain
-        applied[ready] = ok
+        seen["biggest"] = max(seen["biggest"], done.size)
+        seen["rounds"] += 1
+        gain[done] = price
+        applied[done] = ok
+        _, group, size = np.unique(cstar[roots[done]], return_inverse=True,
+                                   return_counts=True)
+        seen["shared"] += int((size > 1).any())
+        seen["mid"] += int((~ok & (size[group] > 1)).any())
     assert stats.debug_failures == []
     assert a.tobytes() == want_a.tobytes()
     assert labels.tobytes() == want_labels.tobytes()
@@ -719,12 +749,13 @@ def _commit_against_oracle(g, st, forest, roots, cstar):
     np.testing.assert_array_equal(roots[applied], [mv[0] for mv in moves])
     assert ([x.hex() for x in gain[applied].tolist()]
             == [mv[3].hex() for mv in moves])
-    touched, late, resumed = set(), 0, 0
+    touched = set()
     for _, frm, to, _ in moves:
-        late += to in touched
-        resumed += frm in touched
+        seen["late"] += to in touched
+        seen["resumed"] += frm in touched
         touched |= {frm, to}
-    return biggest, late, resumed
+    seen["applied"] = len(moves)
+    return seen
 
 
 @settings(max_examples=80, deadline=None)
@@ -765,7 +796,7 @@ def test_commit_rounds_match_the_serial_oracle_on_planted_sweeps():
     # accepted and with half of them: rounds of several candidates, moves
     # into a target and moves out of a source that an earlier move of the
     # sweep touched
-    biggest = late = resumed = 0
+    seen = Counter()
     coins = np.random.default_rng(1)
     for mu_t, mu_w in ((0.2, 0.1), (0.5, 0.4)):
         g = _unit_scaled(generate(BenchSpec(N=400, k=8, kmax=16, mu_t=mu_t,
@@ -779,14 +810,100 @@ def test_commit_rounds_match_the_serial_oracle_on_planted_sweeps():
                                        np.arange(g.n))
         cand = np.flatnonzero(cstar != forest.comm)
         for roots in (cand, cand[coins.random(cand.size) < 0.5]):
-            big, hit, again = _commit_against_oracle(g, st, forest, roots,
-                                                     cstar)
-            biggest = max(biggest, big)
-            late += hit
-            resumed += again
-    assert biggest >= 2
-    assert late >= 1
-    assert resumed >= 1
+            got = _commit_against_oracle(g, st, forest, roots, cstar)
+            seen["biggest"] = max(seen["biggest"], got.pop("biggest"))
+            seen.update(got)
+    assert seen["biggest"] >= 2
+    assert seen["late"] >= 1
+    assert seen["resumed"] >= 1
+    assert seen["shared"] >= 1
+
+
+def _crowded(rng, scales):
+    """A sweep whose candidates crowd onto a few targets: 2 or 3 cliques of
+    3 to 5 nodes, each a community (its nodes point at its first), then 8
+    to 40 leaves, each tied to a random clique node.  A leaf points at
+    itself or, tied to it, at an earlier leaf, and a third as many random
+    leaf pairs are tied, so that some tails moving to one target touch.
+    Each weight is drawn from [0.5, 2) and scaled by 2**s, s drawn from
+    ``scales``.  Returns (graph, forest, roots, cstar): the roots are about
+    90% of the leaves, and each leaf's target is a random clique's
+    community."""
+    c, size, nl = (int(x) for x in rng.integers((2, 3, 8), (4, 6, 41)))
+    n0 = c * size
+    edges = [(b + x, b + y) for b in range(0, n0, size)
+             for x in range(size) for y in range(size) if x != y]
+    a = list(np.arange(n0) // size * size)
+    for v in range(n0, n0 + nl):
+        edges.append((v, int(rng.integers(0, n0))))
+        a.append(int(rng.integers(n0, v)) if v > n0 and rng.random() < 0.3
+                 else v)
+        edges += [(v, a[v])] if a[v] != v else []
+    edges += [tuple(rng.choice(nl, 2, replace=False) + n0)
+              for _ in range(nl // 3)]
+    src, dst = np.array(edges).T
+    w = np.ldexp(rng.uniform(0.5, 2.0, src.size),
+                 rng.choice(scales, src.size))
+    g = _unit_scaled(Graph.from_edges(n0 + nl, src, dst, w))
+    forest = extract_components(np.array(a))
+    cstar = forest.comm[rng.integers(0, c, n0 + nl) * size]
+    return g, forest, n0 + np.flatnonzero(rng.random(nl) < 0.9), cstar
+
+
+def test_commit_rounds_match_the_serial_oracle_on_crowded_targets():
+    # leaves crowding onto a few targets, against the serial walk, bit for
+    # bit: rounds decide several moves into one target, tails next to an
+    # earlier one of their target are priced with it in the target, and,
+    # with weights spread over 2**-500, 1 and 2**500, some moves priced
+    # after the earlier applied ones of their target are rejected
+    seen = Counter()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(seed=strategies.integers(0, 2**31), wide=strategies.booleans())
+    def check(seed, wide):
+        g, forest, roots, cstar = _crowded(np.random.default_rng(seed),
+                                           (-500, 0, 500) if wide else (0,))
+        seen.update(_commit_against_oracle(g, strengths(g), forest, roots,
+                                           cstar))
+
+    check()
+    assert seen["shared"] > 0 and seen["mid"] > 0
+
+
+def _four_cliques(leaves=4000):
+    """4 unit 10-node cliques, each a community rooted at its first node,
+    and ``leaves`` singleton leaves, leaf v tied by one unit edge to node
+    (v mod 4) * 10 + v mod 10."""
+    i, j = np.nonzero(~np.eye(10, dtype=bool))
+    base = 10 * np.arange(4)[:, None]
+    leaf = 40 + np.arange(leaves)
+    src = np.concatenate([(base + i).ravel(), leaf])
+    dst = np.concatenate([(base + j).ravel(), leaf % 4 * 10 + leaf % 10])
+    g = _unit_scaled(Graph.from_edges(40 + leaves, src, dst,
+                                      np.ones(src.size)))
+    a = np.arange(g.n)
+    a[:40] = np.arange(40) // 10 * 10
+    return g, extract_components(a)
+
+
+def test_crowded_sweep_decides_in_one_round():
+    # 4,000 leaves planned into 4 cliques share only their targets and no
+    # edge, so one round decides them all, as the serial walk does; at
+    # accept_prob 1.0 the sweep applies all 4,000 with its debug checks
+    # clean
+    g, forest = _four_cliques()
+    st = strengths(g)
+    agg = CommunityAggregates.from_labels(st, forest.comm, forest.n_comms)
+    cstar = detector._best_targets(g, st, forest.comm, agg, 0, g.n,
+                                   np.arange(g.n))
+    cand = np.flatnonzero(cstar != forest.comm)
+    assert cand.size == 4000
+    got = _commit_against_oracle(g, st, forest, cand, cstar)
+    assert got["rounds"] == 1 and got["applied"] == 4000
+    stats = RunStats()
+    assert maximal_correction(g, st, forest, RunConfig(accept_prob=1.0), 0,
+                              0, None, stats)[2] == 4000
+    assert stats.debug_failures == []
 
 
 def _hand_sweep(n, pairs, a):
@@ -896,14 +1013,14 @@ def test_debug_flags_a_move_priced_against_a_stale_target(monkeypatch):
     # wrong once a move touched a later round's target; the debug check
     # prices every applicable move afresh
     real = detector._MovePrices
-    snaps = {}  # per sweep, keyed by its one tree, which it keeps alive
+    snaps = {}  # per sweep, keyed by its one preorder, which it keeps alive
 
-    def stale(graph, st, labels, agg, forest, tree, roots, cstar):
-        if id(tree) not in snaps:
-            snaps[id(tree)] = (tree, labels.copy(), CommunityAggregates(
+    def stale(graph, st, labels, agg, order, *rest):
+        if id(order) not in snaps:
+            snaps[id(order)] = (order, labels.copy(), CommunityAggregates(
                 agg.s_out.copy(), agg.s_in.copy(), agg.count.copy()))
-        _, labels, agg = snaps[id(tree)]
-        return real(graph, st, labels, agg, forest, tree, roots, cstar)
+        _, labels, agg = snaps[id(order)]
+        return real(graph, st, labels, agg, order, *rest)
 
     monkeypatch.setattr(detector, "_MovePrices", stale)
     rng = np.random.default_rng(3)
@@ -916,8 +1033,9 @@ def test_debug_flags_a_move_priced_against_a_stale_target(monkeypatch):
 
 
 def test_debug_flags_a_round_ready_by_its_source_alone(monkeypatch):
-    # a readiness rule that looks only at sources lets two candidates of a
-    # round share a target; the debug check of the rounds' bound flags it
+    # a readiness rule that looks only at sources lets a round hold a
+    # candidate whose source is another's target; the debug check of the
+    # rounds' bound flags it
     real = detector._ready
     monkeypatch.setattr(detector, "_ready",
                         lambda frm, to, n_comms: real(frm, frm, n_comms))
@@ -927,8 +1045,31 @@ def test_debug_flags_a_round_ready_by_its_source_alone(monkeypatch):
         g = build_graph(80, random_edges(rng, 80, density=0.08))
         res = run(g, RunConfig(seed=seed, accept_prob=1.0, debug_checks=True))
         failures += res.stats.debug_failures
-    assert any(msg.endswith(": a round shares a community or prices a "
-                            "candidate twice") for msg in failures)
+    assert any(msg.endswith(": a round shares a source") for msg in failures)
+
+
+def test_debug_flags_pricing_blind_to_earlier_tails_of_a_target(
+        monkeypatch):
+    # pricing each tail without the earlier tails of its target in its
+    # round (``set_sums`` without ``owner``) misses the edges into them
+    # once they moved; the debug walk over each round's decided moves sees
+    # that
+    real = detector.set_sums
+    monkeypatch.setattr(detector, "set_sums", lambda *args: real(*args[:8]))
+    failures = []
+    for seed in range(20):
+        g, forest, roots, cstar = _crowded(np.random.default_rng(seed), (0,))
+        st = strengths(g)
+        labels = forest.comm.copy()
+        stats = RunStats()
+        for _ in _commit_rounds(
+                g, st, labels, CommunityAggregates.from_labels(
+                    st, labels, forest.n_comms), forest,
+                subtrees(forest, np.arange(g.n)), roots, cstar,
+                forest.a.copy(), np.zeros(g.n, dtype=bool), stats):
+            pass
+        failures += stats.debug_failures
+    assert any(" priced " in msg for msg in failures)
 
 
 def test_first_max_picks_first_row_maximum_above_floor():

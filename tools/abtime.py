@@ -34,9 +34,15 @@ minor faults per run, and the number of graphs whose flat partitions differ
 between the trees (0 for a change that keeps the bits).  A second line
 gives each tree's median plan seconds per run, the median of their
 per-graph ratios this checkout / REV with its quartiles and the graphs
-whose plan ran faster; then the same for plan microseconds per planned
+where it was lower; then the same for plan microseconds per planned
 entry, and each tree's share of the rows tested that settled without a
-plan.  Then a line gives each tree's median level-0 sweeps and median
+plan.  On the same line follow each tree's median commit seconds per
+run and commit rounds per run, each with the median of its per-graph
+ratios, quartiles and the graphs where it was lower, from a wrapper of
+``detector._commit_rounds`` (on a tree that has it) that adds the seconds
+spent inside the generator, resumptions included, and counts the rounds
+it yields; so the line shows each layer's share of a change in time.
+Then a line gives each tree's median level-0 sweeps and median
 sweeps per run, summed over the levels (``RunStats.sweeps_per_level``).
 A last line gives, from the same timed runs, each tree's mean
 ``final_score`` and its mean NMI against the planted truth (``nmi``), and
@@ -63,7 +69,8 @@ def planted(shape, seed):
                               seed=seed))
 
 
-PLAN_ZERO = {"plan_s": 0.0, "plan_entries": 0, "tested": 0, "settled": 0}
+PLAN_ZERO = {"plan_s": 0.0, "plan_entries": 0, "tested": 0, "settled": 0,
+             "commit_s": 0.0, "rounds": 0}
 
 
 def timed_plan(detector):
@@ -71,7 +78,10 @@ def timed_plan(detector):
     union entries of its rows to the returned dict, and the settle test
     ``detector._Frontier.settled``, where the tree has one, so that it adds
     its seconds, the rows it tested and the rows it settled.  A tree whose
-    ``settled`` also takes the rows to test gets them passed through."""
+    ``settled`` also takes the rows to test gets them passed through.  The
+    commit's rounds, ``detector._commit_rounds``, where the tree has them,
+    add their seconds and count their rounds (the commit runs on the
+    calling thread only, so no lock is needed)."""
     plan = dict(PLAN_ZERO)
     inner = detector._best_targets
     lock = threading.Lock()
@@ -101,6 +111,20 @@ def timed_plan(detector):
             return keep
 
         frontier.settled = timed_settle
+    rounds = getattr(detector, "_commit_rounds", None)
+    if rounds is not None:
+        def timed_rounds(*args, **kwargs):
+            it = rounds(*args, **kwargs)
+            while True:
+                t0 = time.perf_counter()
+                out = next(it, None)
+                plan["commit_s"] += time.perf_counter() - t0
+                if out is None:
+                    return
+                plan["rounds"] += 1
+                yield out
+
+        detector._commit_rounds = timed_rounds
     return plan
 
 
@@ -137,7 +161,9 @@ def work():
                           "plan_us": 1e6 * plan["plan_s"]
                           / max(plan["plan_entries"], 1),
                           "settled": plan["settled"]
-                          / max(plan["tested"], 1)}),
+                          / max(plan["tested"], 1),
+                          "commit_s": plan["commit_s"],
+                          "rounds": plan["rounds"]}),
               flush=True)
 
 
@@ -174,19 +200,21 @@ def main():
                   flush=True)
             line = []
             for f, unit in (("plan_s", "plan s per run"),
-                            ("plan_us", "plan us per planned entry")):
+                            ("plan_us", "plan us per planned entry"),
+                            ("commit_s", "commit s per run"),
+                            ("rounds", "commit rounds per run")):
                 per = [median(r[f] for r in side) for side in zip(*pairs)]
-                ratio = [new[f] / old[f] for old, new in pairs]
+                ratio = [new[f] / max(old[f], 1e-12) for old, new in pairs]
                 q1, q3 = np.percentile(ratio, [25, 75])
                 line.append(
-                    f"{unit} {per[0]:.4f} -> {per[1]:.4f}, this/"
+                    f"{unit} {per[0]:.4g} -> {per[1]:.4g}, this/"
                     f"{args.rev} median {median(ratio):.3f} (quartiles "
-                    f"{q1:.3f}, {q3:.3f}), faster on "
+                    f"{q1:.3f}, {q3:.3f}), lower on "
                     f"{sum(r < 1.0 for r in ratio)}/{len(pairs)} graphs")
             share = [median(r["settled"] for r in side)
                      for side in zip(*pairs)]
-            line.append(f"rows settled {share[0]:.1%} -> {share[1]:.1%} "
-                        f"of those tested")
+            line.insert(2, f"rows settled {share[0]:.1%} -> {share[1]:.1%} "
+                           f"of those tested")
             print(f"{shape}: " + "; ".join(line), flush=True)
             s0, sw = ([median(r[f] for r in side) for side in zip(*pairs)]
                       for f in ("sweeps0", "sweeps"))

@@ -103,6 +103,24 @@ def corpus():
     src, dst = np.nonzero(adj)
     yield "wide-weights", Graph.from_edges(
         80, src, dst, 10.0 ** rng.uniform(-300, 300, src.size))
+    # moves crowding onto few targets: 4 unit 10-node cliques and 200 leaf
+    # pairs (u, u + 1), tied by weight 2, each leaf tied by weight 1 to 3
+    # nodes of its pair's clique.  The assignment pairs the leaves (a lone
+    # leaf would join its clique at once), and the maximal sweeps move the
+    # pairs into the cliques, many into one target per round; 120 random
+    # leaf edges of weight 0.5 make some of those tails touch
+    i, j = np.nonzero(~np.eye(10, dtype=bool))
+    u = 40 + 2 * np.arange(200)
+    c = 10 * rng.integers(0, 4, 200)
+    x, y = rng.integers(40, 440, (2, 120))
+    tie = [(v, c + (v + 3 * t) % 10) for v in (u, u + 1) for t in range(3)]
+    src = np.concatenate([(10 * np.arange(4)[:, None] + i).ravel(), u]
+                         + [v for v, _ in tie] + [x[x != y]])
+    dst = np.concatenate([(10 * np.arange(4)[:, None] + j).ravel(), u + 1]
+                         + [t for _, t in tie] + [y[x != y]])
+    w = np.concatenate([np.ones(360), np.full(200, 2.0), np.ones(1200),
+                        np.full((x != y).sum(), 0.5)])
+    yield "crowded-cliques", Graph.from_edges(440, src, dst, w)
 
 
 def bits(x):
