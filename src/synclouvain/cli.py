@@ -164,7 +164,6 @@ def _cmd_bench(args):
                              f"missing {', '.join(missing)}")
         graph = generate(_spec_from_args(args)).graph
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = RunConfig(threads=1, seed=args.seed, accept_prob=args.p)
     points = measure(graph, threads=threads, repeats=args.repeats,
                      config=cfg, out_dir=out)

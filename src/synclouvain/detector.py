@@ -1,60 +1,33 @@
 """Parallel community detection with synchronized move phases.
 
-Each level runs five phases: assignment points every node at its best
-neighbor, components turn the pointer forest into communities, positive
-correction splits communities that hold a node with negative local gain,
-maximal correction sweeps nodes to their best community (each improving
-sweep followed by positive correction again), and aggregation contracts
-the communities into the next level's nodes.  Components are extracted
-once per level, after the assignment; each correction phase hands back the
-forest of its new pointers, built from the labels it already holds.  A
-level ends when a sweep applies no move and none of its coin-rejected
-candidates could apply, or after ``MAX_SWEEPS`` sweeps.  ``run`` first
-scales the weights by a power of two that brings the total weight into
-[0.5, 1); modularity does not depend on the weight scale, and a power of
-two keeps every normal weight's bits.
+``run`` builds levels until one leaves every node in its own community.
+Each level runs five phases; the function named for each states its rules
+and proves them:
 
-Every sweep plans all candidate moves from a frozen snapshot of the
-current partition, then applies them in a fixed serial order.  Planning is
-row-local: ``_best_targets`` is the one row kernel (the assignment is its
-plan on singletons), and ``_map_rows`` the one place that splits rows,
-into contiguous pieces of the planned rows of at most ``PIECE_ENTRIES``
-union entries, which the threads share round-robin.  A piece whose rows
-are a node range reads its entries as one slice of the union.  Within a
-level a row whose node has not moved since its last plan keeps its
-community, with no gather or merge, when its cached largest weight to
-another community, over m, cannot beat staying (``_Frontier.settled``): a
-neighbor's move widens the two cached sums by its weight and a rounding
-margin, so they bound what a plan would sum, and the test stays exact.
-Every other row is planned, so the first sweep of a level plans them all.
-A seeded per-node coin accepts each planned move: sweep s of a level,
-counted from 0, accepts with probability 1 - (1 - accept_prob)**(s + 1),
-so ``accept_prob`` is the acceptance probability of a level's first sweep
-(the paper's coin) and each later sweep accepts more (0.75, 0.875, ... at
-0.5).  The commit is an exact serial walk whatever the coin accepts, so no
-sweep needs the coin for correctness; the rising threshold shortens a
-level's tail of sweeps that apply a few moves each.
-The commit decides the moves the coin accepted as a serial walk in ascending
-node order would: a move whose pointer tail an earlier applied move changed,
-by moving one of its nodes or attaching to one, is skipped, and any other
-applies iff its price at that point is positive.  It decides them in rounds
-whose moves share no source and leave no other's target, each round priced
-in one numpy pass; moves into one target are priced in node order, each
-after the earlier ones.  ``_commit_rounds`` proves that the rounds are the
-walk, bit for bit.
-Neither the sweep nor ``settled`` returns early on empty input: a sweep
-without candidates draws no coin and decides no round, so it applies nothing
-and ends the level, and with no node moved ``settled`` marks nothing stale
-and widens nothing.
+1. assignment (``find_assignment``): every node points at its best
+   neighbor, or itself;
+2. components (``forest.extract_components``): the pointer forest becomes
+   the level's communities, once per level;
+3. positive correction (``positive_correction``): communities holding a
+   member of negative local gain are split by improving cuts;
+4. maximal correction (``maximal_correction``): each sweep plans every
+   node's best community from one snapshot (``_best_targets``, on the rows
+   ``_Frontier.settled`` leaves, split across threads by ``_map_rows``
+   alone) and commits the moves its coin accepts as a serial walk would
+   (``_commit_rounds``); each applying sweep is followed by positive
+   correction again, until a sweep applies nothing or ``MAX_SWEEPS``;
+5. aggregation (``graph.aggregate``): the communities become the next
+   level's nodes.
+
 Results depend only on (graph, seed, accept_prob), never on the thread
-count.  Every run records its score trace, checked against ``score`` at
-each level's end.
+count.
 """
 
 from __future__ import annotations
 
 import contextvars
 import itertools
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -66,7 +39,7 @@ from .forest import AssignmentForest, extract_components, subtrees
 from .graph import (Graph, _merge_pairs, _run_starts, _unit_scaled,
                     aggregate, compose_labels, strengths)
 from .quality import (CommunityAggregates, gain_switch, join_gain, local_gains,
-                      score, segment_sums, set_sums, switch_gain)
+                      score, segment_sums, set_sums, stay_gain, switch_gain)
 from .rng import uniform01
 
 MAX_SWEEPS = 100  # maximal-correction sweeps per level
@@ -95,8 +68,9 @@ class RunConfig:
             raise ValueError("threads must be an integer >= 1")
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError("seed must be an integer")
-        if not (0.0 < self.accept_prob <= 1.0):
-            raise ValueError("accept_prob must be in (0, 1]")
+        if not (isinstance(self.accept_prob, numbers.Real)
+                and 0.0 < self.accept_prob <= 1.0):
+            raise ValueError("accept_prob must be a real number in (0, 1]")
 
 
 @dataclass
@@ -249,23 +223,26 @@ class _Frontier:
     A maximal sweep plans every row but those ``settled`` keeps in their
     community, with no gather or merge: the fresh rows that cannot beat
     staying.  Each planned row caches ``w_own``, its own group's sum, and
-    ``x_max``, its largest group sum to another community (-inf for none),
-    and is then fresh (``stale`` False) until its node moves.  The commit
+    ``x_max``, its largest group sum to another community (-inf for none).
+    A row is stale, to be planned, iff its ``x_max`` is +inf: every row at
+    level start, and each row whose node moved since its plan.  The commit
     flags each applied tail and positive correction each cut's nodes in the
     mask ``moved`` (a mask, not a list of the moved arrays, so that no
-    commit's arrays outlive it).  The next ``settled`` marks those nodes
-    stale and widens the cache of each union neighbor i of them, once per
-    call, in O(n + their entries): with d the degree of i, S = s_out[i] +
-    s_in[i] and A the sum of the weights w_iv to the moved v that are not
-    in i's community now,
+    commit's arrays outlive it).  The next ``settled`` sets those nodes'
+    ``x_max`` to +inf and widens the cache of each union neighbor i of
+    them, once per call, in O(n + their entries): with d the degree of i,
+    S = s_out[i] + s_in[i] and A the sum of the weights w_iv to the moved v
+    that are not in i's community now,
 
         D = A + (d + 4) * (2**-49 * S + 2**-1070),
         x_max[i] = max(x_max[i], 0) + D,  w_own[i] -= D.
 
-    The settle test is then exact: every row it keeps, the kernel keeps.
+    Widening keeps a stale row's +inf, and no test reads a stale row's
+    ``w_own``, so the stale rows stay stale until they are planned.  The
+    settle test is then exact: every row it keeps, the kernel keeps.
 
     - Bounds suffice.  A fresh row stays when not ``x_max / m > t_stay``,
-      ``t_stay`` being ``join_gain`` of the cached ``w_own`` with the
+      ``t_stay`` being ``stay_gain`` of the cached ``w_own`` with the
       kernel's operands.  Let ``w_own`` be at most the own group's sum as
       the kernel would round it now, and ``x_max`` at least every other
       group's.  ``join_gain`` and division by m > 0 round monotonically, so
@@ -307,9 +284,8 @@ class _Frontier:
 
     def __init__(self, n):
         self.dirty = np.ones(n, dtype=bool)
-        self.stale = np.ones(n, dtype=bool)
         self.w_own = np.zeros(n)
-        self.x_max = np.full(n, -np.inf)
+        self.x_max = np.full(n, np.inf)
         self.moved = np.zeros(n, dtype=bool)  # since the last ``settled``
 
     def settled(self, graph, st, labels, agg):
@@ -319,7 +295,7 @@ class _Frontier:
         moved; the test needs m > 0."""
         moved = np.flatnonzero(self.moved)
         self.moved[moved] = False
-        self.stale[moved] = True
+        self.x_max[moved] = np.inf
         pos, nbr, w = graph.neighbor_union().gather(moved)
         w[labels[nbr] == labels[moved][pos]] = 0.0
         rows = np.flatnonzero(np.bincount(nbr, minlength=graph.n))
@@ -328,13 +304,12 @@ class _Frontier:
         wide = segment_sums(nbr, w, graph.n)[rows] + margin
         self.x_max[rows] = np.maximum(self.x_max[rows], 0.0) + wide
         self.w_own[rows] -= wide
-        keep = ~self.stale
+        keep = self.x_max < np.inf
         if not st.m_w > 0.0:
             return np.zeros(keep.size, dtype=bool)
         r = np.flatnonzero(keep)
-        so, si, c = st.s_out[r], st.s_in[r], labels[r]
-        t_stay = join_gain(st.m_w, self.w_own[r], so, si, agg.s_out[c] - so,
-                           agg.s_in[c] - si)
+        t_stay = stay_gain(st.m_w, self.w_own[r], st.s_out[r], st.s_in[r],
+                           agg, labels[r])
         keep[keep] = ~(self.x_max[r] / st.m_w > t_stay)
         return keep
 
@@ -369,9 +344,11 @@ def find_assignment(graph, st, pool=None):
     distinct neighbors per row, so each group is one entry (i, j), never
     i's own, with sum W(i, j) + W(j, i) and ``join_gain`` the pair gain;
     and the keys are already ascending, so the lowest-id maximum above 0.0
-    wins."""
+    wins.  Its aggregates are copies of the strengths, the bits
+    ``CommunityAggregates.from_labels`` gives singletons, since
+    ``np.bincount`` adds each strength to 0.0."""
     labels = np.arange(graph.n)
-    agg = CommunityAggregates.from_labels(st, labels, graph.n)
+    agg = CommunityAggregates(st.s_out.copy(), st.s_in.copy())
     return _map_rows(graph, pool, lambda lo, hi, rows: _best_targets(
         graph, st, labels, agg, lo, hi, rows), labels)
 
@@ -518,10 +495,10 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows, memo=None):
     split of the rows gives the same bits per row.  Given a ``memo``
     (``_Frontier``), it also caches each row's own group sum ``w_own`` and
     its largest group sum to another community ``x_max`` (the maximum of
-    the group sums with the own group masked to -inf), and marks the rows
-    fresh; a piece writes only its own rows, so the threads' writes are
-    disjoint.  A piece whose rows have no entry returns before the cache,
-    which then stays stale there.
+    the group sums with the own group masked to -inf, so finite or -inf:
+    the row is fresh); a piece writes only its own rows, so the threads'
+    writes are disjoint.  A piece whose rows have no entry returns before
+    the cache, so its rows stay stale.
 
     ``[lo, hi)`` spans ``rows``; when it holds no other node the piece's
     entries are one slice of the union, else they are gathered row by row.
@@ -570,9 +547,7 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows, memo=None):
         memo.x_max[rows] = -np.inf
         memo.x_max[rows[g_pos[head]]] = np.maximum.reduceat(away, head)
         memo.w_own[rows] = w_own
-        memo.stale[rows] = False
-    t_stay = join_gain(m, w_own, so_r, si_r, agg.s_out[cstar] - so_r,
-                       agg.s_in[cstar] - si_r)
+    t_stay = stay_gain(m, w_own, so_r, si_r, agg, cstar)
     up = np.flatnonzero(gsum / m > t_stay[g_pos])
     row, comm = g_pos[up], g_comm[up]
     t = join_gain(m, gsum[up], so_r[row], si_r[row], agg.s_out[comm],
@@ -623,7 +598,6 @@ class _MovePrices:
                  to, owner):
         k = roots.size
         m = st.m_w
-        self.frm, self.to = frm, to
         self.tptr = np.concatenate(([0], np.cumsum(size)))
         seg = np.repeat(np.arange(k), size)
         key = seg * graph.n + order[np.arange(seg.size) + np.repeat(
@@ -685,10 +659,10 @@ def _commit_rounds(graph, st, labels, agg, forest, tree, roots, cstar, a,
     pointers ``a``, ``labels``, ``agg`` and the mask ``moved``, and drops
     every undecided candidate whose snapshot tail holds a node that an
     applied move moved or attached to: their positions in ``tree``'s
-    preorder, sorted, are searched at each slice's ends.  ``_ready`` and the
-    rejections see the named communities numbered from 0, so no round
-    costs time in n.  A consumer that stops at the first round with an
-    applicable move thus applies nothing.
+    preorder (its ``start``, -1 off the tree), sorted, are searched at each
+    slice's ends.  ``_ready`` and the rejections see the named communities
+    numbered from 0, so no round costs time in n.  A consumer that stops
+    at the first round with an applicable move thus applies nothing.
 
     This is the serial walk, bit for bit.  A candidate's outcome reads
     only its source and target community: its tail (its source's members
@@ -737,25 +711,22 @@ def _commit_rounds(graph, st, labels, agg, forest, tree, roots, cstar, a,
     kf, kt = np.unique(np.concatenate((frm, to)),
                        return_inverse=True)[1].reshape(2, -1)
     live = np.arange(roots.size)
-    at = np.full(graph.n, -1)  # each node's position in the preorder
-    at[order] = np.arange(order.size)
     owner = np.full(graph.n, -1)
     while live.size:
         go = _ready(kf[live], kt[live], 2 * roots.size)
         ready = live[go]
-        mp = _MovePrices(graph, st, labels, agg, order, lo[ready],
-                         sz[ready], roots[ready], frm[ready], to[ready],
-                         owner)
+        src, dst, tsize = frm[ready], to[ready], sz[ready]
+        mp = _MovePrices(graph, st, labels, agg, order, lo[ready], tsize,
+                         roots[ready], src, dst, owner)
         ok = (mp.gain > 0.0) & (mp.attach >= 0)
         # the roots of a target after its first rejection wait
         cut = np.full(2 * roots.size, ready.size)
         np.minimum.at(cut, kt[ready][~ok], np.flatnonzero(~ok))
         dec = np.arange(ready.size) <= cut[kt[ready]]
         ok &= dec
-        tsize = np.diff(mp.tptr)
         if stats is not None:
-            if (np.unique(mp.frm[dec]).size < dec.sum()
-                    or np.isin(mp.frm[dec], mp.to[dec]).any()):
+            if (np.unique(src[dec]).size < dec.sum()
+                    or np.isin(src[dec], dst[dec]).any()):
                 stats.debug_failures.append(
                     f"{where}: a round shares a source")
             # a tail is closed: in its source, unmoved, and no pointer
@@ -764,7 +735,7 @@ def _commit_rounds(graph, st, labels, agg, forest, tree, roots, cstar, a,
             seg[mp.nodes] = np.repeat(np.arange(ready.size), tsize)
             into = seg[a]
             out = moved[mp.nodes] | (labels[mp.nodes]
-                                     != np.repeat(mp.frm, tsize))
+                                     != np.repeat(src, tsize))
             for s in np.union1d(into[(into >= 0) & (seg != into)],
                                 seg[mp.nodes[out]]).tolist():
                 stats.debug_failures.append(
@@ -772,9 +743,9 @@ def _commit_rounds(graph, st, labels, agg, forest, tree, roots, cstar, a,
                     f"a tail that is not closed")
             # the walk over the decided moves, on copies
             lab, walk = labels.copy(), CommunityAggregates(
-                agg.s_out.copy(), agg.s_in.copy(), agg.count.copy())
+                agg.s_out.copy(), agg.s_in.copy())
             for s in np.flatnonzero(dec).tolist():
-                i, f, t = int(roots[ready[s]]), int(mp.frm[s]), int(mp.to[s])
+                i, f, t = int(roots[ready[s]]), int(src[s]), int(dst[s])
                 got = (float(mp.gain[s]), int(mp.attach[s]))
                 fresh = (gain_switch(graph, st, lab, walk, mp.tail(s), f, t),
                          _attach_target(graph, st, lab, i, t))
@@ -788,10 +759,10 @@ def _commit_rounds(graph, st, labels, agg, forest, tree, roots, cstar, a,
         yield ready[dec], mp.gain[dec], ok[dec]
         tails = mp.nodes[np.repeat(ok, tsize)]
         a[roots[ready[ok]]] = mp.attach[ok]
-        labels[tails] = np.repeat(mp.to[ok], tsize[ok])
+        labels[tails] = np.repeat(dst[ok], tsize[ok])
         moved[tails] = True
-        agg.move(mp.frm[ok], mp.to[ok], mp.so_b[ok], mp.si_b[ok], tsize[ok])
-        hit = np.sort(at[np.concatenate((tails, mp.attach[ok]))])
+        agg.move(src[ok], dst[ok], mp.so_b[ok], mp.si_b[ok])
+        hit = np.sort(start[np.concatenate((tails, mp.attach[ok]))])
         go[go] = dec
         live = live[~go]
         live = live[np.searchsorted(hit, lo[live])
@@ -812,7 +783,10 @@ def maximal_correction(graph, st, forest, config, level, sweep, pool,
     + 1)``: ``accept_prob`` at the level's first sweep, more at each later
     one, and every candidate at ``accept_prob`` 1.0.  The threshold is
     ``accept_prob`` itself, bit for bit, for ``accept_prob`` >= 0.5, where
-    ``1 - accept_prob`` is exact.
+    ``1 - accept_prob`` is exact.  The commit is an exact serial walk
+    whatever the coin accepts, so no sweep needs the coin for correctness;
+    the rising threshold shortens a level's tail of sweeps that apply a few
+    moves each.
 
     The walk takes the candidates the coin accepted in ascending order.  A
     candidate is skipped once an earlier applied move has changed its

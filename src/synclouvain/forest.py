@@ -87,8 +87,8 @@ def subtrees(forest, nodes):
     root's slice is the community, an off-cycle node's slice is its pointer
     tail, and the other node of a 2-cycle gets the tree hanging from it.
     The communities follow each other in ascending label order.  ``start``,
-    ``size`` and ``root`` are indexed by node id and hold values only at
-    ``nodes``.
+    ``size`` and ``root`` are indexed by node id and hold -1 off ``nodes``,
+    so ``start`` is each node's position in ``order``, or -1.
 
     Each community's Euler tour enters and leaves every node once (entries
     x and m + x for the node at position x of ``nodes``, children in
@@ -133,7 +133,7 @@ def subtrees(forest, nodes):
             break
     else:
         raise InvariantError("subtrees: a pointer cycle is not cut")
-    start, size, root = (np.empty(n, dtype=np.int64) for _ in range(3))
+    start, size, root = np.full((3, n), -1)
     start[nodes] = np.cumsum(ahead[cyc[first]])[c] - ahead[:m]
     size[nodes] = ahead[:m] - ahead[m:2 * m]
     root[nodes] = nodes[rt]

@@ -43,10 +43,10 @@ def measure(graph, threads=(1,), repeats=2, config=None, out_dir=None):
 
     Every run's ``flat`` and ``levels`` must equal the first run's bit for
     bit; otherwise ``DeterminismError`` is raised before anything is
-    written.  Given ``out_dir``, an existing directory, it writes there
-    ``runs.csv``, one row of ``CSV_FIELDS`` per run with every float
-    written by ``repr`` so it reads back exactly, and ``phases.tsv``, each
-    phase's mean seconds per thread count."""
+    written.  Given ``out_dir``, it creates that directory once every run
+    has passed and writes there ``runs.csv``, one row of ``CSV_FIELDS`` per
+    run with every float written by ``repr`` so it reads back exactly, and
+    ``phases.tsv``, each phase's mean seconds per thread count."""
     threads = sorted(set(int(t) for t in threads))
     if 1 not in threads:
         raise ValueError("threads list must include 1 for the baseline")
@@ -65,9 +65,10 @@ def measure(graph, threads=(1,), repeats=2, config=None, out_dir=None):
             raise DeterminismError(
                 f"partition changed at threads={t} repeat={rep}")
     if out_dir is not None:
-        with open(Path(out_dir) / "runs.csv", "w", encoding="utf-8",
-                  newline="") as handle:
-            writer = csv.writer(handle)
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "runs.csv", "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f)
             writer.writerow(CSV_FIELDS)
             for t, rep, res in runs:
                 writer.writerow([t, rep, repr(res.stats.wall_seconds),
@@ -76,12 +77,11 @@ def measure(graph, threads=(1,), repeats=2, config=None, out_dir=None):
         phase_sums = {t: Counter() for t in threads}
         for t, _, res in runs:
             phase_sums[t].update(res.stats.phase_seconds)
-        with open(Path(out_dir) / "phases.tsv", "w",
-                  encoding="utf-8") as handle:
-            handle.write("threads\tphase\tmean_seconds\n")
+        with open(out / "phases.tsv", "w", encoding="utf-8") as f:
+            f.write("threads\tphase\tmean_seconds\n")
             for t in threads:
                 for k, v in phase_sums[t].items():
-                    handle.write(f"{t}\t{k}\t{v / repeats:.6f}\n")
+                    f.write(f"{t}\t{k}\t{v / repeats:.6f}\n")
     wall = {t: float(np.mean([res.stats.wall_seconds
                               for tt, _, res in runs if tt == t]))
             for t in threads}

@@ -36,61 +36,56 @@ __all__ = [
     "segment_sums",
     "segment_total",
     "set_sums",
+    "stay_gain",
     "switch_gain",
 ]
 
 
 class CommunityAggregates:
-    """Per-community strength sums and member counts.
+    """Per-community out- and in-strength sums, the only community state a
+    gain reads.
 
     Updated incrementally during sweeps and rebuilt from labels between
     phases; check() re-derives from scratch for the debug mode.
     """
 
-    __slots__ = ("s_out", "s_in", "count")
+    __slots__ = ("s_out", "s_in")
 
-    def __init__(self, s_out, s_in, count):
+    def __init__(self, s_out, s_in):
         self.s_out = s_out
         self.s_in = s_in
-        self.count = count
 
     @property
     def n_comms(self) -> int:
-        return int(self.count.shape[0])
+        return int(self.s_out.shape[0])
 
     @classmethod
     def from_labels(cls, st: Strengths, labels, n_comms: int | None = None):
         labels = np.asarray(labels, dtype=np.int64)
         if n_comms is None:
             n_comms = int(labels.max()) + 1 if labels.size else 0
-        return cls(
-            np.bincount(labels, weights=st.s_out, minlength=n_comms),
-            np.bincount(labels, weights=st.s_in, minlength=n_comms),
-            np.bincount(labels, minlength=n_comms).astype(np.int64),
-        )
+        return cls(np.bincount(labels, weights=st.s_out, minlength=n_comms),
+                   np.bincount(labels, weights=st.s_in, minlength=n_comms))
 
     def move_nodes(self, st: Strengths, nodes, frm: int, to: int) -> None:
         self.move(frm, to, segment_total(st.s_out[nodes]),
-                  segment_total(st.s_in[nodes]), len(nodes))
+                  segment_total(st.s_in[nodes]))
 
-    def move(self, frm, to, so, si, count) -> None:
+    def move(self, frm, to, so, si) -> None:
         """Move a set with strength sums ``so``/``si`` (summed in the
-        order of ``segment_sums``) and ``count`` members; or, elementwise,
-        one set per entry of the arrays, when no source is named twice and
-        no source is a target.  A repeated target takes its sets in the
-        order given, one addition at a time (``np.add.at``), as a loop of
-        single moves would."""
+        order of ``segment_sums``); or, elementwise, one set per entry of
+        the arrays, when no source is named twice and no source is a
+        target.  A repeated target takes its sets in the order given, one
+        addition at a time (``np.add.at``), as a loop of single moves
+        would."""
         self.s_out[frm] -= so
         self.s_in[frm] -= si
-        self.count[frm] -= count
         np.add.at(self.s_out, to, so)
         np.add.at(self.s_in, to, si)
-        np.add.at(self.count, to, count)
 
     def check(self, st: Strengths, labels, atol: float = 1e-9) -> bool:
         fresh = CommunityAggregates.from_labels(st, labels, self.n_comms)
-        return (np.array_equal(fresh.count, self.count)
-                and np.allclose(fresh.s_out, self.s_out, atol=atol, rtol=0.0)
+        return (np.allclose(fresh.s_out, self.s_out, atol=atol, rtol=0.0)
                 and np.allclose(fresh.s_in, self.s_in, atol=atol, rtol=0.0))
 
 
@@ -107,6 +102,16 @@ def join_gain(m, wsum, so_i, si_i, so_c, si_c):
     gain = wsum / m
     gain -= cross
     return gain
+
+
+def stay_gain(m, w_own, so_i, si_i, agg, c):
+    """Gain of i (so_i, si_i) joining the rest of its own community c,
+    which counts i, w_own being i's weight to the rest of c in both
+    directions; elementwise.  This is the staying score of the plan
+    (``detector._best_targets``, ``detector._Frontier.settled``) and the
+    local gain of positive correction (``local_gains``), one expression."""
+    return join_gain(m, w_own, so_i, si_i, agg.s_out[c] - so_i,
+                     agg.s_in[c] - si_i)
 
 
 def switch_gain(m, w_to, w_from, so_b, si_b, so_f, si_f, so_t=0.0, si_t=0.0):
@@ -150,10 +155,15 @@ def gain_insert(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,
                 i: int, c: int | None) -> float:
     """Score gain of inserting isolated node i into community c.
 
-    Precondition: i is not counted in c's aggregates. c=None (or an empty
-    community) means a fresh label: gain 0.
+    Precondition: i is not counted in c's aggregates. c=None means a fresh
+    label, and an edgeless graph (m 0) has no gain: both give 0.0.  An
+    empty community of ``from_labels`` aggregates prices exactly +0.0 too:
+    no neighbor carries its label, so wsum is 0.0, both of its sums are the
+    0.0 ``np.bincount`` starts from, and ``join_gain`` of those is 0.0 / m
+    - (so_i * 0.0 + si_i * 0.0) / (m * m), with m > 0 and strengths finite
+    and not negative.
     """
-    if c is None or agg.count[c] == 0:
+    if c is None or st.m_w == 0.0:
         return 0.0
     u = graph.neighbor_union()
     lo, hi = u.ptr[i], u.ptr[i + 1]
@@ -184,9 +194,8 @@ def local_gains(graph: Graph, st: Strengths, labels,
     lab = labels[nodes]
     pos, nbr, wsum = graph.neighbor_union().gather(nodes)
     same = labels[nbr] == lab[pos]
-    w_own = np.bincount(pos[same], weights=wsum[same], minlength=nodes.size)
-    so, si = st.s_out[nodes], st.s_in[nodes]
-    return join_gain(m, w_own, so, si, agg.s_out[lab] - so, agg.s_in[lab] - si)
+    w_own = segment_sums(pos[same], wsum[same], nodes.size)
+    return stay_gain(m, w_own, st.s_out[nodes], st.s_in[nodes], agg, lab)
 
 
 def set_sums(graph: Graph, st: Strengths, labels, seg, nodes, frm, to,

@@ -146,8 +146,7 @@ def oracle_commit(graph, st, a, labels, agg, roots, cstar):
     from synclouvain.quality import CommunityAggregates, gain_switch
     a0, labels0 = a, labels
     a, labels = a.copy(), labels.copy()
-    agg = CommunityAggregates(agg.s_out.copy(), agg.s_in.copy(),
-                              agg.count.copy())
+    agg = CommunityAggregates(agg.s_out.copy(), agg.s_in.copy())
     moves = []
     for i in roots.tolist():
         frm, to = int(labels[i]), int(cstar[i])

@@ -212,5 +212,6 @@ def test_c10_scaled_speedup_trend_informational():
         warnings.warn(
             "speedup trend not observed on this machine: "
             f"S(2)={speedup[2]:.3f} S(4)={speedup[4]:.3f}; informational "
-            "only (single-core hosts cannot show parallel gains)")
+            "only (a shared 2-core host often gives a process one CPU, "
+            "which cannot show parallel gains)")
     assert time.perf_counter() - t0 < 600.0

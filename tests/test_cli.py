@@ -275,6 +275,22 @@ def test_bench_partial_generator_spec_exits_2(spec, missing, tmp_path,
     assert not (tmp_path / "b").exists()
 
 
+def test_bench_rejected_after_loading_leaves_no_out_dir(tmp_path, capsys):
+    # a thread list without 1 and an input graph without nodes are both
+    # rejected once the graph is at hand; neither leaves an empty --out-dir
+    empty = tmp_path / "empty.edges"
+    empty.write_text("# nodes 0\n")
+    for source, msg in (
+            (["--N", "300", "--k", "8", "--kmax", "16", "--mut", "0.2",
+              "--muw", "0.1", "--cmin", "20", "--cmax", "50",
+              "--threads", "2"], "threads list must include 1"),
+            (["--input", str(empty)], "graph has no nodes")):
+        rc = main(["bench", *source, "--out-dir", str(tmp_path / "d")])
+        assert rc == 2
+        assert msg in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["bench", "--N", "200", "--k", "8", "--kmax", "16", "--mut", "0.2",
      "--muw", "0.1", "--amdahl-p", "1.5"],

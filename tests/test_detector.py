@@ -55,6 +55,9 @@ def test_config_validation():
     for seed in (1.5, "1", None):
         with pytest.raises(ValueError):
             RunConfig(seed=seed)
+    for accept_prob in ("0.5", None, 0.5j):
+        with pytest.raises(ValueError):
+            RunConfig(accept_prob=accept_prob)
 
 
 def test_numpy_integer_seed_runs_as_its_int(rng):
@@ -232,14 +235,15 @@ def _cache_shapes():
 
 
 def test_row_cache_and_settled_rows_match_the_oracles(monkeypatch):
-    # at every maximal sweep, once the moved rows are marked stale and
-    # their neighbors' caches widened: every fresh row's cached w_own is at
-    # most, and its x_max at least, a row-by-row recompute at the current
-    # labels, with the recompute's bits on the rows none of whose neighbors
-    # moved since their plan; and every row the settle test keeps is kept
-    # in its community by the full plan kernel of oracles.py.  The second
-    # run of each graph writes the cache from 3 threads (more than the
-    # cores), in pieces of at most 64 entries, switching threads often
+    # at every maximal sweep, once the moved rows are marked stale (x_max
+    # +inf) and their neighbors' caches widened: every fresh row's cached
+    # w_own is at most, and its x_max at least, a row-by-row recompute at
+    # the current labels, with the recompute's bits on the rows none of
+    # whose neighbors moved since their plan; and every row the settle test
+    # keeps is kept in its community by the full plan kernel of
+    # oracles.py.  The second run of each graph writes the cache from 3
+    # threads (more than the cores), in pieces of at most 64 entries,
+    # switching threads often
     real = _Frontier.settled
     seen = {"fresh": 0, "settled": 0, "widened": 0, "exact": 0}
     widened = {}  # per memo, kept alive: rows widened since their plan
@@ -250,7 +254,7 @@ def test_row_cache_and_settled_rows_match_the_oracles(monkeypatch):
                                                                dtype=bool)))
         wide[u.gather(np.flatnonzero(self.moved))[1]] = True
         keep = real(self, graph, st, labels, agg)
-        fresh = np.flatnonzero(~self.stale)
+        fresh = np.flatnonzero(self.x_max < np.inf)
         w_own, x_max = oracle_row_cache(u.ptr, u.nbr, u.w, labels, fresh)
         assert (self.w_own[fresh] <= w_own).all()
         assert (self.x_max[fresh] >= x_max).all()
@@ -299,7 +303,7 @@ def test_debug_flags_a_row_settled_from_a_corrupt_cache():
         memo = _Frontier(g.n)
         plan = _map_rows(g, None, lambda lo, hi, r: detector._best_targets(
             g, st, labels, agg, lo, hi, r, memo), np.arange(g.n))
-        assert not memo.stale.any()
+        assert (memo.x_max < np.inf).all()
         if corrupt:
             memo.x_max[np.flatnonzero(plan != labels)[0]] = -np.inf
         stats = RunStats()
@@ -309,6 +313,31 @@ def test_debug_flags_a_row_settled_from_a_corrupt_cache():
                              if "frontier plan differs" in m]
     assert failures == {False: [], True: [
         "frontier plan differs from the full plan at level 0 sweep 0"]}
+
+
+def test_moved_and_entryless_rows_stay_stale_until_planned():
+    # x_max is +inf at level start; a plan makes a row fresh, a move of its
+    # node makes it stale again at the next settle, widening its neighbors
+    # keeps it so, and a piece whose rows have no entry (isolated nodes 4
+    # and 5) leaves them stale
+    g = build_graph(6, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    st = strengths(g)
+    labels = np.arange(g.n)
+    agg = CommunityAggregates.from_labels(st, labels, g.n)
+    memo = _Frontier(g.n)
+    assert (memo.x_max == np.inf).all()
+    for rows in (np.arange(4), np.array([4, 5])):
+        _map_rows(g, None, lambda lo, hi, r: detector._best_targets(
+            g, st, labels, agg, lo, hi, r, memo), rows)
+    np.testing.assert_array_equal(memo.x_max == np.inf,
+                                  [0, 0, 0, 0, 1, 1])
+    memo.moved[1] = True
+    keep = memo.settled(g, st, labels, agg)
+    np.testing.assert_array_equal(memo.x_max == np.inf, [0, 1, 0, 0, 1, 1])
+    assert not keep[[1, 4, 5]].any()
+    memo.moved[[0, 2]] = True  # their neighbor 1 is widened, and stays +inf
+    memo.settled(g, st, labels, agg)
+    np.testing.assert_array_equal(memo.x_max == np.inf, [1, 1, 1, 0, 1, 1])
 
 
 def _unresolved_graphs():
@@ -742,8 +771,7 @@ def _commit_against_oracle(g, st, forest, roots, cstar):
     assert stats.debug_failures == []
     assert a.tobytes() == want_a.tobytes()
     assert labels.tobytes() == want_labels.tobytes()
-    for got, want in ((agg.s_out, want_agg.s_out), (agg.s_in, want_agg.s_in),
-                      (agg.count, want_agg.count)):
+    for got, want in ((agg.s_out, want_agg.s_out), (agg.s_in, want_agg.s_in)):
         assert got.tobytes() == want.tobytes()
     np.testing.assert_array_equal(moved, labels != forest.comm)
     np.testing.assert_array_equal(roots[applied], [mv[0] for mv in moves])
@@ -1018,7 +1046,7 @@ def test_debug_flags_a_move_priced_against_a_stale_target(monkeypatch):
     def stale(graph, st, labels, agg, order, *rest):
         if id(order) not in snaps:
             snaps[id(order)] = (order, labels.copy(), CommunityAggregates(
-                agg.s_out.copy(), agg.s_in.copy(), agg.count.copy()))
+                agg.s_out.copy(), agg.s_in.copy()))
         _, labels, agg = snaps[id(order)]
         return real(graph, st, labels, agg, order, *rest)
 

@@ -110,6 +110,17 @@ def test_subtrees_slices_are_pointer_tails(seed, shape, share):
             assert got == set(oracle_tail(a, x, stop={int(root[x])}))
 
 
+def test_subtrees_hold_minus_one_off_the_nodes():
+    # two communities, {0, 1, 2} and {3, 4}, laid out without the second:
+    # start, size and root hold -1 at its nodes, and start is each laid-out
+    # node's position in the preorder
+    forest = extract_components(np.array([0, 0, 1, 4, 3]))
+    order, start, size, root = subtrees(forest, np.arange(3))
+    for arr in (start, size, root):
+        np.testing.assert_array_equal(arr[3:], [-1, -1])
+    np.testing.assert_array_equal(start[order], np.arange(3))
+
+
 @pytest.mark.parametrize("a, comm, on_cycle, why", [
     # node 3 points into community 0
     ([1, 0, 3, 0], [0, 0, 1, 1], [1, 1, 1, 0], "leaves its community"),

@@ -6,8 +6,9 @@ Prints, per module under ``src/synclouvain``, the lines that hold code,
 and their total.  A line holds code if some token on it is neither a
 comment nor part of a docstring (the first statement of a module, class
 or function, when it is a string); blank lines hold none.  With REV, it
-counts ``src/`` at that revision, extracted with ``git archive`` as
-``equivalence.py`` does, instead of this checkout.
+also counts ``src/`` at that revision, extracted with ``git archive`` as
+``equivalence.py`` does, and prints REV's counts beside this checkout's,
+per module and in total, with the net change of the total.
 """
 
 import ast, sys, tempfile, tokenize
@@ -38,15 +39,27 @@ def code_lines(path):
     return len(lines)
 
 
+def counts(src):
+    """Code lines per module file name of the package under ``src``."""
+    return {path.name: code_lines(path)
+            for path in sorted((src / "synclouvain").glob("*.py"))}
+
+
 def main(args):
+    here = counts(ROOT / "src")
+    if not args:
+        for name, count in here.items():
+            print(f"{count:6d}  {name}")
+        print(f"{sum(here.values()):6d}  total")
+        return
     with tempfile.TemporaryDirectory() as tmp:
-        src = extract_src(args[0], tmp) if args else ROOT / "src"
-        total = 0
-        for path in sorted((src / "synclouvain").glob("*.py")):
-            count = code_lines(path)
-            total += count
-            print(f"{count:6d}  {path.name}")
-        print(f"{total:6d}  total")
+        then = counts(extract_src(args[0], tmp))
+    print(f"{args[0][:6]:>6}  {'this':>6}  module")
+    for name in sorted(then.keys() | here.keys()):
+        print(f"{then.get(name, 0):6d}  {here.get(name, 0):6d}  {name}")
+    old, new = sum(then.values()), sum(here.values())
+    print(f"{old:6d}  {new:6d}  total")
+    print(f"net change: {new - old:+d}")
 
 
 if __name__ == "__main__":
