@@ -64,12 +64,14 @@ class RunConfig:
     debug_checks: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.threads, (int, np.integer)) or self.threads < 1:
+        # a bool is an int, but no thread count, seed or probability
+        threads, seed, p = (None if isinstance(x, bool) else x for x in (
+            self.threads, self.seed, self.accept_prob))
+        if not isinstance(threads, (int, np.integer)) or threads < 1:
             raise ValueError("threads must be an integer >= 1")
-        if not isinstance(self.seed, (int, np.integer)):
+        if not isinstance(seed, (int, np.integer)):
             raise ValueError("seed must be an integer")
-        if not (isinstance(self.accept_prob, numbers.Real)
-                and 0.0 < self.accept_prob <= 1.0):
+        if not (isinstance(p, numbers.Real) and 0.0 < p <= 1.0):
             raise ValueError("accept_prob must be a real number in (0, 1]")
 
 
@@ -173,13 +175,14 @@ def _map_rows(graph, pool, fn, rows):
     """Cut the ascending ``rows`` into contiguous pieces of at most
     ``PIECE_ENTRIES`` union entries, whatever the thread count, run ``fn(lo,
     hi, piece)`` on each piece through ``pool``, ``[lo, hi)`` being its
-    span, and concatenate the results in row order.  A row goes to the piece
-    its entries' midpoint falls in, the pieces tiling the entries of
-    ``rows`` in steps of ``PIECE_ENTRIES / 2``.  The midpoints of a piece's
-    first and last rows are less than a step apart, and each lies at least
-    half its row beyond the other's row, so a piece of two or more rows
-    holds fewer than ``PIECE_ENTRIES`` entries; a larger row is a piece of
-    its own."""
+    span, and concatenate the results in row order.  The plan kernel reads
+    only the piece; ``perfbench/spans.py`` counts the span's entries.  A
+    row goes to the piece its entries' midpoint falls in, the pieces tiling
+    the entries of ``rows`` in steps of ``PIECE_ENTRIES / 2``.  The
+    midpoints of a piece's first and last rows are less than a step apart,
+    and each lies at least half its row beyond the other's row, so a piece
+    of two or more rows holds fewer than ``PIECE_ENTRIES`` entries; a
+    larger row is a piece of its own."""
     if rows.size == 0:
         return np.empty(0, dtype=np.int64)
     ptr = graph.neighbor_union().ptr
@@ -299,7 +302,8 @@ class _Frontier:
         pos, nbr, w = graph.neighbor_union().gather(moved)
         w[labels[nbr] == labels[moved][pos]] = 0.0
         rows = np.flatnonzero(np.bincount(nbr, minlength=graph.n))
-        margin = (np.diff(graph.neighbor_union().ptr)[rows] + 4) * (
+        ptr = graph.neighbor_union().ptr
+        margin = (ptr[rows + 1] - ptr[rows] + 4) * (
             2.0**-49 * (st.s_out[rows] + st.s_in[rows]) + 2.0**-1070)
         wide = segment_sums(nbr, w, graph.n)[rows] + margin
         self.x_max[rows] = np.maximum(self.x_max[rows], 0.0) + wide
@@ -425,8 +429,6 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
         stats.debug_failures.append(
             "positive: a negative local gain lies at a clean node")
     left = np.zeros(graph.n, dtype=bool)
-    if bad.size == 0:
-        return forest, 0, [], left
     nodes = np.flatnonzero(np.isin(comm, bad))
     order, start, size, root = subtrees(forest, nodes)
     # (label, members) of the pieces left to split: the bad communities'
@@ -500,9 +502,8 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows, memo=None):
     writes are disjoint.  A piece whose rows have no entry returns before
     the cache, so its rows stay stale.
 
-    ``[lo, hi)`` spans ``rows``; when it holds no other node the piece's
-    entries are one slice of the union, else they are gathered row by row.
-    ``_merge_pairs`` sums each row's union weights per neighboring
+    The rows' entries are one ``gather``; the span ``[lo, hi)`` is not
+    read.  ``_merge_pairs`` sums each row's union weights per neighboring
     community, over its terms in entry order (in ``np.add.reduceat``'s
     order, so the sum is fixed by the row's own entries), and returns the
     groups sorted by row, then community, each with its row's position in
@@ -521,13 +522,7 @@ def _best_targets(graph, st, labels, agg, lo, hi, rows, memo=None):
     ``join_gain`` as it would be alone, so the pick is the same, bit for
     bit.  So a row whose ``x_max / m`` does not beat its staying score
     keeps its community: the settle test of ``_Frontier.settled``."""
-    u = graph.neighbor_union()
-    if hi - lo == rows.size:
-        span = u.ptr[lo:hi + 1]
-        pos = np.repeat(np.arange(rows.size), np.diff(span))
-        nbr, wsum = u.nbr[span[0]:span[-1]], u.w[span[0]:span[-1]]
-    else:
-        pos, nbr, wsum = u.gather(rows)
+    pos, nbr, wsum = graph.neighbor_union().gather(rows)
     cstar = labels[rows]
     # before t_stay, so that an edgeless graph (m_w 0) never divides 0 by 0
     if pos.size == 0:

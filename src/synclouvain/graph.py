@@ -68,7 +68,7 @@ class NeighborUnion:
         start = self.ptr[rows]
         size = self.ptr[rows + 1] - start
         pos = np.repeat(np.arange(rows.size), size)
-        ent = (start - (np.cumsum(size) - size))[pos]
+        ent = np.repeat(start - (np.cumsum(size) - size), size)
         ent += np.arange(pos.size)
         return pos, self.nbr[ent], self.w[ent]
 
@@ -103,6 +103,8 @@ class Graph:
         W(i, j) + W(j, i) is then finite too: rounding is monotone, so a
         float sum of positive terms is at least the rounded sum of any two
         of them."""
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError("node count must be an integer >= 0")
         n = int(n)
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)

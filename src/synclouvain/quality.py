@@ -165,10 +165,8 @@ def gain_insert(graph: Graph, st: Strengths, labels, agg: CommunityAggregates,
     """
     if c is None or st.m_w == 0.0:
         return 0.0
-    u = graph.neighbor_union()
-    lo, hi = u.ptr[i], u.ptr[i + 1]
-    sel = labels[u.nbr[lo:hi]] == c
-    wsum = segment_total(u.w[lo:hi][sel])
+    _, nbr, w = graph.neighbor_union().gather(np.array([i]))
+    wsum = segment_total(w[labels[nbr] == c])
     return join_gain(st.m_w, wsum, st.s_out[i], st.s_in[i],
                      agg.s_out[c], agg.s_in[c])
 

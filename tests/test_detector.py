@@ -58,6 +58,11 @@ def test_config_validation():
     for accept_prob in ("0.5", None, 0.5j):
         with pytest.raises(ValueError):
             RunConfig(accept_prob=accept_prob)
+    # bool is an int subclass, but no thread count, seed or probability
+    for field in ("threads", "seed", "accept_prob"):
+        for flag in (True, False, np.True_):
+            with pytest.raises(ValueError):
+                RunConfig(**{field: flag})
 
 
 def test_numpy_integer_seed_runs_as_its_int(rng):
@@ -175,7 +180,9 @@ def test_best_targets_bits_match_the_oracle_on_run_pieces(shape, monkeypatch):
     # are not dyadic, so equal bits need the same sums in the same order.
     # Two isolated nodes give degree-0 rows, a separate triangle rows whose
     # neighbors all share their community, and the second run's pieces of
-    # 16 entries rows larger than a piece
+    # 16 entries rows larger than a piece.  Both runs go at threads 1 and
+    # 2, and must plan pieces whose rows are a node range and pieces with
+    # gaps between their rows
     n, k, kmax, mu_t, mu_w = shape
     g = generate(BenchSpec(N=n, k=k, kmax=kmax, mu_t=mu_t, mu_w=mu_w,
                            seed=7)).graph
@@ -196,7 +203,7 @@ def test_best_targets_bits_match_the_oracle_on_run_pieces(shape, monkeypatch):
         deg = np.bincount(pos, minlength=rows.size)
         away = np.bincount(pos[labels[nbr] != labels[rows][pos]],
                            minlength=rows.size)
-        seen.add("slice" if hi - lo == rows.size else "gather")
+        seen.add("node range" if hi - lo == rows.size else "gapped")
         if (deg == 0).any():
             seen.add("degree 0")
         if ((deg > 0) & (away == 0)).any():
@@ -206,10 +213,12 @@ def test_best_targets_bits_match_the_oracle_on_run_pieces(shape, monkeypatch):
         return got
 
     monkeypatch.setattr(detector, "_best_targets", checked)
-    run(g, RunConfig(seed=3))
-    monkeypatch.setattr(detector, "PIECE_ENTRIES", 16)
-    run(g, RunConfig(seed=3))
-    assert seen == {"slice", "gather", "degree 0", "own only", "large row"}
+    for entries in (detector.PIECE_ENTRIES, 16):
+        monkeypatch.setattr(detector, "PIECE_ENTRIES", entries)
+        for threads in (1, 2):
+            run(g, RunConfig(threads=threads, seed=3))
+    assert seen == {"node range", "gapped", "degree 0", "own only",
+                    "large row"}
 
 
 def _cache_shapes():
@@ -1242,13 +1251,21 @@ def test_run_does_not_depend_on_weight_scale(k, seed):
 
 
 def test_positive_correction_noop_when_all_gains_nonnegative():
+    # no community holds a negative local gain, on two triangles or on an
+    # edgeless graph, so the phase examines every dirty node, clears the
+    # mask and hands back the input forest untouched
     n, edges = two_triangles()
-    g = build_graph(n, edges)
-    st = strengths(g)
-    forest = extract_components(np.array([1, 2, 0, 4, 5, 3]))
-    forest2, unresolved, gains, left = positive_correction(
-        g, st, forest, None)
-    assert gains == [] and forest2 is forest
+    for g, a in ((build_graph(n, edges), np.array([1, 2, 0, 4, 5, 3])),
+                 (build_graph(5, []), np.arange(5))):
+        forest = extract_components(a)
+        memo = _Frontier(g.n)
+        stats = RunStats()
+        forest2, unresolved, gains, left = positive_correction(
+            g, strengths(g), forest, stats, memo)
+        assert forest2 is forest and unresolved == 0 and gains == []
+        assert left.dtype == bool and left.shape == (g.n,)
+        assert not left.any() and not memo.dirty.any()
+        assert not memo.moved.any() and stats.debug_failures == []
 
 
 def test_maximal_merges_weak_pair_into_strong_pair_at_p1():

@@ -517,6 +517,15 @@ def test_empty_graph_allowed():
     assert g.n == 0 and g.edge_count == 0
 
 
+def test_from_edges_rejects_a_node_count_that_is_no_count():
+    # -1 used to fail later, in numpy, and 2.7 to build a 2-node graph
+    for n, edges in ((-1, ([], [], [])), (2.7, ([0], [1], [1.0])),
+                     (3.0, ([0], [1], [1.0])), ("3", ([0], [1], [1.0]))):
+        with pytest.raises(ValueError, match="node count"):
+            Graph.from_edges(n, *edges)
+    assert Graph.from_edges(np.int64(3), [0], [1], [1.0]).n == 3
+
+
 @pytest.mark.parametrize("edges", [
     [(0, 1, 1e308), (1, 0, 1e308)],  # a total past the largest double
     [(0, 1, 1e308), (0, 1, 1e308)],  # parallel edges that merge past it

@@ -3,8 +3,10 @@
     python3 tools/abtime.py REV [--graphs 10] [--seed 1] [--threads 1]
 
 Extracts ``src/`` at REV with ``git archive``, as ``equivalence.py``
-does.  For each of the benchmark's three workload shapes
-(``equivalence.SHAPES``) it starts one worker process per tree, each
+does.  REV must be ``71fc0e9`` or later, a tree with the settle test and
+the commit rounds wrapped below.  For each of the benchmark's three
+workload shapes (``equivalence.SHAPES``) it starts one worker process
+per tree, each
 importing only its own tree and so running on its own heap; a fresh pair
 per workload, as the benchmark runs one
 workload per process, because the heap a process keeps from earlier runs
@@ -19,9 +21,9 @@ it (``resource.getrusage`` ``ru_minflt``).  Each worker first detects one
 graph untimed, to warm up.
 Each worker also wraps its tree's plan kernel, ``detector._best_targets``,
 and adds up the seconds spent inside it and the union entries of the rows
-it planned (the assignment's plan included); on a tree with a settle test
-(``detector._Frontier.settled``), it adds that test's seconds to the
-plan's and counts the rows it tested and those it settled.
+it planned (the assignment's plan included), adds the seconds of the
+settle test ``detector._Frontier.settled`` to the plan's and counts the
+rows it tested and those it settled.
 
 Per workload it first prints each tree's median setup seconds per graph,
 the median of the per-graph setup ratios this checkout / REV with their
@@ -39,7 +41,7 @@ entry, and each tree's share of the rows tested that settled without a
 plan.  On the same line follow each tree's median commit seconds per
 run and commit rounds per run, each with the median of its per-graph
 ratios, quartiles and the graphs where it was lower, from a wrapper of
-``detector._commit_rounds`` (on a tree that has it) that adds the seconds
+``detector._commit_rounds`` that adds the seconds
 spent inside the generator, resumptions included, and counts the rounds
 it yields; so the line shows each layer's share of a change in time.
 Then a line gives each tree's median level-0 sweeps and median
@@ -76,12 +78,10 @@ PLAN_ZERO = {"plan_s": 0.0, "plan_entries": 0, "tested": 0, "settled": 0,
 def timed_plan(detector):
     """Wrap ``detector._best_targets`` so that it adds its seconds and the
     union entries of its rows to the returned dict, and the settle test
-    ``detector._Frontier.settled``, where the tree has one, so that it adds
-    its seconds, the rows it tested and the rows it settled.  A tree whose
-    ``settled`` also takes the rows to test gets them passed through.  The
-    commit's rounds, ``detector._commit_rounds``, where the tree has them,
-    add their seconds and count their rounds (the commit runs on the
-    calling thread only, so no lock is needed)."""
+    ``detector._Frontier.settled`` so that it adds its seconds, the rows it
+    tested and the rows it settled.  The commit's rounds,
+    ``detector._commit_rounds``, add their seconds and count their rounds
+    (the commit runs on the calling thread only, so no lock is needed)."""
     plan = dict(PLAN_ZERO)
     inner = detector._best_targets
     lock = threading.Lock()
@@ -97,34 +97,33 @@ def timed_plan(detector):
         return out
 
     detector._best_targets = timed
-    frontier = getattr(detector, "_Frontier", None)
-    settle = getattr(frontier, "settled", None)
-    if settle is not None:
-        def timed_settle(self, graph, st, labels, agg, *rows):
+    settle = detector._Frontier.settled
+
+    def timed_settle(self, graph, st, labels, agg):
+        t0 = time.perf_counter()
+        keep = settle(self, graph, st, labels, agg)
+        secs = time.perf_counter() - t0
+        with lock:
+            plan["plan_s"] += secs
+            plan["tested"] += keep.size
+            plan["settled"] += int(keep.sum())
+        return keep
+
+    detector._Frontier.settled = timed_settle
+    rounds = detector._commit_rounds
+
+    def timed_rounds(*args, **kwargs):
+        it = rounds(*args, **kwargs)
+        while True:
             t0 = time.perf_counter()
-            keep = settle(self, graph, st, labels, agg, *rows)
-            secs = time.perf_counter() - t0
-            with lock:
-                plan["plan_s"] += secs
-                plan["tested"] += keep.size
-                plan["settled"] += int(keep.sum())
-            return keep
+            out = next(it, None)
+            plan["commit_s"] += time.perf_counter() - t0
+            if out is None:
+                return
+            plan["rounds"] += 1
+            yield out
 
-        frontier.settled = timed_settle
-    rounds = getattr(detector, "_commit_rounds", None)
-    if rounds is not None:
-        def timed_rounds(*args, **kwargs):
-            it = rounds(*args, **kwargs)
-            while True:
-                t0 = time.perf_counter()
-                out = next(it, None)
-                plan["commit_s"] += time.perf_counter() - t0
-                if out is None:
-                    return
-                plan["rounds"] += 1
-                yield out
-
-        detector._commit_rounds = timed_rounds
+    detector._commit_rounds = timed_rounds
     return plan
 
 

@@ -4,8 +4,8 @@
 
 Extracts ``src/`` at REV with ``git archive`` and runs one fixed corpus
 through ``run`` on both trees, each in its own process, at threads 1 and 2
-with ``debug_checks`` on (and ``record_scores``, on a tree whose
-``RunConfig`` still has that switch).  Prints every field that
+with ``debug_checks`` on.  REV must be ``71fc0e9`` or later; an older
+tree may need switches this tool does not set.  Prints every field that
 differs, with the number of runs it differs on, one of them and, for a
 float field, the largest absolute difference between the two trees (for
 ``final_score`` also the runs this checkout scores lower and higher, and
@@ -134,9 +134,6 @@ def bits(x):
 
 def dump():
     from synclouvain import RunConfig, run
-    # a tree from before every run recorded its trace records it on request
-    record = ({"record_scores": True}
-              if "record_scores" in RunConfig.__dataclass_fields__ else {})
     out = {}
     for name, graph in corpus():
         for threads in (1, 2):
@@ -144,7 +141,7 @@ def dump():
             try:
                 res = run(graph, RunConfig(threads=threads,
                                            seed=zlib.crc32(name.encode()) % 97,
-                                           debug_checks=True, **record))
+                                           debug_checks=True))
             except Exception as exc:  # recorded per run; main exits 1 on it
                 out[key] = {**dict.fromkeys(FIELDS),
                             "error": f"{type(exc).__name__}: {exc}"}
