@@ -87,7 +87,9 @@ class RunStats:
       cut could repair, summed over the positive phases; a community left
       unrepaired is counted again in every positive phase that re-examines
       it.
-    - ``phase_seconds``: wall seconds per phase.
+    - ``phase_seconds``: wall seconds per phase; ``setup_seconds``: those
+      of scaling the weights to a unit total, the level-0 union build
+      included (``graph._unit_scaled``), which no phase is charged.
     - ``score_trace``: the running score after each applied cut or move,
       counted from the score of each level's assignment;
       ``trace_level_starts`` indexes each level's first entry.
@@ -104,6 +106,7 @@ class RunStats:
     phase_seconds: dict = field(default_factory=lambda: {
         k: 0.0 for k in ("assign", "components", "positive", "maximal",
                          "aggregate")})
+    setup_seconds: float = 0.0
     score_trace: list = field(default_factory=list)
     trace_level_starts: list = field(default_factory=list)
     drift_checks: list = field(default_factory=list)
@@ -198,14 +201,14 @@ class _Frontier:
     last computed, so later phases redo only what changed.  A fresh memo
     has computed nothing, so its first use plans or examines every node.
 
-    Positive correction computes the local gains of the ``dirty`` nodes
-    alone, all of them at level start, and clears the mask.  It is marked
-    where members change: an applying maximal sweep marks every member of
-    each source and target community of an applied move, and positive
-    correction marks the members of each piece it cuts and of each piece
-    it leaves unrepaired (``left``).  The communities it examines, those
-    with a dirty member of negative local gain, are then exactly those
-    where a full recompute finds one, bit for bit:
+    Positive correction examines the ``dirty`` nodes alone, all of them at
+    level start, and ``screen`` clears the mask.  It is marked where
+    members change: an applying maximal sweep marks every member of each
+    source and target community of an applied move, and positive
+    correction marks the members of each piece it cuts and of each piece it
+    leaves unrepaired (``left``).  The communities it examines, those with
+    a dirty member of negative local gain, are then exactly those where a
+    full recompute finds one, bit for bit:
 
     - every mark covers whole communities: a commit marks its communities
       after the moves, and every piece that positive correction hands on
@@ -231,13 +234,14 @@ class _Frontier:
     level start, and each row whose node moved since its plan.  The commit
     flags each applied tail and positive correction each cut's nodes in the
     mask ``moved`` (a mask, not a list of the moved arrays, so that no
-    commit's arrays outlive it).  The next ``settled`` sets those nodes'
+    commit's arrays outlive it).  ``widen``, which ``settled`` and
+    ``screen`` call first at the labels they are given, sets those nodes'
     ``x_max`` to +inf and widens the cache of each union neighbor i of
     them, once per call, in O(n + their entries): with d the degree of i,
     S = s_out[i] + s_in[i] and A the sum of the weights w_iv to the moved v
     that are not in i's community now,
 
-        D = A + (d + 4) * (2**-49 * S + 2**-1070),
+        D = A + M,  M = (d + 4) * (2**-49 * S + 2**-1070),
         x_max[i] = max(x_max[i], 0) + D,  w_own[i] -= D.
 
     Widening keeps a stale row's +inf, and no test reads a stale row's
@@ -272,50 +276,89 @@ class _Frontier:
       result is exact).  A union weight is one rounded addition of the two
       edge weights between its ends, which S counts, scaled at level 0 by
       ``_unit_scaled``'s power of two, so T <= 1.01 S + 4de for any d
-      below 2**40.  Every value rounded here is at most 3T: a group sum, a
-      call's A, and the cache, which after a widening stays cached only
-      while ``settled`` keeps the row, so while 0 <= x_max <= w_own * (1 +
-      2u) + 2e; and w_own never grows.  So each rounding errs by at most r = 3uT
-      + e <= 3.03uS + 2e.  The kernel's sum of a group's at most d terms
-      errs by (d - 1)r, at L0 and at L; a call's A errs by (d - 1)r, and its
-      three additions by r each.  Each call's margin, rounded, is at least
-      (d + 4)(15.9uS + 30e), more than its own (d + 1)r plus the 2(d - 1)r
-      of the kernel's two sums.
+      below 2**40.  A row is read at most two calls after its plan or
+      after a test that kept it: ``screen`` reads it after positive
+      correction's call, and the next ``settled`` after its own, once that
+      phase's cuts moved more nodes.  Every value rounded here is at most
+      4T plus three margins: a group sum, a call's A, and the cache, which
+      starts at a plan's sums or, kept by the test, at 0 <= x_max <= w_own
+      * (1 + 2u) + 2e, and then moves by at most T + M per call; and w_own
+      never grows.  As 3uM < 0.01uS for any d below 2**40, each rounding
+      errs by at most r = 4uT + 3uM + e <= 4.1uS + 2e.  The kernel's sum of
+      a group's at most d terms errs by (d - 1)r, at L0 and at L; a call's
+      A errs by (d - 1)r, and its three additions by r each.  Each call's
+      margin, rounded, is at least (d + 4)(15.9uS + 30e), more than its own
+      (d + 1)r plus the 2(d - 1)r of the kernel's two sums.
+
+    ``screen`` proves a dirty row's local gain not negative from the cache
+    alone, so positive correction computes ``local_gains`` on the rest.  It
+    takes the fresh rows, whose ``w_own`` is at most their own group's sum
+    as the kernel would round it at the labels given, and subtracts M
+    once more: ``local_gains`` sums the same at most d terms in another
+    order (``np.bincount``, where the kernel's ``np.add.reduceat`` may add
+    pairwise), so the two sums differ by at most 2(d - 1)r, and the
+    subtraction errs by r, which M covers as above.  The result is at most
+    ``local_gains``' own sum, and ``join_gain`` rounds monotonically in
+    ``wsum``; so with the same aggregates, ``from_labels``' of those
+    labels, a ``stay_gain`` of it that is not negative bounds the local
+    gain from below.  The row's community cannot be bad through it.
 
     Under ``debug_checks`` the plan and the examined communities, and so
-    the cache and the marks, are compared with a full recompute."""
+    the cache and the marks, are compared with a full recompute, and every
+    row ``screen`` passed has its local gain recomputed."""
 
     def __init__(self, n):
         self.dirty = np.ones(n, dtype=bool)
         self.w_own = np.zeros(n)
         self.x_max = np.full(n, np.inf)
-        self.moved = np.zeros(n, dtype=bool)  # since the last ``settled``
+        self.moved = np.zeros(n, dtype=bool)  # since the last ``widen``
 
-    def settled(self, graph, st, labels, agg):
-        """Mask of the nodes that keep their community at ``labels`` by the
-        cache alone, after marking stale the nodes moved since the last
-        call and widening their union neighbors' caches, a no-op when none
-        moved; the test needs m > 0."""
+    def widen(self, graph, st, labels):
+        """Mark stale the nodes moved since the last call and widen their
+        union neighbors' caches at ``labels``; a no-op when none moved."""
         moved = np.flatnonzero(self.moved)
         self.moved[moved] = False
         self.x_max[moved] = np.inf
         pos, nbr, w = graph.neighbor_union().gather(moved)
         w[labels[nbr] == labels[moved][pos]] = 0.0
         rows = np.flatnonzero(np.bincount(nbr, minlength=graph.n))
-        ptr = graph.neighbor_union().ptr
-        margin = (ptr[rows + 1] - ptr[rows] + 4) * (
-            2.0**-49 * (st.s_out[rows] + st.s_in[rows]) + 2.0**-1070)
-        wide = segment_sums(nbr, w, graph.n)[rows] + margin
+        wide = segment_sums(nbr, w, graph.n)[rows] + _margin(graph, st, rows)
         self.x_max[rows] = np.maximum(self.x_max[rows], 0.0) + wide
         self.w_own[rows] -= wide
-        keep = self.x_max < np.inf
-        if not st.m_w > 0.0:
-            return np.zeros(keep.size, dtype=bool)
+
+    def settled(self, graph, st, labels, agg):
+        """Mask of the nodes that keep their community at ``labels`` by the
+        cache alone, after ``widen``; with m 0 it keeps none."""
+        self.widen(graph, st, labels)
+        keep = (self.x_max < np.inf) & (st.m_w > 0.0)
         r = np.flatnonzero(keep)
         t_stay = stay_gain(st.m_w, self.w_own[r], st.s_out[r], st.s_in[r],
                            agg, labels[r])
         keep[keep] = ~(self.x_max[r] / st.m_w > t_stay)
         return keep
+
+    def screen(self, graph, st, labels, agg):
+        """(rows, passed): the dirty nodes, ascending, split into those
+        whose local gain at ``labels`` is to be computed and those whose
+        gain the cache proves not negative, after ``widen``; clears the
+        mask.  ``agg`` must be ``from_labels``' of ``labels``.  With m 0 it
+        proves none."""
+        self.widen(graph, st, labels)
+        dirty = np.flatnonzero(self.dirty)
+        self.dirty[dirty] = False
+        safe = (self.x_max[dirty] < np.inf) & (st.m_w > 0.0)
+        r = dirty[safe]
+        safe[safe] = stay_gain(
+            st.m_w, self.w_own[r] - _margin(graph, st, r), st.s_out[r],
+            st.s_in[r], agg, labels[r]) >= 0.0
+        return dirty[~safe], dirty[safe]
+
+
+def _margin(graph, st, rows):
+    """M of each of ``rows`` (see ``_Frontier``)."""
+    ptr = graph.neighbor_union().ptr
+    return (ptr[rows + 1] - ptr[rows] + 4) * (
+        2.0**-49 * (st.s_out[rows] + st.s_in[rows]) + 2.0**-1070)
 
 
 def _first_max(k, row, val, floor):
@@ -366,9 +409,11 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
     pointers, the count of negative-gain members no cut could repair, the
     gain of each applied cut, and a mask of the nodes of the pieces holding
     them.  Only the ``dirty`` nodes of the level's ``memo`` are examined,
-    and the pieces cut or left are marked dirty for the next phase (see
-    ``_Frontier``); a ``stats`` turns on the comparison with a full
-    recompute.
+    and of those only the ones its ``screen`` cannot prove safe from the
+    row cache get their local gains computed; the pieces cut or left are
+    marked dirty for the next phase (see ``_Frontier``).  A ``stats`` turns
+    on the comparison with a full recompute and the check of every applied
+    cut's price against ``gain_switch``.
 
     One stack of pieces, seeded with the bad communities (those with a
     dirty member of negative local gain) so that the smallest label is
@@ -379,9 +424,11 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
     with room for a label per node.  A cut moves the detached nodes to the
     next label of the counter ``fresh``, so it is a maximal-correction
     commit to an empty community: ``local_gains`` tests a piece,
-    ``gain_switch(..., to=None)`` prices a cut and ``agg.move_nodes``
-    applies it, each linear in the piece's rows.  Only the bad
-    communities' nodes change in ``a``, ``labels`` and ``agg``.
+    ``_best_cut`` prices its cuts, each at ``gain_switch(..., to=None)``'s
+    bits, and ``agg.move_nodes`` applies the pick.  Testing and applying
+    are linear in the piece's rows, pricing in the rows of the cuts'
+    slices.  Only the bad communities' nodes change in ``a``, ``labels``
+    and ``agg``.
 
     ``subtrees`` lays the bad communities out once, before any cut, with
     each community's smallest cycle node as its root.  The nodes a cut
@@ -396,9 +443,9 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
 
     A cut is one tree edge (a branch cut: the subtree below a non-cycle
     node leaves) or, when no branch cut improves, both edges of a 2-cycle
-    (c0, c1): c1's subtree leaves and both cycle nodes self-assign.  Branch
-    cuts are tried in ascending node order and the first best one wins.
-    No longer cycle can occur.  The pair gain of ``find_assignment`` is
+    (c0, c1): c1's subtree leaves and both cycle nodes self-assign.  Of the
+    branch cuts, the first best in ascending node order wins.  No longer
+    cycle can occur.  The pair gain of ``find_assignment`` is
     symmetric bit for bit (entries (i, j) and (j, i) of the union hold the
     same sum W(i, j) + W(j, i), and both products of ``join_gain``
     commute), so on a cycle i1 -> i2 -> ... -> ik each node's best gain is
@@ -420,17 +467,19 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
         memo = _Frontier(graph.n)
     comm = forest.comm
     agg = CommunityAggregates.from_labels(st, comm, graph.n)
-    dirty = np.flatnonzero(memo.dirty)
-    memo.dirty[dirty] = False
-    bad = np.unique(comm[dirty[local_gains(graph, st, comm, agg, dirty)
-                               < 0.0]])
-    if stats is not None and not np.array_equal(bad, np.unique(
-            comm[local_gains(graph, st, comm, agg) < 0.0])):
-        stats.debug_failures.append(
-            "positive: a negative local gain lies at a clean node")
+    rows, passed = memo.screen(graph, st, comm, agg)
+    bad = np.unique(comm[rows[local_gains(graph, st, comm, agg, rows) < 0.0]])
+    if stats is not None:
+        full = local_gains(graph, st, comm, agg)
+        if (full[passed] < 0.0).any():
+            stats.debug_failures.append(
+                "positive: the screen passed a negative local gain")
+        if not np.array_equal(bad, np.unique(comm[full < 0.0])):
+            stats.debug_failures.append(
+                "positive: a negative local gain lies at a clean node")
     left = np.zeros(graph.n, dtype=bool)
     nodes = np.flatnonzero(np.isin(comm, bad))
-    order, start, size, root = subtrees(forest, nodes)
+    tree = order, start, _, root = subtrees(forest, nodes)
     # (label, members) of the pieces left to split: the bad communities'
     # slices, which tile ``order`` in label order
     parts = np.split(order, np.unique(start[root[nodes]])[1:])
@@ -449,31 +498,19 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
         g = local_gains(graph, st, labels, agg, mem)
         if not (g < 0.0).any():
             continue
-        cyc = mem[cycle[mem]]
-        cuts = [(x,) for x in mem[~cycle[mem]].tolist()]
-        if cyc.size == 2:
-            cuts.append(tuple(cyc.tolist()))  # only if no branch cut improves
-        best_gain = 0.0
-        best = None  # (detached nodes, pointer sources to self-assign)
-        for cut in cuts:
-            if len(cut) == 2 and best is not None:
-                break
-            x = cut[-1]
-            moved = order[start[x]:start[x] + size[x]]
-            b_nodes = np.sort(moved[labels[moved] == c])
-            gsp = gain_switch(graph, st, labels, agg, b_nodes, c, None)
-            if gsp > best_gain:
-                best_gain = gsp
-                best = (b_nodes, cut)
-        if best is None:
+        gain, b_nodes, cut = _best_cut(graph, st, labels, agg, tree, c, mem,
+                                       cycle)
+        if cut is None:
             unresolved += int((g < 0.0).sum())
             left[mem] = True
             continue
-        b_nodes, cut = best
-        for x in cut:
-            a[x] = x
+        if stats is not None and gain != gain_switch(graph, st, labels, agg,
+                                                     b_nodes, c, None):
+            stats.debug_failures.append(
+                f"positive: cut of node {cut[-1]} mispriced at {gain}")
+        a[list(cut)] = cut
         cycle[cut[-1]] = True
-        gains.append(best_gain)
+        gains.append(gain)
         b = next(fresh)
         labels[b_nodes] = b
         memo.moved[b_nodes] = True
@@ -485,6 +522,61 @@ def positive_correction(graph, st, forest, stats=None, memo=None):
     if gains:
         forest = AssignmentForest.from_labels(a, labels, cycle)
     return forest, unresolved, gains, left
+
+
+def _slices(n, order, lo, size):
+    """(seg, nodes): the slices ``order[lo[k]:lo[k] + size[k]]`` end to end,
+    each in ascending order, and the slice ``seg`` of each node; every node
+    id is below ``n``."""
+    seg = np.repeat(np.arange(size.size), size)
+    key = seg * n + order[np.arange(seg.size)
+                          + np.repeat(lo - np.cumsum(size) + size, size)]
+    key.sort()
+    return seg, key - seg * n
+
+
+def _best_cut(graph, st, labels, agg, tree, c, mem, cycle):
+    """The cut that positive correction applies to the piece of label ``c``
+    with the ascending members ``mem``: (gain, detached nodes, cut nodes),
+    the detached nodes ascending, or (0.0, None, None) when no cut strictly
+    improves.  ``tree`` is the phase's ``subtrees`` and ``cycle`` flags the
+    pieces' cycle nodes.
+
+    The branch cuts are priced in batches: the slices of consecutive
+    off-cycle members, filtered to label ``c`` and laid end to end by
+    ``_slices``, go to one ``set_sums`` call without ``owner``, so each set
+    is priced alone at ``labels``, and one ``switch_gain`` against the
+    empty community.  Each set's sums add its nodes' terms in ascending
+    node order, so every gain has ``gain_switch``'s bits.  The first
+    maximum of a batch is ``np.argmax``'s, and a later batch wins only with
+    a strictly higher gain, so the pick is the first best cut in ascending
+    node order.  A batch ends where the slices' running size crosses a
+    multiple of ``PIECE_ENTRIES``, so a deep chain, whose slices hold about
+    the square of its length, never lays them all out at once.  The 2-cycle
+    cut (c0, c1) comes last, as a batch of c1's slice alone, priced only
+    when no branch cut improves."""
+    order, start, size, _ = tree
+    off, cyc = mem[~cycle[mem]], mem[cycle[mem]]
+    parts = [(p, None) for p in np.split(off, np.flatnonzero(np.diff(
+        np.cumsum(size[off]) // PIECE_ENTRIES)) + 1) if p.size]
+    if cyc.size == 2:
+        parts.append((cyc[1:], tuple(cyc.tolist())))
+    best = 0.0, None, None
+    for part, pair in parts:
+        if pair and best[2] is not None:
+            break
+        seg, nodes = _slices(graph.n, order, start[part], size[part])
+        own = labels[nodes] == c
+        seg, nodes = seg[own], nodes[own]
+        w_to, w_from, so_b, si_b, _ = set_sums(
+            graph, st, labels, seg, nodes, np.full(part.size, c),
+            np.full(part.size, -1), part.size)
+        gain = switch_gain(st.m_w, w_to, w_from, so_b, si_b, agg.s_out[c],
+                           agg.s_in[c])
+        j = int(np.argmax(gain))
+        if gain[j] > best[0]:
+            best = float(gain[j]), nodes[seg == j], pair or (int(part[j]),)
+    return best
 
 
 # -------------------------------------------------------- maximal correction
@@ -572,11 +664,11 @@ class _MovePrices:
     in the batch had moved first.
 
     A root's tail is its slice ``[lo, lo + size)`` of the sweep's
-    ``subtrees`` preorder ``order``; the tails must be disjoint.  One
-    ``np.repeat`` lays the slices end to end, and one sort of the (set,
-    node) keys puts every tail's nodes in ascending order.  Their sums come
-    from one ``set_sums`` call, the kernel of ``gain_switch``, given the
-    scratch map ``owner`` (-1 everywhere, and left so): a tail's weight to
+    ``subtrees`` preorder ``order``; the tails must be disjoint.
+    ``_slices`` lays them end to end, each in ascending order, with the
+    tail ``seg`` of each node.  Their sums come from one ``set_sums`` call,
+    the kernel of ``gain_switch``, given the scratch map ``owner`` (-1
+    everywhere, and left so): a tail's weight to
     its target then also counts its entries into the tails of the earlier
     roots of that target.  A root of rank r among the roots of its target
     is priced against the target's sums plus the strength sums of the r
@@ -593,12 +685,8 @@ class _MovePrices:
                  to, owner):
         k = roots.size
         m = st.m_w
-        self.tptr = np.concatenate(([0], np.cumsum(size)))
-        seg = np.repeat(np.arange(k), size)
-        key = seg * graph.n + order[np.arange(seg.size) + np.repeat(
-            lo - self.tptr[:-1], size)]
-        key.sort()
-        self.nodes = nodes = key - seg * graph.n
+        seg, nodes = _slices(graph.n, order, lo, size)
+        self.seg, self.nodes = seg, nodes
         w_to, w_from, self.so_b, self.si_b, (pos, eseg, nbr, w, into) = \
             set_sums(graph, st, labels, seg, nodes, frm, to, k, owner)
         sums, b = np.array([agg.s_out[to], agg.s_in[to]]), np.array(
@@ -619,7 +707,7 @@ class _MovePrices:
         self.attach = np.append(j, -1)[_first_max(k, s, pg, -np.inf)]
 
     def tail(self, k):
-        return self.nodes[self.tptr[k]:self.tptr[k + 1]]
+        return self.nodes[self.seg == k]
 
 
 def _ready(frm, to, n_comms):
@@ -947,6 +1035,7 @@ def run(graph: Graph, config: RunConfig | None = None) -> RunResult:
     stats = RunStats()
     t_start = time.perf_counter()
     graph = _unit_scaled(graph)
+    stats.setup_seconds = time.perf_counter() - t_start
     debug = stats if config.debug_checks else None
 
     @contextmanager

@@ -88,7 +88,8 @@ def subtrees(forest, nodes):
     tail, and the other node of a 2-cycle gets the tree hanging from it.
     The communities follow each other in ascending label order.  ``start``,
     ``size`` and ``root`` are indexed by node id and hold -1 off ``nodes``,
-    so ``start`` is each node's position in ``order``, or -1.
+    so ``start`` is each node's position in ``order``, or -1.  An empty
+    ``nodes`` returns at once: an empty ``order`` and -1 everywhere.
 
     Each community's Euler tour enters and leaves every node once (entries
     x and m + x for the node at position x of ``nodes``, children in
@@ -102,6 +103,9 @@ def subtrees(forest, nodes):
     outlasts the ceil(log2(2m + 1)) rounds in which every entry of a true
     tour reaches the end."""
     n, m = forest.a.size, nodes.size
+    start, size, root = np.full((3, n), -1)
+    if not m:
+        return np.empty(0, dtype=np.int64), start, size, root
     loc = np.empty(n, dtype=np.int64)
     loc[nodes] = np.arange(m)  # below, nodes go by position in nodes
     comm, up = forest.comm[nodes], forest.a[nodes]
@@ -133,7 +137,6 @@ def subtrees(forest, nodes):
             break
     else:
         raise InvariantError("subtrees: a pointer cycle is not cut")
-    start, size, root = np.full((3, n), -1)
     start[nodes] = np.cumsum(ahead[cyc[first]])[c] - ahead[:m]
     size[nodes] = ahead[:m] - ahead[m:2 * m]
     root[nodes] = nodes[rt]

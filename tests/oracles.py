@@ -236,6 +236,56 @@ def oracle_row_cache(ptr, nbr, w, labels, rows):
     return w_own, x_max
 
 
+def oracle_local_gains(ptr, nbr, w, s_out, s_in, m, labels, rows):
+    """Per node of ``rows``, row by row: its local gain, the gain of joining
+    the rest of its own community, with that community's strength sums and
+    its own weight to it each added one term at a time from 0.0, in node
+    and entry order, and the join gain written out."""
+    c_out, c_in = np.zeros(labels.max() + 1), np.zeros(labels.max() + 1)
+    for i, c in enumerate(labels.tolist()):
+        c_out[c] += s_out[i]
+        c_in[c] += s_in[i]
+    gains = np.empty(rows.size)
+    for r, i in enumerate(rows.tolist()):
+        w_own = 0.0
+        for j, x in zip(nbr[ptr[i]:ptr[i + 1]].tolist(),
+                        w[ptr[i]:ptr[i + 1]].tolist()):
+            if labels[j] == labels[i]:
+                w_own += x
+        c = labels[i]
+        gains[r] = w_own / m - (s_out[i] * (c_in[c] - s_in[i]) + s_in[i]
+                                * (c_out[c] - s_out[i])) / (m * m)
+    return gains
+
+
+def oracle_split(graph, st, labels, agg, tree, c, mem, cycle):
+    """The cut positive correction applies to the piece of label ``c`` with
+    the ascending members ``mem``, as a loop over the cuts: each branch cut
+    of an off-cycle member x, in ascending order, then, only when none
+    improves, the 2-cycle cut of the piece's two cycle nodes, each moving
+    the nodes of label ``c`` in the slice of its last node in ``tree``'s
+    preorder, priced by ``gain_switch`` to an empty community.  Returns
+    (gain, detached nodes, cut nodes) of the first cut of the highest gain
+    above 0.0, or (0.0, None, None)."""
+    from synclouvain.quality import gain_switch
+    order, start, size, _ = tree
+    cuts = [(x,) for x in mem[~cycle[mem]].tolist()]
+    cyc = mem[cycle[mem]]
+    if cyc.size == 2:
+        cuts.append(tuple(cyc.tolist()))  # only if no branch cut improves
+    best = 0.0, None, None
+    for cut in cuts:
+        if len(cut) == 2 and best[2] is not None:
+            break
+        x = cut[-1]
+        moved = order[start[x]:start[x] + size[x]]
+        b_nodes = np.sort(moved[labels[moved] == c])
+        gain = gain_switch(graph, st, labels, agg, b_nodes, c, None)
+        if gain > best[0]:
+            best = gain, b_nodes, cut
+    return best
+
+
 def random_edges(rng, n, density=0.3, dyadic=False, self_loops=False):
     """Random directed weighted edge list; weights positive, optionally dyadic."""
     edges = []

@@ -36,7 +36,8 @@ from synclouvain.rng import uniform01
 
 from conftest import build_graph, two_triangles
 from oracles import (dense_weights, oracle_best_targets, oracle_commit,
-                     oracle_row_cache, oracle_score, oracle_tail, random_edges)
+                     oracle_local_gains, oracle_row_cache, oracle_score,
+                     oracle_split, oracle_tail, random_edges)
 
 
 def test_config_validation():
@@ -252,17 +253,23 @@ def test_row_cache_and_settled_rows_match_the_oracles(monkeypatch):
     # keeps is kept in its community by the full plan kernel of
     # oracles.py.  The second run of each graph writes the cache from 3
     # threads (more than the cores), in pieces of at most 64 entries,
-    # switching threads often
-    real = _Frontier.settled
+    # switching threads often.  Rows are widened by every widen call, the
+    # positive phases' screens included, so those calls are tracked
+    real, real_widen = _Frontier.settled, _Frontier.widen
     seen = {"fresh": 0, "settled": 0, "widened": 0, "exact": 0}
     widened = {}  # per memo, kept alive: rows widened since their plan
 
-    def checked(self, graph, st, labels, agg):
-        u = graph.neighbor_union()
+    def tracked(self, graph, st, labels):
         _, wide = widened.setdefault(id(self), (self, np.zeros(graph.n,
                                                                dtype=bool)))
-        wide[u.gather(np.flatnonzero(self.moved))[1]] = True
+        moved = np.flatnonzero(self.moved)
+        wide[graph.neighbor_union().gather(moved)[1]] = True
+        real_widen(self, graph, st, labels)
+
+    def checked(self, graph, st, labels, agg):
+        u = graph.neighbor_union()
         keep = real(self, graph, st, labels, agg)
+        wide = widened[id(self)][1]
         fresh = np.flatnonzero(self.x_max < np.inf)
         w_own, x_max = oracle_row_cache(u.ptr, u.nbr, u.w, labels, fresh)
         assert (self.w_own[fresh] <= w_own).all()
@@ -282,6 +289,7 @@ def test_row_cache_and_settled_rows_match_the_oracles(monkeypatch):
         return keep
 
     monkeypatch.setattr(_Frontier, "settled", checked)
+    monkeypatch.setattr(_Frontier, "widen", tracked)
     switch = sys.getswitchinterval()
     try:
         for name, g in _cache_shapes():
@@ -322,6 +330,93 @@ def test_debug_flags_a_row_settled_from_a_corrupt_cache():
                              if "frontier plan differs" in m]
     assert failures == {False: [], True: [
         "frontier plan differs from the full plan at level 0 sweep 0"]}
+
+
+def test_screened_rows_have_no_negative_local_gain(monkeypatch):
+    # at every positive phase, each dirty row the screen passes has a local
+    # gain of at least 0.0 by the row-by-row oracle, and the planted shapes
+    # do pass rows.  The small random graphs make local gains near 0.0
+    # common.  The second run of each graph writes the cache from 3
+    # threads, in pieces of at most 64 entries, switching threads often
+    real = _Frontier.screen
+    passed = Counter()
+
+    def checked(self, graph, st, labels, agg):
+        rows, safe = real(self, graph, st, labels, agg)
+        u = graph.neighbor_union()
+        gains = oracle_local_gains(u.ptr, u.nbr, u.w, st.s_out, st.s_in,
+                                   st.m_w, labels, safe)
+        assert (gains >= 0.0).all()
+        passed[name] += safe.size
+        return rows, safe
+
+    monkeypatch.setattr(_Frontier, "screen", checked)
+    rng = np.random.default_rng(4)
+    small = [(f"random-{t}", build_graph(n, random_edges(
+        rng, n, density=float(rng.uniform(0.05, 0.4)))))
+        for t, n in enumerate(rng.integers(10, 60, 30).tolist())]
+    switch = sys.getswitchinterval()
+    try:
+        for name, g in list(_cache_shapes()) + small:
+            for seed, threads in ((1, 1), (2, 3)):
+                monkeypatch.setattr(detector, "PIECE_ENTRIES",
+                                    64 if threads > 1 else 2**15)
+                sys.setswitchinterval(1e-5 if threads > 1 else switch)
+                run(g, RunConfig(threads=threads, seed=seed))
+    finally:
+        sys.setswitchinterval(switch)
+    assert all(passed[name] > 0 for name, _ in _cache_shapes()
+               if name.startswith("planted"))
+
+
+def test_debug_flags_a_row_screened_from_a_corrupt_cache():
+    # pendant 3 has a negative local gain in the triangle's community; a
+    # cached w_own raised by 10 lets the screen pass it, and the debug
+    # recompute of every passed row sees that
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0),
+             (3, 0, 0.5), (3, 4, 5.0)]
+    g = build_graph(5, edges)
+    st = strengths(g)
+    forest = extract_components(np.array([1, 2, 0, 0, 4]))
+    agg = CommunityAggregates.from_labels(st, forest.comm, forest.n_comms)
+    failures = {}
+    for corrupt in (False, True):
+        memo = _Frontier(g.n)
+        _map_rows(g, None, lambda lo, hi, r: detector._best_targets(
+            g, st, forest.comm, agg, lo, hi, r, memo), np.arange(g.n))
+        assert (memo.x_max < np.inf).all()
+        memo.w_own[3] += 10.0 * corrupt
+        stats = RunStats()
+        positive_correction(g, st, forest, stats, memo)
+        failures[corrupt] = [m for m in stats.debug_failures
+                             if "screen" in m]
+    assert failures == {False: [], True: [
+        "positive: the screen passed a negative local gain"]}
+
+
+def test_debug_flags_a_cut_priced_off_gain_switch(monkeypatch):
+    # a batch price one ulp above gain_switch's, on the cut that detaches
+    # pendant 3 from the triangle's community, is flagged by the debug
+    # comparison of every applied cut with gain_switch
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0),
+             (3, 0, 0.5), (3, 4, 5.0)]
+    g = build_graph(5, edges)
+    forest = extract_components(np.array([1, 2, 0, 0, 4]))
+    real = detector._best_cut
+    failures = {}
+    for corrupt in (False, True):
+        def priced(*args):
+            gain, b_nodes, cut = real(*args)
+            return (np.nextafter(gain, np.inf) if corrupt else gain,
+                    b_nodes, cut)
+
+        monkeypatch.setattr(detector, "_best_cut", priced)
+        stats = RunStats()
+        gains = positive_correction(g, strengths(g), forest, stats)[2]
+        assert len(gains) == 1
+        failures[corrupt] = stats.debug_failures
+    assert failures[False] == [] and len(failures[True]) == 1
+    assert failures[True][0].startswith("positive: cut of node 3 mispriced")
 
 
 def test_moved_and_entryless_rows_stay_stale_until_planned():
@@ -492,6 +587,61 @@ def test_positive_correction_cuts_again_above_an_earlier_cut():
                                      abs=1e-12)
     np.testing.assert_array_equal(forest2.comm, [0, 1, 1, 2, 2, 3, 3, 3, 3])
     np.testing.assert_array_equal(forest2.a, [0, 1, 1, 3, 3, 5, 5, 5, 5])
+
+
+def _random_forest(rng, n, scales=(0,)):
+    """A random graph on n nodes, its weights multiplied by 2**s for an s
+    drawn from ``scales`` per edge and scaled to a unit total, and the
+    forest of random pointers into each node's union neighbors."""
+    edges = random_edges(rng, n, density=float(rng.uniform(0.1, 0.4)))
+    g = _unit_scaled(build_graph(n, [(i, j, math.ldexp(w, int(s)))
+                                     for (i, j, w), s in zip(
+                                         edges, rng.choice(scales,
+                                                           len(edges)))]))
+    u = g.neighbor_union()
+    a = np.arange(n)
+    for i in range(n):
+        if u.ptr[i + 1] > u.ptr[i]:
+            a[i] = rng.choice(u.nbr[u.ptr[i]:u.ptr[i + 1]])
+    return g, extract_components(a)
+
+
+def test_best_cut_matches_the_per_cut_oracle(monkeypatch):
+    # every piece positive correction prices on random forests against the
+    # per-cut loop of oracles.py, bit for bit: the gain, the detached nodes
+    # and the cut.  Weights spread over 2**-500, 1 and 2**500, random
+    # pointers close 2-cycles, pieces cut before hold slices with nodes of
+    # other labels, and at PIECE_ENTRIES 4 most cuts are priced in several
+    # batches
+    real = detector._best_cut
+    seen = Counter()
+
+    def checked(graph, st, labels, agg, tree, c, mem, cycle):
+        got = real(graph, st, labels, agg, tree, c, mem, cycle)
+        want = oracle_split(graph, st, labels, agg, tree, c, mem, cycle)
+        assert got[0].hex() == want[0].hex() and got[2] == want[2]
+        if got[2] is not None:
+            assert got[1].tobytes() == want[1].tobytes()
+        seen[len(got[2] or ())] += 1
+        order, start, size, _ = tree
+        off = mem[~cycle[mem]]
+        seen["batches"] += np.unique(np.cumsum(size[off]) // 4).size
+        seen["pieces"] += 1
+        if (labels[np.concatenate([order[start[x]:start[x] + size[x]]
+                                   for x in off] + [[c]])] != c).any():
+            seen["filtered"] += 1
+        return got
+
+    monkeypatch.setattr(detector, "_best_cut", checked)
+    rng = np.random.default_rng(30)
+    for t in range(80):
+        g, forest = _random_forest(rng, int(rng.integers(6, 40)),
+                                   (-500, 0, 500) if t % 2 else (0,))
+        monkeypatch.setattr(detector, "PIECE_ENTRIES", 4 if t % 4 < 2
+                            else 2**15)
+        positive_correction(g, strengths(g), forest, None)
+    assert seen[0] and seen[1] and seen[2] and seen["filtered"]
+    assert seen["batches"] > 2 * seen["pieces"]
 
 
 def test_positive_correction_gains_are_oracle_differences_on_random_forests(
@@ -1175,6 +1325,27 @@ def test_phase_seconds_leave_out_the_trace_scores(rng, monkeypatch):
     res = run(g, RunConfig(seed=1))
     assert res.stats.levels >= 2
     assert all(v < delay for v in res.stats.phase_seconds.values())
+
+
+def test_setup_seconds_time_the_level_0_union_build(rng, monkeypatch):
+    # the level-0 union is built inside _unit_scaled, before any phase: a
+    # slow build of it (the later levels' unions are built in the phases)
+    # shows in setup_seconds and in no phase, and setup plus the phases
+    # stay within the wall time
+    from synclouvain import graph as graph_mod
+    g = build_graph(60, random_edges(rng, 60, density=0.1))
+    real = graph_mod._build_union
+    delay = 0.2
+
+    def slow(graph):
+        time.sleep(delay if graph is g else 0.0)
+        return real(graph)
+
+    monkeypatch.setattr(graph_mod, "_build_union", slow)
+    st = run(g, RunConfig(seed=1)).stats
+    assert delay <= st.setup_seconds < 2 * delay
+    assert all(v < delay for v in st.phase_seconds.values())
+    assert st.setup_seconds + sum(st.phase_seconds.values()) <= st.wall_seconds
 
 
 def test_pool_workers_keep_the_callers_error_state():

@@ -119,6 +119,12 @@ def test_subtrees_hold_minus_one_off_the_nodes():
     for arr in (start, size, root):
         np.testing.assert_array_equal(arr[3:], [-1, -1])
     np.testing.assert_array_equal(start[order], np.arange(3))
+    # no nodes: an empty preorder, and -1 at every node
+    order, start, size, root = subtrees(forest, np.empty(0, dtype=np.int64))
+    assert order.dtype == np.int64 and order.shape == (0,)
+    for arr in (start, size, root):
+        assert arr.dtype == np.int64
+        np.testing.assert_array_equal(arr, [-1] * 5)
 
 
 @pytest.mark.parametrize("a, comm, on_cycle, why", [

@@ -44,6 +44,10 @@ ratios, quartiles and the graphs where it was lower, from a wrapper of
 ``detector._commit_rounds`` that adds the seconds
 spent inside the generator, resumptions included, and counts the rounds
 it yields; so the line shows each layer's share of a change in time.
+A further line gives positive correction the same way: each tree's
+median seconds per run inside ``detector.positive_correction`` and rows
+per run whose local gain ``detector.local_gains`` computed, with the
+per-graph ratios.
 Then a line gives each tree's median level-0 sweeps and median
 sweeps per run, summed over the levels (``RunStats.sweeps_per_level``).
 A last line gives, from the same timed runs, each tree's mean
@@ -72,7 +76,7 @@ def planted(shape, seed):
 
 
 PLAN_ZERO = {"plan_s": 0.0, "plan_entries": 0, "tested": 0, "settled": 0,
-             "commit_s": 0.0, "rounds": 0}
+             "commit_s": 0.0, "rounds": 0, "positive_s": 0.0, "gain_rows": 0}
 
 
 def timed_plan(detector):
@@ -80,8 +84,10 @@ def timed_plan(detector):
     union entries of its rows to the returned dict, and the settle test
     ``detector._Frontier.settled`` so that it adds its seconds, the rows it
     tested and the rows it settled.  The commit's rounds,
-    ``detector._commit_rounds``, add their seconds and count their rounds
-    (the commit runs on the calling thread only, so no lock is needed)."""
+    ``detector._commit_rounds``, add their seconds and count their rounds,
+    ``detector.positive_correction`` its seconds, and
+    ``detector.local_gains`` the rows it computes (these run on the calling
+    thread only, so no lock is needed)."""
     plan = dict(PLAN_ZERO)
     inner = detector._best_targets
     lock = threading.Lock()
@@ -124,6 +130,20 @@ def timed_plan(detector):
             yield out
 
     detector._commit_rounds = timed_rounds
+    positive, gains = detector.positive_correction, detector.local_gains
+
+    def timed_positive(*args, **kwargs):
+        t0 = time.perf_counter()
+        out = positive(*args, **kwargs)
+        plan["positive_s"] += time.perf_counter() - t0
+        return out
+
+    def counted_gains(graph, st, labels, agg, nodes=None):
+        plan["gain_rows"] += graph.n if nodes is None else len(nodes)
+        return gains(graph, st, labels, agg, nodes)
+
+    detector.positive_correction = timed_positive
+    detector.local_gains = counted_gains
     return plan
 
 
@@ -162,7 +182,9 @@ def work():
                           "settled": plan["settled"]
                           / max(plan["tested"], 1),
                           "commit_s": plan["commit_s"],
-                          "rounds": plan["rounds"]}),
+                          "rounds": plan["rounds"],
+                          "positive_s": plan["positive_s"],
+                          "gain_rows": plan["gain_rows"]}),
               flush=True)
 
 
@@ -197,24 +219,20 @@ def main():
                   f"faults per run {faults[0]:.0f} -> {faults[1]:.0f}; flats "
                   f"differ on {sum(a['flat'] != b['flat'] for a, b in pairs)}",
                   flush=True)
-            line = []
-            for f, unit in (("plan_s", "plan s per run"),
-                            ("plan_us", "plan us per planned entry"),
-                            ("commit_s", "commit s per run"),
-                            ("rounds", "commit rounds per run")):
-                per = [median(r[f] for r in side) for side in zip(*pairs)]
-                ratio = [new[f] / max(old[f], 1e-12) for old, new in pairs]
-                q1, q3 = np.percentile(ratio, [25, 75])
-                line.append(
-                    f"{unit} {per[0]:.4g} -> {per[1]:.4g}, this/"
-                    f"{args.rev} median {median(ratio):.3f} (quartiles "
-                    f"{q1:.3f}, {q3:.3f}), lower on "
-                    f"{sum(r < 1.0 for r in ratio)}/{len(pairs)} graphs")
+            line = [layer(pairs, args.rev, f, unit) for f, unit in (
+                ("plan_s", "plan s per run"),
+                ("plan_us", "plan us per planned entry"),
+                ("commit_s", "commit s per run"),
+                ("rounds", "commit rounds per run"))]
             share = [median(r["settled"] for r in side)
                      for side in zip(*pairs)]
             line.insert(2, f"rows settled {share[0]:.1%} -> {share[1]:.1%} "
                            f"of those tested")
             print(f"{shape}: " + "; ".join(line), flush=True)
+            print(f"{shape}: " + "; ".join(
+                layer(pairs, args.rev, f, unit) for f, unit in (
+                    ("positive_s", "positive s per run"),
+                    ("gain_rows", "local gain rows per run"))), flush=True)
             s0, sw = ([median(r[f] for r in side) for side in zip(*pairs)]
                       for f in ("sweeps0", "sweeps"))
             print(f"{shape}: median level-0 sweeps {s0[0]:g} -> {s0[1]:g}; "
@@ -225,6 +243,17 @@ def main():
                   f"({q[1] - q[0]:+.5f}); mean NMI against the planted truth "
                   f"{nm[0]:.4f} -> {nm[1]:.4f} ({nm[1] - nm[0]:+.4f})",
                   flush=True)
+
+
+def layer(pairs, rev, f, unit):
+    """Each tree's median of the reply field ``f`` per run, and the median,
+    quartiles and count below 1 of its per-graph ratios this / ``rev``."""
+    per = [median(r[f] for r in side) for side in zip(*pairs)]
+    ratio = [new[f] / max(old[f], 1e-12) for old, new in pairs]
+    q1, q3 = np.percentile(ratio, [25, 75])
+    return (f"{unit} {per[0]:.4g} -> {per[1]:.4g}, this/{rev} median "
+            f"{median(ratio):.3f} (quartiles {q1:.3f}, {q3:.3f}), lower on "
+            f"{sum(r < 1.0 for r in ratio)}/{len(pairs)} graphs")
 
 
 def compare(shape, args, srcs):
