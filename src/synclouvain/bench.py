@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, dump_edge_list, write_partition
+from .graph import (Graph, _run_starts, _stable_order, dump_edge_list,
+                    write_partition)
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,9 @@ class PlantedGraph:
 
 
 def _feasible(x, cmin, cmax):
-    if x == 0:
-        return True
-    return x >= cmin and -(-x // cmax) <= x // cmin
+    """Whether x nodes, an int or an array of them, split into sizes in
+    [cmin, cmax]."""
+    return (x == 0) | ((x >= cmin) & (-(-x // cmax) <= x // cmin))
 
 
 def _draw_sizes(rng, n_total, cmin, cmax, need_multiple):
@@ -63,15 +64,15 @@ def _draw_sizes(rng, n_total, cmin, cmax, need_multiple):
     sizes = []
     remaining = n_total
     while remaining:
-        cands = [s for s in range(cmin, min(cmax, remaining) + 1)
-                 if _feasible(remaining - s, cmin, cmax)]
+        cands = np.arange(cmin, min(cmax, remaining) + 1)
+        cands = cands[_feasible(remaining - cands, cmin, cmax)]
         if need_multiple and not sizes:
-            cands = [s for s in cands if s < remaining]
-            if not cands:
+            cands = cands[cands < remaining]
+            if not cands.size:
                 raise ValueError(
                     "inter-community mixing needs at least two communities; "
                     f"N={n_total} < 2*cmin={2 * cmin}")
-        sizes.append(int(cands[rng.integers(0, len(cands))]))
+        sizes.append(int(cands[rng.integers(0, cands.size)]))
         remaining -= sizes[-1]
     return sizes
 
@@ -94,23 +95,82 @@ def _draw_degrees(rng, n, k, kmax):
         f"cannot reach mean degree {k} within 10% under kmax={kmax}")
 
 
-def _draw_outsiders(rng, n_total, lo, hi, want):
-    """Distinct uniform targets outside the block [lo, hi), kept in first-
-    draw order so results depend only on the stream."""
-    out = []
-    seen = set()
-    for _ in range(200):
-        batch = rng.integers(0, n_total, size=max(8, 2 * (want - len(out))))
-        for j in batch.tolist():
-            if lo <= j < hi or j in seen:
-                continue
-            seen.add(j)
-            out.append(j)
-            if len(out) == want:
-                return out
+PAIR_CHUNK = 2**15  # (node, slot) keys sorted at once by _draw_intra
+
+
+def _draw_intra(rng, ni, room):
+    """Per node i with ni[i] > 0, in id order, the slots in [0, room[i])
+    of its ni[i] smallest keys, one key per slot.
+
+    A slot's key is the top 48 - S bits of one ``random_raw`` word, S the
+    bits of the largest slot, ties going to the lower slot; the words are
+    drawn node by node and slot by slot.  The nodes are cut into chunks of
+    at most PAIR_CHUNK slots (or one node), each sorted by one ``np.sort``
+    of int64 words that hold, from the top, the node's place in its chunk
+    (15 bits, as a chunk holds at most 2**15 nodes), the key and the slot.
+    The key bits do not depend on the chunk, so neither does the result."""
+    who = np.flatnonzero(ni)
+    room, ni = room[who], ni[who]
+    slot_bits = int(room.max(initial=1) - 1).bit_length()
+    end = np.cumsum(room)
+    picks, a = [np.empty(0, np.int64)], 0
+    while a < who.size:
+        b = max(int(np.searchsorted(end, end[a] - room[a] + PAIR_CHUNK,
+                                    "right")), a + 1)
+        r, want = room[a:b], ni[a:b]
+        first = np.cumsum(r) - r
+        key = rng.bit_generator.random_raw(r.sum()) >> np.uint64(16)
+        key = key.view(np.int64) & -(1 << slot_bits)
+        key |= np.arange(key.size) + np.repeat(
+            (np.arange(b - a) << 48) - first, r)
+        key.sort()
+        take = np.repeat(first - (np.cumsum(want) - want), want)
+        picks.append(key[take + np.arange(take.size)] & (1 << slot_bits) - 1)
+        a = b
+    return np.concatenate(picks)
+
+
+def _draw_inter(rng, n_total, lo, size, ne):
+    """Per node i, ne[i] distinct targets outside its block [lo[i], lo[i]
+    + size[i]), as sorted keys i * n_total + target.  Each round, one
+    ``rng.integers`` call with an array ``high`` draws, in id order,
+    short * out // free targets for every node short of ``short``, out =
+    n_total - size being the nodes outside its block and free those it has
+    not got yet (a draw at or past lo skips the block).  About ``short`` of
+    them are new, and the node keeps the first ``short`` new ones, in draw
+    order.  Until a node has got out / (short + 1) targets it draws just
+    its shortfall, so only a node that wants most of the nodes outside its
+    block draws more.  A node that wants more targets than there are
+    outside its block raises at once, as do nodes still short after 200
+    rounds."""
+    out = n_total - size
+    got, short = np.empty(0, np.int64), ne
+    bad = ne > out
+    for _ in range(0 if bad.any() else 200):
+        # a node placed in full may have no free target left
+        draws = short * out // np.maximum(out - (ne - short), 1)
+        src = np.repeat(np.arange(n_total), draws)
+        x = rng.integers(0, out[src])
+        x += (x >= lo[src]) * size[src]
+        key = src * n_total + x
+        if (draws > short).any():
+            # a node keeps the first ``short`` of its draws new to it
+            order, sorted_key = _stable_order(key, n_total * n_total)
+            pos = np.sort(order[_run_starts(sorted_key)])
+            pos = pos[~np.isin(key[pos], got)]
+            s = src[pos]
+            key = key[pos[np.arange(pos.size) - np.searchsorted(s, s)
+                          < short[s]]]
+        got = np.sort(np.concatenate([got, key]))
+        got = got[_run_starts(got)]
+        short = ne - np.bincount(got // n_total, minlength=n_total)
+        bad = short > 0
+        if not bad.any():
+            return got
+    i = int(np.argmax(bad))
     raise ValueError(
-        f"cannot place {want} inter-community edges from a block of size "
-        f"{hi - lo} in a graph of {n_total} nodes")
+        f"cannot place {ne[i]} inter-community edges from a block of size "
+        f"{size[i]} in a graph of {n_total} nodes")
 
 
 def generate(spec: BenchSpec) -> PlantedGraph:
@@ -121,14 +181,17 @@ def generate(spec: BenchSpec) -> PlantedGraph:
     mixing knobs in expectation.
 
     The graph is a function of the seed's stream, drawn in a fixed order:
-    community sizes, degrees, intra stub counts, then per node in id order
-    one ``rng.choice`` of its distinct intra targets (stubs beyond the
-    rest of its block spill to inter) followed by the ``rng.integers``
-    batches that place its distinct inter targets outside its block.  The
-    loop makes only these draws; a node's intra draw x in [0, size - 1)
-    is the block's x-th node after skipping the node itself.  No (src,
-    dst) pair repeats, so the order in which edges reach
-    ``Graph.from_edges`` does not change its arrays."""
+    community sizes, degrees and intra stub counts; then every node's
+    distinct intra targets, the ni smallest of ``room`` = size - 1 random
+    keys, one per other node of its block (``_draw_intra``; stubs beyond
+    ``room`` spill to inter); then the rounds that place every node's
+    distinct inter targets outside its block (``_draw_inter``).  Slot
+    x of a node is the block's x-th node after skipping the node itself.
+    No (src, dst) pair repeats, so the order in which edges reach
+    ``Graph.from_edges`` does not change its arrays.
+    ``tests/oracles.py`` pins this order: ``oracle_generate``, the earlier
+    per-node loop, for the truth and each node's intra and inter counts, and
+    ``oracle_draws`` for the targets, node by node."""
     rng = np.random.default_rng(spec.seed)
     sizes = _draw_sizes(rng, spec.N, spec.cmin, spec.cmax, spec.mu_t > 0.0)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
@@ -136,34 +199,24 @@ def generate(spec: BenchSpec) -> PlantedGraph:
     deg = _draw_degrees(rng, spec.N, spec.k, spec.kmax)
     n_intra = rng.binomial(deg, 1.0 - spec.mu_t)
     lo = bounds[truth]
-    hi = bounds[truth + 1]
-    room = hi - lo - 1
-    ni = np.minimum(n_intra, room)  # overflow spills to inter
+    size = bounds[truth + 1] - lo
+    ni = np.minimum(n_intra, size - 1)  # overflow spills to inter
     ne = deg - ni
     if spec.mu_t == 0.0 and ne.any():
         i = int(np.argmax(ne > 0))
         raise ValueError(
-            f"community of size {hi[i] - lo[i]} cannot absorb "
+            f"community of size {size[i]} cannot absorb "
             f"{deg[i]} intra stubs with mu_t=0")
-    picks, outsiders = [np.empty(0, np.int64)], []
-    for lo_i, hi_i, room_i, ni_i, ne_i in zip(
-            lo.tolist(), hi.tolist(), room.tolist(), ni.tolist(),
-            ne.tolist()):
-        if ni_i:
-            picks.append(rng.choice(room_i, size=ni_i, replace=False))
-        if ne_i:
-            outsiders += _draw_outsiders(rng, spec.N, lo_i, hi_i, ne_i)
-    nodes = np.arange(spec.N)
-    intra_src = np.repeat(nodes, ni)
-    intra_dst = lo[intra_src] + np.concatenate(picks)
+    intra_src = np.repeat(np.arange(spec.N), ni)
+    intra_dst = lo[intra_src] + _draw_intra(rng, ni, size - 1)
     intra_dst += intra_dst >= intra_src
-    inter_dst = np.array(outsiders, dtype=np.int64)
+    inter = _draw_inter(rng, spec.N, lo, size, ne)
     w_inter = (spec.mu_w * (1.0 - spec.mu_t) / spec.mu_t
                if spec.mu_t > 0.0 else 0.0)
-    w = np.repeat([1.0 - spec.mu_w, w_inter], [intra_dst.size, inter_dst.size])
+    w = np.repeat([1.0 - spec.mu_w, w_inter], [intra_dst.size, inter.size])
     graph = Graph.from_edges(
-        spec.N, np.concatenate([intra_src, np.repeat(nodes, ne)]),
-        np.concatenate([intra_dst, inter_dst]), w)
+        spec.N, np.concatenate([intra_src, inter // spec.N]),
+        np.concatenate([intra_dst, inter % spec.N]), w)
     return PlantedGraph(graph=graph, truth=truth, spec=spec)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import canonicalize_labels
+from .graph import _stable_order, canonicalize_labels
 
 __all__ = ["AssignmentForest", "InvariantError", "extract_components",
            "subtrees"]
@@ -122,9 +122,9 @@ def subtrees(forest, nodes):
     # parent, unless entering goes into a first child and leaving a child
     # into its next sibling
     nxt = np.concatenate((np.arange(m, 2 * m), m + par, [2 * m]))
-    kids = np.argsort(par, kind="stable")[:m - comms.size]
-    head = np.diff(par[kids], prepend=-1) != 0
-    nxt[np.where(head, par[kids], m + np.roll(kids, 1))] = kids
+    kids, kpar = (x[:m - comms.size] for x in _stable_order(par, m + 1))
+    head = np.diff(kpar, prepend=-1) != 0
+    nxt[np.where(head, kpar, m + np.roll(kids, 1))] = kids
     # the nodes entered from each entry to the end, itself included
     ahead = np.repeat(np.array([1, 0]), [m, m + 1])
     live = np.arange(2 * m)

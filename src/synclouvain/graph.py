@@ -148,6 +148,22 @@ def _run_starts(a):
     return np.flatnonzero(head)
 
 
+def _stable_order(key, bound):
+    """``(order, key[order])`` with ``order`` equal to ``np.argsort(key,
+    kind="stable")``, for integer keys with 0 <= key < ``bound``.
+
+    Each key's index is packed below it, so that every packed key is
+    distinct and numpy's default sort, faster than its stable one, gives
+    the stable order.  Keys too wide to pack, ``bound`` * 2**b > 2**63 for
+    indices of b bits, take the stable argsort."""
+    b = (key.size - 1).bit_length()
+    if bound << b > 2**63:
+        order = np.argsort(key, kind="stable")
+        return order, key[order]
+    packed = np.sort(key << b | np.arange(key.size))
+    return packed & ((1 << b) - 1), packed >> b
+
+
 def _merge_pairs(n, ncols, row, nbr, w):
     """(row, nbr, w) of the (row, nbr, w) triples, 0 <= row < n and
     0 <= nbr < ncols, merged: one triple per distinct (row, nbr) pair,
@@ -155,20 +171,23 @@ def _merge_pairs(n, ncols, row, nbr, w):
     This is the one sort-and-merge kernel: the graph, its union and the
     plan's per-row community sums are all built here.
 
-    Pairs are grouped by a stable sort of the key row * ncols + nbr, which
-    orders them as (row, nbr) does and keeps input order inside each group.
-    ``np.add.reduceat`` adds a group in an order of its own, so from three
-    terms on its bits can differ from a sequential ``np.bincount`` and from
-    ``ndarray.sum``; but a group's sum depends only on its own terms in
-    that fixed order, so every merged sum is deterministic.  The largest
-    key, n * ncols - 1, must fit in int64, so n * ncols > 2**63 raises
-    ValueError before anything of size n is allocated."""
+    Pairs are grouped by ``_stable_order`` of the key row * ncols + nbr,
+    which orders them as (row, nbr) does and keeps input order inside each
+    group.  ``np.add.reduceat`` adds a group in an order of its own, so
+    from three terms on its bits can differ from a sequential
+    ``np.bincount`` and from ``ndarray.sum``; but a group's sum depends
+    only on its own terms in that fixed order, so every merged sum is
+    deterministic.  Strictly ascending keys have nothing to merge and come
+    back as copies, so the result never shares memory with the input.  The
+    largest key, n * ncols - 1, must fit in int64, so n * ncols > 2**63
+    raises ValueError before anything of size n is allocated."""
     if n * ncols > 2**63:
         raise ValueError(f"{n} rows x {ncols} columns overflow the int64 "
                          "pair key")
     key = row * np.int64(ncols) + nbr
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    if (key[1:] > key[:-1]).all():
+        return row.copy(), nbr.copy(), w.copy()
+    order, key = _stable_order(key, n * ncols)
     starts = _run_starts(key)
     w = np.add.reduceat(w[order], starts)
     order = order[starts]

@@ -3,8 +3,8 @@
 Everything here is deliberately naive: dense matrices, double loops,
 exhaustive enumeration. Nothing imports the package under test, so a bug in
 the package cannot hide inside its own oracle; the two exceptions borrow
-only what other tests check: ``oracle_generate`` borrows the community-size
-and degree draws and writes out the rest, and ``oracle_commit`` prices each
+only what other tests check: ``oracle_generate`` and ``oracle_draws`` borrow
+the degree draw and write out the rest, and ``oracle_commit`` prices each
 move with the package's one-move kernels and writes out the walk.
 """
 
@@ -323,22 +323,47 @@ def _oracle_outsiders(rng, n_total, lo, hi, want):
         f"{hi - lo} in a graph of {n_total} nodes")
 
 
+def _oracle_prefix(spec):
+    """(rng, sizes, deg, n_intra) of the planted graph of ``spec``: the
+    draws before the targets, community sizes by the original list of
+    feasible candidates per community, then the package's degree draw and
+    the intra stub counts."""
+    from synclouvain.bench import _draw_degrees
+
+    def feasible(x):
+        return x == 0 or (x >= spec.cmin
+                          and -(-x // spec.cmax) <= x // spec.cmin)
+
+    rng = np.random.default_rng(spec.seed)
+    sizes, remaining = [], spec.N
+    while remaining:
+        cands = [s for s in range(spec.cmin, min(spec.cmax, remaining) + 1)
+                 if feasible(remaining - s)]
+        if spec.mu_t > 0.0 and not sizes:
+            cands = [s for s in cands if s < remaining]
+        sizes.append(cands[rng.integers(0, len(cands))])
+        remaining -= sizes[-1]
+    deg = _draw_degrees(rng, spec.N, spec.k, spec.kmax)
+    return rng, sizes, deg, rng.binomial(deg, 1.0 - spec.mu_t)
+
+
+def _weights(spec):
+    """(intra, inter) edge weights of ``spec``."""
+    return 1.0 - spec.mu_w, (spec.mu_w * (1.0 - spec.mu_t) / spec.mu_t
+                             if spec.mu_t > 0.0 else 0.0)
+
+
 def oracle_generate(spec):
     """(src, dst, w, truth) of the planted graph of ``spec``, edges in draw
     order and unmerged, by the generator's original per-node loop: each
     node's intra targets drawn from an array of the rest of its block,
-    then its outsiders.  Shares only the community-size and degree draws
-    with the package."""
-    from synclouvain.bench import _draw_degrees, _draw_sizes
-    rng = np.random.default_rng(spec.seed)
-    sizes = _draw_sizes(rng, spec.N, spec.cmin, spec.cmax, spec.mu_t > 0.0)
+    then its outsiders.  The generator now draws other targets, but keeps
+    the truth and each node's intra and inter counts.  Shares only the
+    degree draw with the package."""
+    rng, sizes, deg, n_intra = _oracle_prefix(spec)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     truth = np.repeat(np.arange(len(sizes)), sizes)
-    deg = _draw_degrees(rng, spec.N, spec.k, spec.kmax)
-    n_intra = rng.binomial(deg, 1.0 - spec.mu_t)
-    w_intra = 1.0 - spec.mu_w
-    w_inter = (spec.mu_w * (1.0 - spec.mu_t) / spec.mu_t
-               if spec.mu_t > 0.0 else 0.0)
+    w_intra, w_inter = _weights(spec)
     srcs, dsts, wgts = [], [], []
     for c in range(len(sizes)):
         lo, hi = int(bounds[c]), int(bounds[c + 1])
@@ -366,6 +391,49 @@ def oracle_generate(spec):
     dst = np.concatenate(dsts) if dsts else np.empty(0, np.int64)
     w = np.concatenate(wgts) if wgts else np.empty(0)
     return src, dst, w, truth
+
+
+def oracle_draws(spec):
+    """(src, dst, w) of the planted graph of a valid ``spec`` by the
+    generator's draws, written out node by node.  Node i, in id order,
+    draws one raw word per slot x of the other size - 1 nodes of its block
+    and keeps the slots of the ni smallest (word >> 16 + S, x), S the bits
+    of the largest slot of any node with intra stubs.  Then in each round
+    every node short of outsiders, in id order, draws short * out // free
+    targets by ``rng.integers`` from [0, out), out = N - size and free the
+    outsiders it has not got, a draw at or past its block's first node
+    skipping the block, and keeps the targets new to it until it has ne."""
+    rng, sizes, deg, n_intra = _oracle_prefix(spec)
+    w_intra, w_inter = _weights(spec)
+    nodes, lo = [], 0
+    for size in sizes:
+        for i in range(lo, lo + size):
+            ni = min(int(n_intra[i]), size - 1)
+            nodes.append((i, lo, size, ni, int(deg[i]) - ni))
+        lo += size
+    slot_bits = (max([size - 1 for _, _, size, ni, _ in nodes if ni],
+                     default=1) - 1).bit_length()
+    edges = []
+    for i, lo, size, ni, _ in nodes:
+        if ni:
+            words = rng.bit_generator.random_raw(size - 1).tolist()
+            keys = sorted((word >> 16 + slot_bits, x)
+                          for x, word in enumerate(words))
+            edges += [(i, lo + x + (x >= i - lo), w_intra)
+                      for _, x in keys[:ni]]
+    placed = {i: [] for i, *_ in nodes}
+    for _ in range(200):
+        for i, lo, size, _, ne in nodes:
+            got, out = placed[i], spec.N - size
+            short = ne - len(got)
+            if short:
+                draws = short * out // (out - len(got))
+                for x in rng.integers(0, np.full(draws, out)):
+                    t = int(x) + size * (x >= lo)
+                    if t not in got and len(got) < ne:
+                        got.append(t)
+    edges += [(i, t, w_inter) for i, ts in placed.items() for t in ts]
+    return tuple(np.array(col) for col in zip(*edges))
 
 
 def oracle_nmi(labels_a, labels_b):

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from synclouvain.bench import BenchSpec, PlantedGraph, generate, nmi, write_benchmark
+from synclouvain.bench import (BenchSpec, PlantedGraph, _draw_degrees,
+                               _draw_sizes, generate, nmi, write_benchmark)
 from synclouvain.detector import RunConfig, run
 from synclouvain.graph import Graph, load_edge_list, read_partition
 
-from oracles import oracle_generate, oracle_nmi
+from oracles import oracle_draws, oracle_generate, oracle_nmi
 
 
 def spec_1k(**kw):
@@ -138,20 +139,111 @@ def generator_grid():
                seed=5)
 
 
-@pytest.mark.parametrize("kw", list(generator_grid()), ids=lambda kw: "-".join(
+GRID_IDS = dict(ids=lambda kw: "-".join(
     f"{key}{value}" for key, value in kw.items()))
+
+
+def block_counts(sizes, src, dst):
+    """Per node, its edges to its own block and to other blocks."""
+    truth = np.repeat(np.arange(len(sizes)), sizes)
+    same = truth[src] == truth[dst]
+    n = truth.size
+    return (np.bincount(src[same], minlength=n),
+            np.bincount(src[~same], minlength=n))
+
+
+@pytest.mark.parametrize("kw", list(generator_grid()), **GRID_IDS)
 def test_generate_matches_per_node_oracle_bit_for_bit(kw):
-    # the oracle's edges come unmerged in draw order; ``from_edges`` sorts
-    # them, so equal arrays mean the same edges, weights and truth
+    # the oracles' edges come unmerged in draw order; ``from_edges`` sorts
+    # them, so equal arrays mean the same edges and weights.  The original
+    # loop pins the truth and every node's intra and inter counts; the
+    # node-by-node writing of today's draws pins the targets
     spec = spec_of(kw)
     pg = generate(spec)
-    src, dst, w, truth = oracle_generate(spec)
-    ref = Graph.from_edges(spec.N, src, dst, w)
+    g = pg.graph
+    src, dst, _, truth = oracle_generate(spec)
+    assert pg.truth.tobytes() == truth.tobytes()
+    sizes = np.bincount(truth)
+    for got, want in zip(block_counts(sizes, g.out_src, g.out_dst),
+                         block_counts(sizes, src, dst)):
+        assert got.tobytes() == want.tobytes()
+    ref = Graph.from_edges(spec.N, *oracle_draws(spec))
     for name in ("out_src", "out_dst", "out_w"):
-        got, want = getattr(pg.graph, name), getattr(ref, name)
+        got, want = getattr(g, name), getattr(ref, name)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes(), name
-    assert pg.truth.tobytes() == truth.tobytes()
+
+
+def test_generate_places_outsiders_that_fill_the_rest_of_the_graph():
+    # two blocks of 200 and nearly every stub inter: a node of degree 200
+    # wants every node of the other block.  Drawing just a node's shortfall
+    # each round would take about 1.6 * 200 rounds to place the last few,
+    # past the cap of 200; drawing short * out // free places them all
+    spec = BenchSpec(N=400, k=110, kmax=200, mu_t=0.999, mu_w=0.5,
+                     cmin=200, cmax=200, seed=2)
+    pg = generate(spec)
+    g = pg.graph
+    inter = pg.truth[g.out_src] != pg.truth[g.out_dst]
+    assert (np.bincount(g.out_src[inter], minlength=spec.N) == 200).any()
+    ref = Graph.from_edges(spec.N, *oracle_draws(spec))
+    for name in ("out_src", "out_dst", "out_w"):
+        assert getattr(g, name).tobytes() == getattr(ref, name).tobytes()
+
+
+@pytest.mark.parametrize("kw", list(generator_grid()) + [
+    # blocks of 3 to 5 nodes: nearly every node spills, and its outsiders
+    # fill much of the rest of the graph
+    dict(N=60, k=20, kmax=40, mu_t=0.1, mu_w=0.05, cmin=3, cmax=5, seed=6),
+    # nodes whose outsiders are every node of the other block
+    dict(N=400, k=110, kmax=200, mu_t=0.999, mu_w=0.5, cmin=200, cmax=200,
+         seed=2),
+], **GRID_IDS)
+def test_generated_targets_are_distinct_and_in_place(kw):
+    # a node's edge count equals its degree only if no (src, dst) pair was
+    # drawn twice, as ``from_edges`` merges repeats; intra edges, told by
+    # their weight, stay in the block and off the node, inter edges leave
+    spec = spec_of(kw)
+    pg = generate(spec)
+    g = pg.graph
+    rng = np.random.default_rng(spec.seed)
+    _draw_sizes(rng, spec.N, spec.cmin, spec.cmax, spec.mu_t > 0.0)
+    deg = _draw_degrees(rng, spec.N, spec.k, spec.kmax)
+    assert np.bincount(g.out_src, minlength=spec.N).tobytes() == deg.tobytes()
+    intra = g.out_w == 1.0 - spec.mu_w
+    assert (intra if spec.mu_t == 0.0 else ~intra).any()
+    same = pg.truth[g.out_src] == pg.truth[g.out_dst]
+    assert (same == intra).all()
+    assert (g.out_src != g.out_dst).all()
+
+
+@pytest.mark.parametrize("shape", BENCH_SHAPES, ids=("file", "mixed",
+                                                     "sparse"))
+def test_generator_statistics_over_16_seeds(shape):
+    # mean degree, the share of edges inside blocks and the share of weight
+    # leaving them, averaged over 16 graphs, against the spec; and the
+    # targets' places: intra slots spread evenly over a block, and
+    # outsiders fall before a block as often as the nodes before it
+    k, kmax, mu_t, mu_w = shape
+    deg, intra, leave, slot, before = [], [], [], [], []
+    for seed in range(16):
+        pg = generate(BenchSpec(N=1000, k=k, kmax=kmax, mu_t=mu_t,
+                                mu_w=mu_w, seed=seed))
+        g, truth = pg.graph, pg.truth
+        lo = np.searchsorted(truth, truth)
+        size = np.bincount(truth)[truth]
+        same = truth[g.out_src] == truth[g.out_dst]
+        deg.append(g.edge_count / g.n)
+        intra.append(same.mean())
+        leave.append(g.out_w[~same].sum() / g.out_w.sum())
+        s, d = g.out_src[same], g.out_dst[same]
+        slot.append((d - lo[s] - (d > s)) / (size[s] - 2))
+        s, d = g.out_src[~same], g.out_dst[~same]
+        before.append((d < lo[s]) - lo[s] / (g.n - size[s]))
+    assert abs(np.mean(deg) - k) <= 0.1 * k  # as ``_draw_degrees`` allows
+    assert abs(np.mean(intra) - (1.0 - mu_t)) <= 0.02
+    assert abs(np.mean(leave) - mu_w) <= 0.02
+    assert abs(np.concatenate(slot).mean() - 0.5) <= 0.01
+    assert abs(np.concatenate(before).mean()) <= 0.01
 
 
 @pytest.mark.parametrize("kw, match", [
@@ -159,7 +251,8 @@ def test_generate_matches_per_node_oracle_bit_for_bit(kw):
     (dict(N=100, k=20, kmax=40, mu_t=0.0, mu_w=0.0, cmin=10, cmax=15,
           seed=1), "cannot absorb"),
     # two communities of 12: a node with more than 12 inter stubs cannot
-    # place them, and gives up after 200 rounds of draws
+    # place them; the original loop gives up after 200 rounds of draws,
+    # the generator before it draws any
     (dict(N=24, k=12, kmax=20, mu_t=0.6, mu_w=0.5, cmin=12, cmax=12,
           seed=1), "cannot place"),
 ], ids=("absorb", "outsiders"))

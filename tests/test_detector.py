@@ -181,7 +181,8 @@ def test_best_targets_bits_match_the_oracle_on_run_pieces(shape, monkeypatch):
     # are not dyadic, so equal bits need the same sums in the same order.
     # Two isolated nodes give degree-0 rows, a separate triangle rows whose
     # neighbors all share their community, and the second run's pieces of
-    # 16 entries rows larger than a piece.  Both runs go at threads 1 and
+    # 12 entries rows larger than a piece (the sparse graph's largest row
+    # has 16).  Both runs go at threads 1 and
     # 2, and must plan pieces whose rows are a node range and pieces with
     # gaps between their rows
     n, k, kmax, mu_t, mu_w = shape
@@ -214,7 +215,7 @@ def test_best_targets_bits_match_the_oracle_on_run_pieces(shape, monkeypatch):
         return got
 
     monkeypatch.setattr(detector, "_best_targets", checked)
-    for entries in (detector.PIECE_ENTRIES, 16):
+    for entries in (detector.PIECE_ENTRIES, 12):
         monkeypatch.setattr(detector, "PIECE_ENTRIES", entries)
         for threads in (1, 2):
             run(g, RunConfig(threads=threads, seed=3))

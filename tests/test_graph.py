@@ -11,6 +11,7 @@ from synclouvain.graph import (
     _bulk_edges,
     _merge_pairs,
     _parse_edge_lines,
+    _stable_order,
     _unit_scaled,
     aggregate,
     canonicalize_labels,
@@ -281,6 +282,41 @@ def test_merge_pairs_matches_lexsort_reference(rng):
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
+
+
+def test_stable_order_matches_stable_argsort(rng):
+    # ties, keys already in order, sizes 0 and 1; each key under a tight
+    # bound, which packs its index below it, and under 2**62, too wide to
+    # pack from 3 keys on; and tied keys near 2**62, which packing would
+    # overflow
+    cases = [np.empty(0, np.int64), np.array([5]), np.arange(10),
+             np.zeros(7, np.int64), np.array([3, 3, 1, 1, 2]),
+             np.array([2, 1]), np.sort(rng.integers(0, 5, 50)),
+             rng.choice([0, 2**61, 2**62 - 1], 50)]
+    for _ in range(40):
+        cases.append(rng.integers(0, rng.integers(1, 20),
+                                  rng.integers(2, 300)))
+    for key in cases:
+        want = np.argsort(key, kind="stable")
+        for bound in (int(key.max(initial=0)) + 1, 2**62):
+            order, sorted_key = _stable_order(key, bound)
+            assert order.dtype == want.dtype
+            assert order.tobytes() == want.tobytes()
+            assert sorted_key.tobytes() == key[want].tobytes()
+
+
+def test_from_edges_leaves_the_callers_arrays_alone():
+    # the rows are read-only copies even when the input needs no sort or
+    # merge; a caller's arrays stay writable and unshared
+    for src, dst in (([0, 0, 1], [1, 2, 0]), ([1, 0, 0], [0, 2, 1]),
+                     ([0, 0], [1, 1]), ([], [])):
+        src, dst = np.array(src, np.int64), np.array(dst, np.int64)
+        w = np.ones(src.size)
+        g = Graph.from_edges(3, src, dst, w)
+        _assert_canonical_rows(g)
+        for mine, rows in ((src, g.out_src), (dst, g.out_dst), (w, g.out_w)):
+            assert mine.flags.writeable
+            assert not np.shares_memory(mine, rows)
 
 
 def test_pair_key_overflow_is_rejected():

@@ -15,10 +15,13 @@ seeds 1000 * seed + i, alternately, the first to go alternating from graph
 to graph, so that both trees see the same slow and fast minutes of a shared
 machine.  A worker times generating the graph and building its neighbor
 union (the benchmark's in-memory setup; on planted-file the benchmark
-times the loader instead), checksums the graph's arrays, then times one
-``run`` at ``--threads`` and counts the process's minor page faults during
-it (``resource.getrusage`` ``ru_minflt``).  Each worker first detects one
-graph untimed, to warm up.
+times the loader instead) and checksums the graph's arrays.  This
+checkout's worker saves its graph to a temporary file, and REV's worker
+detects on that graph, with its union built untimed, so that both trees
+detect on the same graph even when the generator changed.  Each worker
+then times one ``run`` at ``--threads`` and counts the process's minor
+page faults during it (``resource.getrusage`` ``ru_minflt``).  Each worker
+first detects one graph untimed, to warm up.
 Each worker also wraps its tree's plan kernel, ``detector._best_targets``,
 and adds up the seconds spent inside it and the union entries of the rows
 it planned (the assignment's plan included), adds the seconds of the
@@ -61,6 +64,7 @@ settle test saves time.
 
 import argparse, json, os, resource, subprocess, sys, tempfile, threading
 import time, zlib
+from pathlib import Path
 from statistics import median
 
 import numpy as np
@@ -149,19 +153,33 @@ def timed_plan(detector):
 
 def work():
     """Worker loop: one JSON request per stdin line, one JSON reply per
-    stdout line."""
-    from synclouvain import RunConfig, detector, nmi, run
+    stdout line.  A request with a shape generates that graph, times it
+    and, with ``save``, writes its edges and truth there; a request without
+    detects on the last graph, or with ``load`` on the graph saved there."""
+    from synclouvain import Graph, RunConfig, detector, nmi, run
     plan = timed_plan(detector)
     for line in sys.stdin:
         req = json.loads(line)
-        t0 = time.perf_counter()
-        pg = planted(req["shape"], req["seed"])
-        graph = pg.graph
-        graph.neighbor_union()  # setup, as in the benchmark, not detect
-        setup = time.perf_counter() - t0
-        crc = 0
-        for arr in (graph.out_src, graph.out_dst, graph.out_w):
-            crc = zlib.crc32(arr.tobytes(), crc)
+        if "shape" in req:
+            t0 = time.perf_counter()
+            pg = planted(req["shape"], req["seed"])
+            graph, truth = pg.graph, pg.truth
+            graph.neighbor_union()  # setup, as in the benchmark, not detect
+            setup = time.perf_counter() - t0
+            crc = 0
+            for arr in (graph.out_src, graph.out_dst, graph.out_w):
+                crc = zlib.crc32(arr.tobytes(), crc)
+            if req["save"]:
+                np.savez(req["save"], n=graph.n, src=graph.out_src,
+                         dst=graph.out_dst, w=graph.out_w, truth=truth)
+            print(json.dumps({"setup_s": setup, "graph": crc}), flush=True)
+            continue
+        if req["load"]:
+            with np.load(req["load"]) as saved:
+                graph = Graph.from_edges(int(saved["n"]), saved["src"],
+                                         saved["dst"], saved["w"])
+                truth = saved["truth"]
+            graph.neighbor_union()
         cfg = RunConfig(threads=req["threads"])
         plan.update(PLAN_ZERO)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -169,11 +187,10 @@ def work():
         res = run(graph, cfg)
         secs = time.perf_counter() - t0
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        print(json.dumps({"setup_s": setup, "graph": crc,
-                          "s": secs, "faults": faults,
+        print(json.dumps({"s": secs, "faults": faults,
                           "flat": zlib.crc32(res.hierarchy.flat.tobytes()),
                           "q": res.final_score,
-                          "nmi": nmi(res.hierarchy.flat, pg.truth),
+                          "nmi": nmi(res.hierarchy.flat, truth),
                           "sweeps0": res.stats.sweeps_per_level[0],
                           "sweeps": sum(res.stats.sweeps_per_level),
                           "plan_s": plan["plan_s"],
@@ -198,7 +215,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         srcs = [extract_src(args.rev, tmp), ROOT / "src"]
         for shape in SHAPES:
-            pairs = compare(shape, args, srcs)
+            pairs = compare(shape, args, srcs, Path(tmp) / "graph.npz")
             per = [median(r["setup_s"] for r in side) for side in zip(*pairs)]
             ratio = [new["setup_s"] / old["setup_s"] for old, new in pairs]
             q1, q3 = np.percentile(ratio, [25, 75])
@@ -256,33 +273,38 @@ def layer(pairs, rev, f, unit):
             f"{sum(r < 1.0 for r in ratio)}/{len(pairs)} graphs")
 
 
-def compare(shape, args, srcs):
+def compare(shape, args, srcs, path):
     """(old, new) replies per graph of ``shape``, from a fresh worker per
-    tree, as the benchmark runs one workload per process."""
+    tree, as the benchmark runs one workload per process; the new tree's
+    graph goes through ``path`` to the old tree's worker."""
     procs = [subprocess.Popen(
         [sys.executable, __file__, "--work"], stdin=subprocess.PIPE,
         stdout=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONPATH": str(src)}) for src in srcs]
 
-    def detect(proc, seed):
-        proc.stdin.write(json.dumps({"shape": shape, "seed": seed,
-                                     "threads": args.threads}) + "\n")
+    def ask(proc, req):
+        proc.stdin.write(json.dumps(req) + "\n")
         proc.stdin.flush()
         reply = proc.stdout.readline()
         if not reply:
             sys.exit("a worker failed")
         return json.loads(reply)
 
+    def pair(seed, order):
+        old, new = procs
+        got = {id(p): ask(p, {"shape": shape, "seed": seed,
+                              "save": str(path) if p is new else None})
+               for p in order}
+        for p in order:
+            load = str(path) if p is old else None
+            got[id(p)].update(ask(p, {"threads": args.threads, "load": load}))
+        return tuple(got[id(p)] for p in procs)
+
     try:
-        for proc in procs:
-            detect(proc, 0)
-        pairs = []
-        for i in range(args.graphs):
-            seed = 1000 * args.seed + i
-            order = procs if i % 2 == 0 else procs[::-1]
-            got = {id(p): detect(p, seed) for p in order}
-            pairs.append(tuple(got[id(p)] for p in procs))
-        return pairs
+        pair(0, procs)
+        return [pair(1000 * args.seed + i,
+                     procs if i % 2 == 0 else procs[::-1])
+                for i in range(args.graphs)]
     finally:
         for proc in procs:
             proc.stdin.close()

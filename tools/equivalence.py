@@ -4,8 +4,11 @@
 
 Extracts ``src/`` at REV with ``git archive`` and runs one fixed corpus
 through ``run`` on both trees, each in its own process, at threads 1 and 2
-with ``debug_checks`` on.  REV must be ``71fc0e9`` or later; an older
-tree may need switches this tool does not set.  Prints every field that
+with ``debug_checks`` on.  The corpus is built once, in this checkout, and
+both trees read the same edge arrays from a temporary file, so a change to
+the generator does not change the graphs REV detects on.  REV must be
+``71fc0e9`` or later; an older tree may need switches this tool does not
+set.  Prints every field that
 differs, with the number of runs it differs on, one of them and, for a
 float field, the largest absolute difference between the two trees (for
 ``final_score`` also the runs this checkout scores lower and higher, and
@@ -132,10 +135,21 @@ def bits(x):
     return x.hex() if isinstance(x, float) else x
 
 
-def dump():
-    from synclouvain import RunConfig, run
+def save_corpus(path):
+    """Write ``corpus()``'s graphs, as (name, n, out_src, out_dst, out_w),
+    to ``path``."""
+    with open(path, "wb") as f:
+        pickle.dump([(name, g.n, g.out_src, g.out_dst, g.out_w)
+                     for name, g in corpus()], f)
+
+
+def dump(path):
+    from synclouvain import Graph, RunConfig, run
     out = {}
-    for name, graph in corpus():
+    with open(path, "rb") as f:
+        saved = pickle.load(f)
+    for name, *edges in saved:
+        graph = Graph.from_edges(*edges)
         for threads in (1, 2):
             key = f"{name} threads={threads}"
             try:
@@ -183,9 +197,13 @@ def extract_src(rev, tmp):
 
 def main(rev):
     with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.pickle"
+        subprocess.run([sys.executable, __file__, "--corpus", str(path)],
+                       check=True, env={**os.environ,
+                                        "PYTHONPATH": str(ROOT / "src")})
         procs = [subprocess.Popen(
-            [sys.executable, __file__, "--dump"], stdout=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": str(src)})
+            [sys.executable, __file__, "--dump", str(path)],
+            stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)})
             for src in (extract_src(rev, tmp), ROOT / "src")]
         outs = [p.communicate()[0] for p in procs]
     if any(p.returncode for p in procs):
@@ -214,4 +232,9 @@ def main(rev):
 
 
 if __name__ == "__main__":
-    sys.exit(dump() if sys.argv[1:] == ["--dump"] else main(sys.argv[1]))
+    if sys.argv[1] == "--corpus":
+        save_corpus(sys.argv[2])
+    elif sys.argv[1] == "--dump":
+        dump(sys.argv[2])
+    else:
+        sys.exit(main(sys.argv[1]))
